@@ -21,9 +21,10 @@ var allocCeilings = []struct {
 }{
 	{1024, 33_000},
 	{4096, 109_188}, // >=4x under the 436_752/run PR5 baseline
-	// The schedfold PR's slab pools (rank/mailbox/rank-state) plus the
-	// class-indexed token memo hold a warm 16Ki run to ~71k mallocs —
-	// under a fifth of the 341_444/run it recorded pre-schedfold. The
+	// The slab pools (rank/mailbox/rank-state), the key gather at
+	// collective entry and the class-indexed token memo hold a warm 16Ki
+	// run to ~71k mallocs — under a fifth of the 341_444/run it recorded
+	// before the gather moved ahead of schedule compilation. The
 	// ceiling leaves jitter headroom while still tripping if any single
 	// pool stops recycling.
 	{16384, 100_000},

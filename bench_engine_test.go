@@ -51,15 +51,6 @@ func hugeWorldOptions(ranks int, noFold bool) core.Options {
 	}
 }
 
-// hugeWorldOptionsNoSchedFold is the huge-world sweep with class-level
-// schedule folding disabled: the event engine keeps symmetry folding but
-// falls back to the per-schedule gather, the pre-schedfold code path.
-func hugeWorldOptionsNoSchedFold(ranks int) core.Options {
-	o := hugeWorldOptions(ranks, false)
-	o.NoSchedFold = true
-	return o
-}
-
 // reportCacheOverflows fails the benchmark if the run overflowed any of the
 // process-wide schedule/step/structure caches. An overflowing sweep is
 // re-compiling inside the timed region, so its ns/op measures cache
@@ -75,7 +66,7 @@ func reportCacheOverflows(b *testing.B, before int64) {
 // BenchmarkEngineHugeWorld is the scale the event engine unlocks: 1024- to
 // 262144-rank timing-only allreduce sweeps that the goroutine engine cannot
 // run in reasonable wall-clock time. The 64Ki and 256Ki rows are the
-// schedule-folding scale targets; their wall-clock is dominated by the
+// folding scale targets; their wall-clock is dominated by the
 // per-rank token scan and clock fanout (see README "Scaling limits").
 func BenchmarkEngineHugeWorld(b *testing.B) {
 	for _, ranks := range []int{1024, 4096, 16384, 65536, 262144} {
@@ -84,28 +75,6 @@ func BenchmarkEngineHugeWorld(b *testing.B) {
 			before := mpi.CacheOverflowCount()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Run(hugeWorldOptions(ranks, false)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportCacheOverflows(b, before)
-		})
-	}
-}
-
-// BenchmarkEngineHugeWorldNoSchedFold is the same sweep with class-level
-// schedule folding disabled — the engine still folds symmetric ranks but
-// compiles and replays one schedule per rank class gather the pre-schedfold
-// way. The ratio to the folded 16Ki row is the schedfold's end-to-end
-// speedup (schedfold_speedup_huge_world in the bench.sh JSON). Capped at
-// 16384 ranks: the per-schedule gather makes 64Ki+ rows too slow to
-// benchmark routinely.
-func BenchmarkEngineHugeWorldNoSchedFold(b *testing.B) {
-	for _, ranks := range []int{4096, 16384} {
-		b.Run(fmt.Sprint(ranks), func(b *testing.B) {
-			b.ReportAllocs()
-			before := mpi.CacheOverflowCount()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(hugeWorldOptionsNoSchedFold(ranks)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,35 +123,6 @@ func TestEngineFoldSmoke1024(t *testing.T) {
 	for i, w := range want.Series.Rows {
 		if got.Series.Rows[i] != w {
 			t.Errorf("row %d diverged:\nfold-off %+v\nfolded   %+v", i, w, got.Series.Rows[i])
-		}
-	}
-}
-
-// TestEngineSchedFoldSmoke16Ki is the CI race-smoke gate for schedule
-// folding at scale: one 16384-rank event sweep with class-level folding and
-// one on the per-schedule gather fallback must produce byte-identical
-// series. 16Ki is the smallest rank count where every schedfold layer (key
-// gather, structural cache, fallback demotion) is exercised by the
-// allreduce sweep's mixed eager/rendezvous sizes.
-func TestEngineSchedFoldSmoke16Ki(t *testing.T) {
-	if testing.Short() {
-		t.Skip("16384-rank sweep in -short mode")
-	}
-	want, err := core.Run(hugeWorldOptionsNoSchedFold(16384))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Run(hugeWorldOptions(16384, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Series.Rows) != len(want.Series.Rows) {
-		t.Fatalf("row count diverged: schedfold-off %d, schedfolded %d",
-			len(want.Series.Rows), len(got.Series.Rows))
-	}
-	for i, w := range want.Series.Rows {
-		if got.Series.Rows[i] != w {
-			t.Errorf("row %d diverged:\nschedfold-off %+v\nschedfolded   %+v", i, w, got.Series.Rows[i])
 		}
 	}
 }

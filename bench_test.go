@@ -307,7 +307,7 @@ func BenchmarkFig33PickleBandwidthLarge(b *testing.B) {
 
 // BenchmarkTable2 runs every registered benchmark once (the inventory),
 // driven from the registry metadata: each spec supplies its minimum rank
-// count and supported modes.
+// count, supported modes and, for the fault family, a fault plan.
 func BenchmarkTable2AllBenchmarks(b *testing.B) {
 	for _, bench := range core.Benchmarks() {
 		spec, err := core.LookupBenchmark(string(bench))
@@ -315,11 +315,12 @@ func BenchmarkTable2AllBenchmarks(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(string(bench), func(b *testing.B) {
-			ranks, mode := spec.InventoryConfig()
+			ranks, mode, faults := spec.InventoryConfig()
 			for i := 0; i < b.N; i++ {
 				runOrFatal(b, core.Options{
 					Benchmark: bench, Mode: mode, Buffer: pybuf.NumPy,
 					Ranks: ranks, PPN: 2, MinSize: 8, MaxSize: 1024,
+					Faults: faults,
 				})
 			}
 		})

@@ -52,7 +52,6 @@ func main() {
 		timing    = flag.Bool("timing-only", false, "skip payloads (huge-scale runs)")
 		engine    = flag.String("engine", "auto", "execution engine: auto (event for timing-only runs), goroutine, event")
 		fold      = flag.Bool("fold", true, "let the event engine fold symmetric ranks (false forces every rank to execute; reported numbers are identical either way)")
-		schedfold = flag.Bool("schedfold", true, "let the event engine compile and replay collective schedules per equivalence class (false keeps the schedule-level gather; reported numbers are identical either way)")
 		algo      = flag.String("algorithm", "", "force collective algorithms: a name for this benchmark's collective, coll=name pairs, \"all\" to sweep every algorithm, \"list\" to show the registry")
 		faults    = flag.String("faults", "", "deterministic fault plan, e.g. \"kill:rank=3,after=2:allreduce; noise:sigma=5us; jitter:link=0.1; seed:42\"")
 		par       = flag.Int("parallel", 0, "worker count for the -algorithm all sweep (0 = serial)")
@@ -94,25 +93,24 @@ func main() {
 	check(err)
 
 	opts := core.Options{
-		Benchmark:   b,
-		Cluster:     *cluster,
-		Impl:        mpiImpl,
-		Mode:        m,
-		Buffer:      lib,
-		UseGPU:      *gpu,
-		Ranks:       *ranks,
-		PPN:         *ppn,
-		MinSize:     *minSize,
-		MaxSize:     *maxSize,
-		Iters:       *iters,
-		Warmup:      *warmup,
-		Window:      *window,
-		Pairs:       *pairs,
-		TimingOnly:  *timing,
-		Engine:      *engine,
-		NoFold:      !*fold,
-		NoSchedFold: !*schedfold,
-		Faults:      *faults,
+		Benchmark:  b,
+		Cluster:    *cluster,
+		Impl:       mpiImpl,
+		Mode:       m,
+		Buffer:     lib,
+		UseGPU:     *gpu,
+		Ranks:      *ranks,
+		PPN:        *ppn,
+		MinSize:    *minSize,
+		MaxSize:    *maxSize,
+		Iters:      *iters,
+		Warmup:     *warmup,
+		Window:     *window,
+		Pairs:      *pairs,
+		TimingOnly: *timing,
+		Engine:     *engine,
+		NoFold:     !*fold,
+		Faults:     *faults,
 	}
 
 	// The budget covers the whole invocation (a sweep shares one deadline

@@ -59,6 +59,17 @@ const (
 	groupOverlap = "overlap (nonblocking, -mode c)"
 )
 
+// InTableII reports whether the workload is one of the paper's Table II
+// benchmarks (4 point-to-point, 9 blocking and 4 vector collectives) rather
+// than a post-paper family.
+func (s *BenchmarkSpec) InTableII() bool {
+	switch s.Group {
+	case groupPtPt, groupColl, groupVector:
+		return true
+	}
+	return false
+}
+
 // cAndPy is the mode set of benchmarks the serializing pickle path does
 // not cover.
 var cAndPy = []Mode{ModeC, ModePy}

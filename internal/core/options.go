@@ -107,13 +107,6 @@ type Options struct {
 	// this exists for A/B measurement (the fold-speedup benchmarks) and as
 	// an escape hatch. The goroutine engine never folds; it ignores this.
 	NoFold bool
-	// NoSchedFold disables schedule folding — the class-level compile and
-	// replay layered on top of symmetry folding — while keeping the
-	// schedule-level gather. Like NoFold it changes no reported number
-	// (the three-way fold parity suite pins bit-identical virtual times);
-	// it exists for A/B measurement and as an escape hatch. Implied by
-	// NoFold: there is no schedule folding without the fold gather.
-	NoSchedFold bool
 	// Sizes, when non-empty, is the explicit message-size axis, replacing
 	// the MinSize/MaxSize power-of-two sweep — the crossover-scan
 	// experiments step linearly through the switch region. Sizes must be
@@ -158,16 +151,6 @@ var defaultNoFold bool
 // the event engine (true = fold, the normal setting). It is meant to be
 // called once at CLI startup, before any Run.
 func SetDefaultFold(fold bool) { defaultNoFold = !fold }
-
-// defaultNoSchedFold is the process-wide schedule-folding default applied
-// when Options.NoSchedFold is false; the CLIs' -schedfold=false flag sets
-// it.
-var defaultNoSchedFold bool
-
-// SetDefaultSchedFold installs the process-wide schedule-folding default
-// for the event engine (true = fold at schedule level, the normal
-// setting). It is meant to be called once at CLI startup, before any Run.
-func SetDefaultSchedFold(fold bool) { defaultNoSchedFold = !fold }
 
 // engine resolves the options' engine choice. "auto" picks the
 // discrete-event engine exactly when the run is timing-only: the event
@@ -351,9 +334,6 @@ func (o Options) withDefaults() Options {
 	}
 	if defaultNoFold {
 		o.NoFold = true
-	}
-	if defaultNoSchedFold {
-		o.NoSchedFold = true
 	}
 	return o
 }

@@ -136,12 +136,14 @@ func (s *BenchmarkSpec) modeNames() string {
 	return strings.Join(names, ", ")
 }
 
-// InventoryConfig returns the smallest (ranks, mode) configuration the
-// spec supports, for inventory-style drivers that run every registered
+// InventoryConfig returns the smallest (ranks, mode, faults) configuration
+// the spec supports, for inventory-style drivers that run every registered
 // benchmark once (the table2 experiment, BenchmarkTable2AllBenchmarks):
 // 2 ranks for point-to-point workloads and 4 otherwise, raised to the
 // spec's minimum, in Py mode where the spec supports it and C otherwise.
-func (s *BenchmarkSpec) InventoryConfig() (ranks int, mode Mode) {
+// The fault-scenario family refuses to run without a plan, so it gets the
+// light noise plan its validation error suggests.
+func (s *BenchmarkSpec) InventoryConfig() (ranks int, mode Mode, faults string) {
 	ranks = 2
 	if s.Kind != KindPtPt {
 		ranks = 4
@@ -153,7 +155,10 @@ func (s *BenchmarkSpec) InventoryConfig() (ranks int, mode Mode) {
 	if !s.SupportsMode(mode) {
 		mode = ModeC
 	}
-	return ranks, mode
+	if s.Group == groupFault {
+		faults = "noise:sigma=5us"
+	}
+	return ranks, mode, faults
 }
 
 // buffers applies the spec's buffer scaling, defaulting to (1, 1).

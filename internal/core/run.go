@@ -149,16 +149,15 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("core: -faults: %w", err)
 	}
 	world, err := mpi.NewWorld(mpi.Config{
-		Placement:        place,
-		Model:            model,
-		Engine:           engine,
-		PyMode:           opts.Mode != ModeC,
-		CarryData:        !opts.TimingOnly,
-		Tuning:           opts.Tuning,
-		Algorithms:       algorithms,
-		DisableFold:      opts.NoFold,
-		DisableSchedFold: opts.NoSchedFold,
-		Faults:           plan,
+		Placement:   place,
+		Model:       model,
+		Engine:      engine,
+		PyMode:      opts.Mode != ModeC,
+		CarryData:   !opts.TimingOnly,
+		Tuning:      opts.Tuning,
+		Algorithms:  algorithms,
+		DisableFold: opts.NoFold,
+		Faults:      plan,
 	})
 	if err != nil {
 		return nil, err

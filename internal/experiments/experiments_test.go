@@ -89,6 +89,23 @@ func TestLightExperimentsShapeHolds(t *testing.T) {
 	}
 }
 
+// TestTable2RunsEveryBenchmark runs the whole registry inventory, the fault
+// family included, and checks the paper statistic counts exactly the 17
+// Table II benchmarks rather than every registered one.
+func TestTable2RunsEveryBenchmark(t *testing.T) {
+	e, err := ByID("table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats) != 1 || res.Stats[0].Measured != 17 {
+		t.Errorf("table2 stats = %+v, want one stat measuring 17", res.Stats)
+	}
+}
+
 func TestResultRender(t *testing.T) {
 	res := &Result{
 		ID:    "demo",

@@ -93,23 +93,28 @@ func table1() (*Result, error) {
 // paper's Table II (plus the registered post-paper families) by running
 // each one end-to-end at a small scale. The drive comes entirely from
 // registry metadata: each spec supplies its listing group, minimum rank
-// count and supported modes, so new workloads join the table by
-// registering themselves.
+// count, supported modes and (for the fault family) a fault plan, so new
+// workloads join the table by registering themselves. The paper statistic
+// counts only the Table II groups.
 func table2() (*Result, error) {
 	var sb strings.Builder
+	paper := 0
 	for _, b := range core.Benchmarks() {
 		spec, err := core.LookupBenchmark(string(b))
 		if err != nil {
 			return nil, fmt.Errorf("table2: %w", err)
 		}
-		ranks, mode := spec.InventoryConfig()
+		ranks, mode, faults := spec.InventoryConfig()
 		opts := core.Options{
 			Benchmark: b, Mode: mode, Buffer: pybuf.NumPy,
 			Ranks: ranks, PPN: 2, MinSize: 8, MaxSize: 1024,
-			Iters: 3, Warmup: 1,
+			Iters: 3, Warmup: 1, Faults: faults,
 		}
 		if _, err := core.Run(opts); err != nil {
 			return nil, fmt.Errorf("table2: %s failed: %w", b, err)
+		}
+		if spec.InTableII() {
+			paper++
 		}
 		fmt.Fprintf(&sb, "%-40s %s: ok\n", spec.Group, b)
 	}
@@ -117,8 +122,8 @@ func table2() (*Result, error) {
 		ID:    "table2",
 		Title: "supported benchmarks",
 		Table: stats.Table{Comment: sb.String()},
-		Stats: []Stat{{Name: "benchmarks implemented and passing", Paper: 17,
-			Measured: float64(len(core.Benchmarks())), Unit: ""}},
+		Stats: []Stat{{Name: "Table II benchmarks implemented and passing", Paper: 17,
+			Measured: float64(paper), Unit: ""}},
 	}, nil
 }
 

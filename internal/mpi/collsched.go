@@ -117,10 +117,8 @@ type collSched struct {
 	// tearing it down; inUse guards against replaying it while a previous
 	// invocation is still in flight; prices caches the post steps' message
 	// prices across replays (one entry per posting step, in post order,
-	// cursor postIdx). keyN/keyRoot are the replay key's shape stamps,
-	// valid while cached (schedShapeKey reads them for the fold gather).
+	// cursor postIdx).
 	cached, inUse bool
-	keyN, keyRoot int
 	prices        []stepPrice
 	postIdx       int
 	// shared marks steps as borrowed from the process-wide stepCache:

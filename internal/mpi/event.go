@@ -348,7 +348,6 @@ func (w *World) runEvent(body func(p *Proc) error) error {
 	// tens of thousands of ranks, re-clearing the previous Run's slabs is
 	// far cheaper than faulting in ~200MB of fresh pages per iteration and
 	// garbage-collecting them afterwards.
-	overflowsAtStart := cacheOverflows.Load()
 	procs, ers := takeRankSlabs(w.size)
 	workers := takeCoroWorkers(w.size)
 	for r := 0; r < w.size; r++ {
@@ -382,7 +381,6 @@ func (w *World) runEvent(body func(p *Proc) error) error {
 		// Shape verdicts are keyed by invocation value (shapeKey), not by
 		// schedule pointers, so foldShapes/foldNo survive the teardown:
 		// harvested schedules returning to the pool cannot alias them.
-		w.schedFoldStats.CacheOverflows += cacheOverflows.Load() - overflowsAtStart
 		// Every pointer into the rank slabs is now severed (mailbox owners
 		// above, schedule comms via harvest, per-Proc freelists die with
 		// their Proc), so the slabs can serve the next Run of this size.
@@ -547,12 +545,6 @@ func (l *eventLoop) driveUntil(target *eventRank) {
 // collective is over. The steps executed (and therefore every clock
 // advance) are identical to the blocking drive's.
 func (c *Comm) driveSchedEvent(s *collSched) error {
-	if er := c.proc.ev; er.loop.foldEligible(c, s) && er.loop.foldJoin(er, s) {
-		// The whole collective was simulated per equivalence class; this
-		// rank's clock and link state already hold the exit values and
-		// s.finish() has run.
-		return nil
-	}
 	done, err := s.tryDrive()
 	if !done && err == nil {
 		er := c.proc.ev

@@ -364,9 +364,6 @@ func (c *Comm) retainSched(key replayKey, s *collSched) {
 	}
 	s.cached = true
 	s.inUse = true
-	// Stamp the invocation shape so the schedule-level fold can recover the
-	// value key of a cached schedule (schedShapeKey).
-	s.keyN, s.keyRoot = key.n, key.root
 	posts := 0
 	for i := range s.steps {
 		switch s.steps[i].op {

@@ -21,8 +21,8 @@ package mpi
 // Every sample comes from faults.Uniform with per-rank operation counters
 // that advance identically on both engines, so a plan's virtual-time
 // outcome is bit-identical across engines, across -parallel sweeps, and
-// across fold-on/fold-off (faults break rank symmetry, so foldEligible
-// refuses to fold a faulted world — both settings take the unfolded path).
+// across fold-on/fold-off (faults break rank symmetry, so NewWorld closes
+// the fold gate on a faulted world — both settings take the unfolded path).
 
 import (
 	"fmt"

@@ -3,12 +3,15 @@ package mpi
 // Symmetry folding: the event engine's huge-world fast path. In a regular
 // placement, most ranks of a collective round execute the identical compiled
 // step at the identical virtual time; simulating each rank separately is
-// redundant. When every live rank of the world enters the same cached
-// collective schedule, the loop gathers them (each parks with waitFold), and
-// the last joiner resolves the whole invocation symbolically:
+// redundant. When every live rank of the world enters the same collective
+// invocation, the loop gathers their invocation keys (each rank parks with
+// waitFold; schedfold.go defers the invocation at collective entry, so no
+// schedule object exists yet), and the last joiner resolves the whole
+// invocation symbolically:
 //
-//   1. The schedule's *shape* is analyzed once (per cached-schedule
-//      identity): every rank must run the same step-op sequence, built from
+//   1. The invocation's *shape* is analyzed once per shape key (schedfold.go
+//      probe-compiles it or fetches it from the process-wide structure
+//      cache): every rank must run the same step-op sequence, built from
 //      exchange/reduce/copy primitives only, with one global per-step peer
 //      delta (xor "r^d" or modular "(r+d) mod p") that is its own inverse
 //      across the step. Ranks collapse into structural classes by their
@@ -226,66 +229,35 @@ func (sh *foldShape) slotOfDelta(d int) int {
 }
 
 // foldGather is the event loop's in-progress gather of ranks parked at an
-// eligible collective. Two kinds of join feed it, never mixed within a
-// world: key joins (schedule folding on — the rank brings only its
-// invocation key, no schedule exists) and schedule joins (schedule folding
-// off — the rank brings its compiled schedule, whose key is derived from
-// the replay stamps).
+// eligible collective. Each joiner brings only its invocation key; pend
+// points at any joiner's deferred invocation (key equality proves they are
+// interchangeable), used by the resolver to probe-compile a shape on the
+// first miss. The pointee lives in the joiner's Proc and stays valid while
+// that rank is parked in this gather.
 type foldGather struct {
-	scheds []*collSched
 	keys   []foldKey
 	ranks  []*eventRank
 	order  []int32
 	joined int
-	// keyed marks a gather of key joins; pend points at any joiner's
-	// deferred invocation (key equality proves they are interchangeable),
-	// used by the resolver to probe-compile a shape on the first miss. The
-	// pointee lives in the joiner's Proc and stays valid while that rank is
-	// parked in this gather.
-	keyed bool
-	pend  *foldPending
+	pend   *foldPending
 }
 
-// schedShapeKey recovers the invocation shape of a cached compiled schedule
-// from the replay stamps retainSched recorded on it.
-func schedShapeKey(s *collSched) shapeKey {
-	return shapeKey{coll: s.coll, n: s.keyN, root: s.keyRoot, dt: s.dt, op: s.op}
-}
-
-// foldEligible is the cheap per-rank pre-check run at the top of
-// driveSchedEvent: only full-world, context-0, cached (buffer-free)
-// schedules on untraced worlds with an empty mailbox and no outstanding
-// nonblocking collectives may join a gather. With schedule folding on, the
-// gather happens at collective entry instead (schedFoldEligible), so this
-// schedule-level gate stays closed.
-func (l *eventLoop) foldEligible(c *Comm, s *collSched) bool {
-	w := l.w
-	// A fault plan disables folding outright: noise/jitter draws and kill
-	// checks happen per rank per invocation, which is exactly the symmetry
-	// the fold exploits — bailing here keeps fold-on and fold-off runs
-	// bit-identical under faults.
-	if w.foldOff || !w.schedFoldOff || w.faults != nil || !s.cached || c.ctx != 0 ||
-		w.size < 2 || w.size > foldMaxRanks ||
-		len(c.group) != w.size || w.cfg.Trace != nil || len(c.proc.activeScheds) != 0 {
-		return false
-	}
-	if c.proc.mbPend != 0 {
-		return false
-	}
-	if _, no := w.foldNo[schedShapeKey(s)]; no {
-		return false
-	}
-	return true
-}
-
-// foldJoinCommon adds the rank to the gather and parks it unless it is the
-// last joiner, which resolves the whole invocation on its own stack. It
-// reports true when the collective was folded (clock and link state already
-// hold the exit values) and false when the rank must fall back to per-rank
-// execution.
-func (l *eventLoop) foldJoinCommon(er *eventRank, r int) bool {
+// foldJoinKey adds the rank's deferred invocation to the gather and parks it
+// unless it is the last joiner, which resolves the whole invocation on its
+// own stack. It reports true when the collective was folded (clock and link
+// state already hold the exit values; no schedule object ever exists) and
+// false when the rank must fall back to per-rank execution.
+func (l *eventLoop) foldJoinKey(er *eventRank, pend *foldPending) bool {
 	g := &l.fold
 	w := l.w
+	if g.ranks == nil {
+		g.keys = make([]foldKey, w.size)
+		g.ranks = make([]*eventRank, w.size)
+		g.order = make([]int32, 0, w.size)
+	}
+	r := er.proc.rank
+	g.keys[r] = pend.key
+	g.pend = pend
 	g.ranks[r] = er
 	g.order = append(g.order, int32(r))
 	g.joined++
@@ -301,62 +273,16 @@ func (l *eventLoop) foldJoinCommon(er *eventRank, r int) bool {
 	return false
 }
 
-func (l *eventLoop) foldGatherInit() {
-	g := &l.fold
-	w := l.w
-	g.scheds = make([]*collSched, w.size)
-	g.keys = make([]foldKey, w.size)
-	g.ranks = make([]*eventRank, w.size)
-	g.order = make([]int32, 0, w.size)
-}
-
-// foldJoin is the schedule join (schedule folding off): the rank brings its
-// compiled, cached schedule; on a fold the resolver runs its finish.
-func (l *eventLoop) foldJoin(er *eventRank, s *collSched) bool {
-	g := &l.fold
-	if g.ranks == nil {
-		l.foldGatherInit()
-	}
-	r := er.proc.rank
-	g.scheds[r] = s
-	g.keys[r] = foldKey{shape: schedShapeKey(s), seq: s.tag - tagCollBase}
-	g.keyed = false
-	return l.foldJoinCommon(er, r)
-}
-
-// foldJoinKey is the key join (schedule folding on): the rank brings only
-// its deferred invocation; no schedule object exists, and on a fold none
-// ever will — the resolver advances the communicator's collective sequence
-// in the fan-out instead of finish.
-func (l *eventLoop) foldJoinKey(er *eventRank, pend *foldPending) bool {
-	g := &l.fold
-	if g.ranks == nil {
-		l.foldGatherInit()
-	}
-	r := er.proc.rank
-	g.scheds[r] = nil
-	g.keys[r] = pend.key
-	g.keyed = true
-	g.pend = pend
-	return l.foldJoinCommon(er, r)
-}
-
 // resolveFold runs on the last joiner's stack once every live rank has
 // gathered: verify the invocation is uniform, fold it, and wake everyone.
 func (l *eventLoop) resolveFold() bool {
 	w := l.w
 	if l.fold.joined == w.size && l.tryFold() {
 		w.foldStats.Folded++
-		if l.fold.keyed {
-			w.schedFoldStats.GatherHits++
-		}
 		l.foldRelease(true)
 		return true
 	}
 	w.foldStats.Fallback++
-	if l.fold.keyed {
-		w.schedFoldStats.Fallbacks++
-	}
 	l.foldRelease(false)
 	return false
 }
@@ -370,7 +296,6 @@ func (l *eventLoop) foldRelease(folded bool) {
 	for _, r := range g.order {
 		er := g.ranks[r]
 		g.ranks[r] = nil
-		g.scheds[r] = nil
 		if er.state == rankBlocked {
 			er.foldDone = folded
 			er.state = rankRunnable
@@ -391,9 +316,6 @@ func (l *eventLoop) releaseFoldStalled() bool {
 		return false
 	}
 	l.w.foldStats.Released++
-	if l.fold.keyed {
-		l.w.schedFoldStats.Fallbacks++
-	}
 	l.foldRelease(false)
 	return true
 }
@@ -422,11 +344,7 @@ func (l *eventLoop) tryFold() bool {
 	sk := key0.shape
 	sh := w.foldShapes[sk]
 	if sh == nil {
-		if g.keyed {
-			sh = l.buildFoldShapeProbe(sk, g.pend)
-		} else {
-			sh = buildFoldShapeScheds(w, g.scheds)
-		}
+		sh = l.buildFoldShapeProbe(sk, g.pend)
 		if w.foldShapes == nil {
 			w.foldShapes = make(map[shapeKey]*foldShape, 8)
 		}
@@ -618,20 +536,6 @@ func (fx *foldExtract) structEqual(w *World, a, b int) bool {
 		}
 	}
 	return true
-}
-
-// buildFoldShapeScheds analyzes a schedule-join gather (schedule folding
-// off). A shape that fails any uniformity requirement comes back with
-// ok=false and is remembered in World.foldNo so later invocations skip the
-// gather.
-func buildFoldShapeScheds(w *World, scheds []*collSched) *foldShape {
-	fx := foldExtractSteps(w.size, scheds[0].steps, func(r int) []collStep {
-		return scheds[r].steps
-	})
-	if fx == nil {
-		return &foldShape{}
-	}
-	return buildFoldShapeFx(w, fx)
 }
 
 // buildFoldShapeFx turns an extracted digest into a full shape: structural
@@ -1019,7 +923,6 @@ func (sh *foldShape) buildPartition(tokOf []int32, ntok int) *foldPartition {
 func (sh *foldShape) simulate(l *eventLoop) bool {
 	w := l.w
 	p := w.size
-	g := &l.fold
 	scr := &w.foldScratch
 	nslots := sh.nslots
 
@@ -1312,16 +1215,12 @@ func (sh *foldShape) simulate(l *eventLoop) bool {
 		}
 		pr.clock.Set(clock[i])
 		pr.foldLB = &slab[i]
-		if s := g.scheds[r]; s != nil {
-			s.finish()
-		} else {
-			// Key join: no schedule was ever compiled. The invocation still
-			// consumed the communicator's collective sequence number (every
-			// fallback or per-rank path bumps it through nextCollTag), so
-			// advance it here to keep tag sequences identical across
-			// folded, fallback and fold-off executions.
-			pr.comm0.collSeq++
-		}
+		// No schedule was ever compiled, but the invocation still consumed
+		// the communicator's collective sequence number (every fallback or
+		// per-rank path bumps it through nextCollTag), so advance it here to
+		// keep tag sequences identical across folded, fallback and fold-off
+		// executions.
+		pr.comm0.collSeq++
 	}
 	return true
 }

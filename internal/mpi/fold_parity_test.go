@@ -19,20 +19,19 @@ import (
 
 // runFoldParity runs body on an event-engine world and returns every
 // rank's final clock plus the world's fold counters (both levels).
-func runFoldParity(t *testing.T, ranks, ppn int, disableFold, disableSchedFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats, SchedFoldStats) {
+func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats, SchedFoldStats) {
 	t.Helper()
 	place, err := topology.NewPlacement(&topology.Frontera, ranks, ppn, topology.Block, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w, err := NewWorld(Config{
-		Placement:        place,
-		Model:            netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2),
-		CarryData:        false,
-		Engine:           EngineEvent,
-		DisableFold:      disableFold,
-		DisableSchedFold: disableSchedFold,
-		Algorithms:       algorithms,
+		Placement:   place,
+		Model:       netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2),
+		CarryData:   false,
+		Engine:      EngineEvent,
+		DisableFold: disableFold,
+		Algorithms:  algorithms,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,33 +45,24 @@ func runFoldParity(t *testing.T, ranks, ppn int, disableFold, disableSchedFold b
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("fold=%v schedfold=%v: %v", !disableFold, !disableSchedFold, err)
+		t.Fatalf("fold=%v: %v", !disableFold, err)
 	}
 	return end, w.FoldStats(), w.SchedFoldStats()
 }
 
-// assertFoldParity runs body three ways — per-rank execution, the
-// schedule-level gather (schedule folding disabled), and full schedule
-// folding — and fails on any clock divergence; it returns the fully folded
-// run's counters at both levels for the caller to pin.
+// assertFoldParity runs body two ways — per-rank execution and folded —
+// and fails on any clock divergence; it returns the folded run's counters
+// at both levels for the caller to pin.
 func assertFoldParity(t *testing.T, ranks, ppn int, algorithms map[Collective]string, body func(p *Proc) error) (FoldStats, SchedFoldStats) {
 	t.Helper()
-	want, offStats, _ := runFoldParity(t, ranks, ppn, true, true, algorithms, body)
-	mid, _, midSF := runFoldParity(t, ranks, ppn, false, true, algorithms, body)
-	got, stats, sf := runFoldParity(t, ranks, ppn, false, false, algorithms, body)
-	if offStats.Folded != 0 {
-		t.Errorf("DisableFold world still folded %d invocations", offStats.Folded)
-	}
-	if midSF != (SchedFoldStats{}) {
-		t.Errorf("DisableSchedFold world still touched schedule folding: %+v", midSF)
+	want, offStats, offSF := runFoldParity(t, ranks, ppn, true, algorithms, body)
+	got, stats, sf := runFoldParity(t, ranks, ppn, false, algorithms, body)
+	if offStats != (FoldStats{}) || offSF != (SchedFoldStats{}) {
+		t.Errorf("DisableFold world still reached the fold gather: %+v %+v", offStats, offSF)
 	}
 	for r := 0; r < ranks; r++ {
-		if mid[r] != want[r] {
-			t.Errorf("rank %d: virtual end time diverged: fold-off %v, sched-gather %v",
-				r, want[r], mid[r])
-		}
 		if got[r] != want[r] {
-			t.Errorf("rank %d: virtual end time diverged: fold-off %v, schedule-folded %v",
+			t.Errorf("rank %d: virtual end time diverged: fold-off %v, folded %v",
 				r, want[r], got[r])
 		}
 	}
@@ -190,5 +180,61 @@ func TestFoldParityStraggler(t *testing.T) {
 	}
 	if sf.GatherHits+sf.Fallbacks == 0 {
 		t.Errorf("straggler workload never reached the key gather: %+v", sf)
+	}
+}
+
+// TestFoldParityRootedFallback drives rooted collectives through the
+// benchmark loop's per-size shape (barrier, clock reset, barrier, the timed
+// calls, then the min/sum/max row reduce). Rooted schedules are not
+// uniform across ranks, so their gathers end in a shape fallback or — when
+// the root leaves early — a partial gather released by the safety valve.
+// The clocks must still match per-rank execution, and both fallback paths
+// must actually have run.
+func TestFoldParityRootedFallback(t *testing.T) {
+	cases := []struct {
+		coll       string
+		ranks, ppn int
+	}{
+		{"bcast", 16, 1},
+		{"bcast", 64, 8},
+		{"reduce", 16, 4},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s-%dx%d", tc.coll, tc.ranks, tc.ppn), func(t *testing.T) {
+			stats, _ := assertFoldParity(t, tc.ranks, tc.ppn, nil, func(p *Proc) error {
+				c := p.CommWorld()
+				row := make([]byte, 48)
+				for _, n := range []int{1024, 64 * 1024} {
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					p.ResetClock()
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					for i := 0; i < 3; i++ {
+						var err error
+						if tc.coll == "bcast" {
+							err = c.BcastN(nil, n, 0)
+						} else {
+							err = c.ReduceN(nil, nil, n, Float32, OpSum, 0)
+						}
+						if err != nil {
+							return err
+						}
+					}
+					if err := c.Reduce(row[:24], row[24:], Float64, OpMinSumMax, 0); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if stats.Released == 0 {
+				t.Errorf("safety valve never released a stalled gather: %+v", stats)
+			}
+			if tc.coll == "bcast" && stats.Fallback == 0 {
+				t.Errorf("bcast never fell back from a full gather: %+v", stats)
+			}
+		})
 	}
 }

@@ -71,13 +71,6 @@ type Config struct {
 	// hatch: folding is bit-identical to per-rank execution, so the only
 	// observable difference is speed.
 	DisableFold bool
-	// DisableSchedFold turns off schedule folding (schedfold.go): eligible
-	// collectives then compile/replay per-rank schedules first and the
-	// symmetry fold gathers on the schedule objects afterwards (the PR 6
-	// pipeline). Like DisableFold, a debugging escape hatch — schedule
-	// folding is bit-identical to per-rank execution. Implied by
-	// DisableFold.
-	DisableSchedFold bool
 	// Faults installs a deterministic fault-injection plan (rank kills,
 	// OS-noise stragglers, link jitter; see internal/faults). nil simulates
 	// a perfect machine at zero cost on the hot path. A plan with kills
@@ -124,11 +117,9 @@ type World struct {
 	foldNo         map[shapeKey]struct{}
 	foldStats      FoldStats
 	schedFoldStats SchedFoldStats
-	foldOff        bool
-	schedFoldOff   bool
-	// schedFoldOK pre-ands every per-world schedule-fold precondition
-	// (fold knobs, fault plan, trace, size bounds) so the per-invocation
-	// eligibility check on the collective hot path is one load.
+	// schedFoldOK pre-ands every per-world fold precondition (fold knob,
+	// fault plan, trace, size bounds) so the per-invocation eligibility
+	// check on the collective hot path is one load.
 	schedFoldOK bool
 	foldScratch foldScratch
 	// linkSig fingerprints the placement's link tables so analyzed shapes
@@ -276,14 +267,16 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	w := &World{
 		cfg: cfg, size: size, fullSub: cfg.Placement.FullySubscribed(),
-		policy:       Policy{Tuning: cfg.Tuning.withDefaults(), Forced: forced, defaulted: true},
-		nextCtx:      1,
-		foldOff:      cfg.DisableFold,
-		schedFoldOff: cfg.DisableFold || cfg.DisableSchedFold,
-		faults:       cfg.Faults,
+		policy:  Policy{Tuning: cfg.Tuning.withDefaults(), Forced: forced, defaulted: true},
+		nextCtx: 1,
+		faults:  cfg.Faults,
+		// A fault plan disables folding outright: noise/jitter draws and kill
+		// checks happen per rank per invocation, which is exactly the
+		// symmetry the fold exploits — bailing here keeps fold-on and
+		// fold-off runs bit-identical under faults.
+		schedFoldOK: !cfg.DisableFold && cfg.Faults == nil &&
+			size >= 2 && size <= foldMaxRanks && cfg.Trace == nil,
 	}
-	w.schedFoldOK = !w.foldOff && !w.schedFoldOff && w.faults == nil &&
-		size >= 2 && size <= foldMaxRanks && cfg.Trace == nil
 	w.buildLinkTables()
 	w.mailboxes = make([]*mailbox, size)
 	// One slab, not 2*size allocations — drawn from the cross-world pool

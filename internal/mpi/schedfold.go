@@ -1,41 +1,30 @@
 package mpi
 
-// Schedule folding: the class-level compile-and-replay layer in front of
-// symmetry folding (fold.go). PR 6's fold removed per-rank *simulation* of
-// symmetric collectives but kept per-rank *bookkeeping*: every rank still
-// drew, compiled-or-replayed and scrubbed its own collSched per invocation
-// before the fold gate even looked at it, and at 64Ki ranks that per-rank
-// schedule lifecycle dominated the profile. This file moves the fold
-// boundary to the schedule lifecycle itself:
+// Fold entry: how a collective invocation reaches the symmetry fold
+// (fold.go) without any per-rank schedule object.
 //
 //   - At collective entry (startColl / barrierStart), an eligible rank does
 //     not compile anything. It records the invocation key — (collective,
 //     bytes, root, dtype, op, collective sequence number) — and returns the
 //     schedFoldPending sentinel; the blocking drive joins the event loop's
-//     gather with that key instead of a schedule object.
+//     gather with that key.
 //   - The resolver compares keys (p integer compares), looks the shape up in
 //     a value-keyed per-world cache, and simulates the whole invocation per
-//     equivalence class exactly as fold.go always did. One schedule *shape*
-//     and one set of per-class replay cursors exist per invocation key;
-//     no per-rank collSched is ever materialized on this path.
+//     equivalence class (fold.go). No per-rank collSched is ever
+//     materialized on this path.
 //   - The first time a shape key is seen in the process, the resolver
 //     compiles one probe schedule per rank (streaming, into one reused
-//     buffer), verifies uniformity exactly the way the schedule-level fold
-//     did, and publishes the analyzed structure to a process-wide cache
-//     keyed by (algorithm, comm size, invocation shape, link signature) —
-//     so subsequent worlds of the same sweep pay only a per-class re-pricing
-//     pass, never a compile.
+//     buffer), verifies uniformity, and publishes the analyzed structure to
+//     a process-wide cache keyed by (algorithm, comm size, invocation
+//     shape, link signature) — so subsequent worlds of the same sweep pay
+//     only a per-class re-pricing pass, never a compile.
 //   - Anything irregular — mismatched keys across ranks, unfoldable shapes,
 //     sub-communicators, pending traffic, outstanding nonblocking
 //     collectives, fault plans — falls back: the gathered ranks materialize
 //     per-rank schedules through the unchanged replay path
-//     (compileReplayColl) and drive them per rank. Fallback is the exact
-//     PR 6 per-rank execution, so schedule folding can only change speed,
-//     never a number (the fold parity suite pins this with the knob both
-//     ways).
-//
-// Config.DisableSchedFold (CLI -schedfold=false) restores the PR 6
-// behavior: per-rank compile/replay first, schedule-level gather after.
+//     (compileReplayColl) and drive them per rank. Folding can therefore
+//     only change speed, never a number (the fold parity suite pins every
+//     case against Config.DisableFold).
 
 import (
 	"sync"
@@ -79,7 +68,7 @@ type foldPending struct {
 // routes it to schedFoldDrive; collRequest materializes it.
 var schedFoldPending = new(collSched)
 
-// SchedFoldStats counts schedule-folding outcomes on a world's event
+// SchedFoldStats counts the fold entry's outcomes on a world's event
 // engine, alongside the simulation-level FoldStats.
 type SchedFoldStats struct {
 	// GatherHits counts collective invocations resolved entirely at class
@@ -97,15 +86,18 @@ type SchedFoldStats struct {
 	// cache: the world re-priced a cached structure instead of compiling
 	// any schedule.
 	StructHits int64
-	// CacheOverflows counts process-wide schedule/step/structure cache
-	// budget overflows observed while this world ran (advisory: parallel
-	// worlds share the process-wide counter).
-	CacheOverflows int64
 }
 
-// SchedFoldStats returns the world's schedule-folding counters. Advisory:
-// schedule folding is bit-identical to per-rank execution.
-func (w *World) SchedFoldStats() SchedFoldStats { return w.schedFoldStats }
+// SchedFoldStats returns the world's fold-entry counters. Every gather is
+// a key gather, so GatherHits and Fallbacks are the FoldStats outcomes seen
+// from this layer. Advisory: folding is bit-identical to per-rank
+// execution.
+func (w *World) SchedFoldStats() SchedFoldStats {
+	s := w.schedFoldStats
+	s.GatherHits = w.foldStats.Folded
+	s.Fallbacks = w.foldStats.Fallback + w.foldStats.Released
+	return s
+}
 
 // cacheOverflows counts, process-wide, every time a bounded cross-world
 // cache (the schedStore freelist, the shared stepCache, or the fold
@@ -118,10 +110,10 @@ var cacheOverflows atomic.Int64
 // budget overflows (schedule store, step cache, fold structure cache).
 func CacheOverflowCount() int64 { return cacheOverflows.Load() }
 
-// schedFoldEligible is the cheap per-rank pre-check run at collective entry,
-// mirroring the schedule-level foldEligible: only full-world, context-0,
-// buffer-free invocations on untraced, fault-free worlds with an empty
-// mailbox and no outstanding nonblocking collectives may defer compilation.
+// schedFoldEligible is the cheap per-rank pre-check run at collective entry:
+// only full-world, context-0, buffer-free invocations on untraced,
+// fault-free worlds with an empty mailbox and no outstanding nonblocking
+// collectives may defer compilation.
 func (l *eventLoop) schedFoldEligible(c *Comm, sk shapeKey) bool {
 	w := l.w
 	if !w.schedFoldOK || c.ctx != 0 || len(c.group) != w.size ||
@@ -143,7 +135,7 @@ func (l *eventLoop) schedFoldEligible(c *Comm, sk shapeKey) bool {
 // key gather; on a fold the clock and link state already hold the exit
 // values (and the collective sequence advanced), so there is nothing left
 // to do. On fallback, materialize the per-rank schedule through the normal
-// replay path and drive it — the exact PR 6 execution.
+// replay path and drive it — the exact per-rank execution.
 func (c *Comm) schedFoldDrive() error {
 	pend := &c.proc.foldPend
 	er := c.proc.ev
@@ -264,7 +256,7 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 // a reused probe buffer (streaming — rank r's steps are consumed before
 // rank r+1 compiles) and runs the uniformity analysis on them. No pool, no
 // tag, no replay cache is touched: the probes exist only to prove the
-// shape, exactly as the gathered schedules did for the schedule-level fold.
+// shape.
 func (l *eventLoop) probeAndAnalyze(alg *Algorithm, call collCall) *foldShape {
 	w := l.w
 	var probe collSched

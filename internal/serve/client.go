@@ -178,7 +178,6 @@ func EncodeOptions(opts core.Options) ([]byte, error) {
 		TimingOnly:     opts.TimingOnly,
 		Engine:         opts.Engine,
 		NoFold:         opts.NoFold,
-		NoSchedFold:    opts.NoSchedFold,
 		Sizes:          opts.Sizes,
 		Algorithms:     opts.Algorithms,
 		Faults:         opts.Faults,

@@ -39,7 +39,6 @@ type sweepRequest struct {
 	TimingOnly     bool              `json:"timing_only,omitempty"`
 	Engine         string            `json:"engine,omitempty"`
 	NoFold         bool              `json:"no_fold,omitempty"`
-	NoSchedFold    bool              `json:"no_schedfold,omitempty"`
 	Sizes          []int             `json:"sizes,omitempty"`
 	DType          string            `json:"dtype,omitempty"`
 	Tuning         tuningJSON        `json:"tuning,omitempty"`
@@ -92,7 +91,6 @@ func (req sweepRequest) options() (core.Options, error) {
 		TimingOnly:     req.TimingOnly,
 		Engine:         req.Engine,
 		NoFold:         req.NoFold,
-		NoSchedFold:    req.NoSchedFold,
 		Sizes:          req.Sizes,
 		Algorithms:     req.Algorithms,
 		Faults:         req.Faults,

@@ -244,6 +244,7 @@ func TestBadRequests(t *testing.T) {
 		"bad_mode":        `{"benchmark":"latency","mode":"fortran"}`,
 		"unknown_bench":   `{"benchmark":"nosuch"}`,
 		"invalid_options": `{"benchmark":"latency","ranks":7}`,
+		"retired_knob":    `{"benchmark":"latency","no_schedfold":true}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := post(t, s.Handler(), body)

@@ -22,11 +22,11 @@
 # message rate as msg_rate_per_sec — the perf baseline of the multi-pair
 # point-to-point family.
 #
-# The huge-world family (PR 6) runs at 1024/4096/16384/65536 ranks with
+# The huge-world family (PR 6) runs at 1024 to 262144 ranks with
 # symmetry folding on, plus 1024/4096 fold-off rows; the JSON carries
 # fold_speedup_huge_world, the 4096-rank fold-off/fold-on wall-clock
-# ratio. The 65536-rank row is the scaling headline and is reported
-# honestly whatever it measures.
+# ratio. The 65536- and 262144-rank rows are the scaling headline and are
+# reported honestly whatever they measure.
 #
 # The fault layer (PR 7) must cost nothing when no plan is given: the JSON
 # carries fault_path_overhead, the fresh 4096-rank huge-world ns/op divided
@@ -44,14 +44,10 @@
 # evaluations/sec, in-process cache-hit ratio, and objective trajectory
 # endpoints (init_obj_us = shipped defaults, best_obj_us = after search).
 #
-# The schedule-folding family (PR 8) extends the huge-world sweep to
-# 262144 ranks and adds 4096/16384-rank rows with class-level schedule
-# folding disabled (the per-schedule gather fallback); the JSON carries
-# schedfold_speedup_huge_world, the 16384-rank schedfold-off/schedfold-on
-# wall-clock ratio. The huge-world benchmarks also self-check the
-# cross-world caches: a run that overflowed them fails (its ns/op would
-# measure cache thrashing, not the engine), and this script aborts loudly
-# with the benchmark output instead of recording the row.
+# The huge-world benchmarks self-check the cross-world caches: a run that
+# overflowed them fails (its ns/op would measure cache thrashing, not the
+# engine), and this script aborts loudly with the benchmark output instead
+# of recording the row.
 set -euo pipefail
 
 out="${1:-BENCH.json}"
@@ -136,8 +132,6 @@ END {
 		printf "  \"engine_speedup_large_world\": %.2f,\n", ns["EngineLargeWorld/goroutine"] / ns["EngineLargeWorld/event"]
 	if (("EngineHugeWorldNoFold/4096" in ns) && ("EngineHugeWorld/4096" in ns))
 		printf "  \"fold_speedup_huge_world\": %.2f,\n", ns["EngineHugeWorldNoFold/4096"] / ns["EngineHugeWorld/4096"]
-	if (("EngineHugeWorldNoSchedFold/16384" in ns) && ("EngineHugeWorld/16384" in ns))
-		printf "  \"schedfold_speedup_huge_world\": %.2f,\n", ns["EngineHugeWorldNoSchedFold/16384"] / ns["EngineHugeWorld/16384"]
 	if (base_ns != "" && ("EngineHugeWorld/4096" in ns))
 		printf "  \"fault_path_overhead\": %.3f,\n", ns["EngineHugeWorld/4096"] / base_ns
 	if (srv_ns != "")

@@ -369,6 +369,10 @@ func (o Options) validate() error {
 	if !o.UseGPU && o.Buffer.OnGPU() {
 		return fmt.Errorf("core: buffer library %v needs UseGPU", o.Buffer)
 	}
+	if o.Mode != ModeC && !o.TimingOnly && o.Buffer == pybuf.Bytearray && o.DType != mpi.Uint8 {
+		return fmt.Errorf("core: %s moves %v elements, but bytearray buffers hold uint8; use -buffer numpy",
+			spec.Name, o.DType)
+	}
 	if o.MinSize > o.MaxSize {
 		return fmt.Errorf("core: MinSize %d > MaxSize %d", o.MinSize, o.MaxSize)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mpi"
@@ -236,6 +237,32 @@ func TestOptionValidation(t *testing.T) {
 	for i, o := range cases {
 		if _, err := Run(o); err == nil {
 			t.Errorf("case %d (%+v): expected error", i, o)
+		}
+	}
+}
+
+// TestBytearrayNeedsUint8 pins that a data-carrying Python-mode run over
+// bytearray buffers with a wider element type fails validation, before any
+// simulation starts, and that the neighbouring valid shapes still pass.
+func TestBytearrayNeedsUint8(t *testing.T) {
+	for _, o := range []Options{
+		{Benchmark: Allreduce, Mode: ModePy, Ranks: 4},
+		{Benchmark: Allreduce, Mode: ModePy, Ranks: 4, Buffer: pybuf.Bytearray},
+		{Benchmark: Latency, Mode: ModePickle, DType: mpi.Float64},
+	} {
+		err := o.withDefaults().validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "core: ") || !strings.Contains(err.Error(), "-buffer numpy") {
+			t.Errorf("%s %s %v: validate = %v, want a core error naming -buffer numpy", o.Benchmark, o.Mode, o.DType, err)
+		}
+	}
+	for _, o := range []Options{
+		{Benchmark: Allreduce, Mode: ModeC, Ranks: 4},
+		{Benchmark: Allreduce, Mode: ModePy, Ranks: 4, Buffer: pybuf.NumPy},
+		{Benchmark: Allreduce, Mode: ModePy, Ranks: 4, TimingOnly: true},
+		{Benchmark: Latency, Mode: ModePickle},
+	} {
+		if err := o.withDefaults().validate(); err != nil {
+			t.Errorf("%s %s %v timing-only=%v: %v", o.Benchmark, o.Mode, o.Buffer, o.TimingOnly, err)
 		}
 	}
 }

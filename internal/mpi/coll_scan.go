@@ -95,9 +95,6 @@ func (c *Comm) scanStart(sbuf, rbuf []byte, n int, dt DType, op Op, exclusive bo
 		}
 		if src >= 0 {
 			s.recv(src, tmp, n)
-			// Fold into the forwarded accumulator (one compute charge per
-			// received block, as in the blocking path).
-			s.reduce(acc, tmp, n)
 			// Fold into (or seed) the prefix result. tmp holds
 			// op(sbuf_{src-k+1..src}) = the block immediately left of
 			// everything already in partial.
@@ -108,6 +105,14 @@ func (c *Comm) scanStart(sbuf, rbuf []byte, n int, dt DType, op Op, exclusive bo
 					s.copyStep(partial, tmp, n)
 				}
 			}
+			// Fold the forwarded accumulator into tmp (one compute charge
+			// per received block, as in the blocking path), and let tmp
+			// carry it from here on. acc itself must not be written: a
+			// rendezvous send borrows it until this round's waitSend. The
+			// operand order is immaterial, since every op gives
+			// op(a, b) == op(b, a) bit for bit unless both are NaN.
+			s.reduce(tmp, acc, n)
+			acc, tmp = tmp, acc
 			havePartial = true
 		}
 		if posted {

@@ -19,15 +19,16 @@ import (
 // steady-state traffic allocates nothing.
 
 // envelope is a message in flight. Eager messages carry their payload copy
-// and arrival timestamp; rendezvous messages carry a handshake. Envelopes
-// are owned by the receiving mailbox's freelist: deliver draws one under the
-// mailbox lock and the receiver hands it back (with its payload) on its next
+// and arrival timestamp; rendezvous messages carry a handshake, which
+// borrows the sender's buffer instead of a copy. Envelopes are owned by the
+// receiving mailbox's freelist: deliver draws one under the mailbox lock
+// and the receiver hands it back (with its eager payload) on its next
 // mailbox operation.
 type envelope struct {
 	src, tag, ctx int
 	size          int
 	seq           uint64       // mailbox-local delivery order
-	data          []byte       // payload copy (eager, CarryData worlds)
+	data          []byte       // pooled payload copy (eager messages only)
 	arrival       vtime.Micros // eager arrival instant
 	rdv           *rendezvous  // non-nil for rendezvous messages
 	// wire and recvOver are the receive-side costs, priced once by the
@@ -136,13 +137,13 @@ type mailbox struct {
 	ctx0     srcQueues
 	ctx0init bool
 
-	// freelists, guarded by mu: consumed envelopes and the payload staging
-	// buffers they carried (the byte half of a scratchArena, sharing its
-	// power-of-two capacity classes). The first few envelopes come from
-	// inline seed storage and recycle through inline slots — mailboxes are
-	// slab-allocated per world, and steady-state collective traffic rarely
-	// has more than a couple of envelopes in flight per mailbox, so the
-	// heap freelist is overflow only.
+	// freelists, guarded by mu: consumed envelopes and the eager payload
+	// staging buffers they carried (the byte half of a scratchArena,
+	// sharing its power-of-two capacity classes). The first few envelopes
+	// come from inline seed storage and recycle through inline slots —
+	// mailboxes are slab-allocated per world, and steady-state collective
+	// traffic rarely has more than a couple of envelopes in flight per
+	// mailbox, so the heap freelist is overflow only.
 	envSeedN int8
 	envFreeN int8
 	envSeed  [2]envelope
@@ -256,13 +257,15 @@ func (l *eventLoop) srcBucketEmpty(gdst, ctx, src int) bool {
 	return r == nil || r.size == 0
 }
 
-// deliver queues a message. When data is non-nil the payload is staged into
-// a pooled buffer (the copy is the receive side's only view of the bytes,
-// so the sender may reuse data immediately); the staged buffer lands on the
-// envelope for eager messages and on the handshake for rendezvous ones.
-// The copy itself runs outside the mailbox lock so concurrent senders to
-// one rank overlap their copies instead of serializing on the mutex. wire
-// and recvOver are the receive-side costs priced by the sender.
+// deliver queues a message. An eager message's payload (data, when
+// non-nil) is staged into a pooled buffer: an eager send completes at post
+// time, so the copy is the receive side's only view of the bytes and the
+// sender may reuse data immediately. A rendezvous message stages nothing
+// (data is nil): its handshake borrows the sender's buffer, which stays
+// untouched until the receiver has copied out of it and reported
+// completion. The staging copy runs outside the mailbox lock so concurrent
+// senders to one rank overlap their copies instead of serializing on the
+// mutex. wire and recvOver are the receive-side costs priced by the sender.
 func (mb *mailbox) deliver(src, tag, ctx, size int, data []byte, arrival, wire, recvOver vtime.Micros, rdv *rendezvous) {
 	var payload []byte
 	if data != nil {
@@ -280,11 +283,7 @@ func (mb *mailbox) deliver(src, tag, ctx, size int, data []byte, arrival, wire, 
 	e.seq = mb.seq
 	e.arrival, e.wire, e.recvOver = arrival, wire, recvOver
 	e.rdv = rdv
-	if rdv != nil {
-		rdv.payload = payload
-	} else {
-		e.data = payload
-	}
+	e.data = payload
 	mb.seq++
 	mb.ring(ctx, src).push(e)
 	mb.npend++

@@ -15,6 +15,11 @@ import (
 // Semantics notes (documented deviations from full MPI):
 //   - Isend injects immediately (eager) or posts the RTS (rendezvous);
 //     Wait blocks until the transfer drains, exactly like Send's tail.
+//   - A send buffer must stay unmodified until its send completes, as MPI
+//     requires: the receiver of a rendezvous message copies straight out
+//     of it, and completion (Wait/Test, or a collective schedule's drain
+//     step) is the report that the copy is done. Eager sends complete at
+//     post time, so their buffers are free at once.
 //   - Irecv records the (source, tag) to match; the match happens at
 //     Test/Wait time. Matching order among multiple pending Irecvs is the
 //     order their Tests/Waits run, which for single-threaded ranks equals

@@ -33,11 +33,18 @@ type Status struct {
 	Count  int // bytes received
 }
 
-// rendezvous carries the RTS state of a large message. The payload is
-// staged at post time; the receiver computes the transfer completion instant
-// (it knows both ready times and the wire cost) and reports it back on done,
-// so neither side ever waits on the other's *next* operation -- which is
-// what keeps symmetric exchanges (Sendrecv, recursive doubling) live.
+// rendezvous carries the RTS state of a large message. The payload is not
+// staged: the handshake borrows the sender's buffer (one copy per message,
+// like a single-copy large-message path such as MVAPICH2's LiMIC), and the
+// receiver copies out of it before reporting completion. It computes the
+// transfer completion instant (it knows both ready times and the wire cost)
+// and reports it back on done, so neither side ever waits on the other's
+// *next* operation -- which is what keeps symmetric exchanges (Sendrecv,
+// recursive doubling) live. The report is what frees the sender to reuse
+// its buffer; until then the buffer must stay unmodified, as MPI requires
+// of a send buffer until its send completes. A handshake abandoned by a
+// fault or cancel may still be consumed by a receiver, which then reads a
+// buffer its failed sender no longer writes.
 // Handshakes (and their channels) are recycled through the sending rank's
 // freelist; a nil *rendezvous is the completed-at-post eager send handle.
 //
@@ -47,7 +54,7 @@ type Status struct {
 // round trip is measurable on the rendezvous fast path.
 type rendezvous struct {
 	senderReady vtime.Micros      // sender clock when the RTS was posted
-	payload     []byte            // staged payload (nil in timing-only worlds)
+	payload     []byte            // the sender's buffer, borrowed (nil when not carried)
 	done        chan vtime.Micros // receiver -> sender: transfer completion
 	owner       *Proc             // the sending rank
 	val         vtime.Micros      // event engine: completion instant
@@ -73,9 +80,11 @@ func (r *rendezvous) tryDone() (vtime.Micros, bool) {
 
 // postSend injects a message toward communicator rank dst and returns a
 // handle that must be passed to completeSend (nil for eager sends, which
-// complete at post time). The payload is staged into the destination
+// complete at post time). An eager payload is staged into the destination
 // mailbox's buffer pool at post time (or only sized, in timing-only
-// worlds), so the caller may reuse data immediately.
+// worlds), so after an eager post the caller may reuse data immediately. A
+// rendezvous payload is read straight from data by the receiver: the
+// caller must leave data unmodified until completeSend returns.
 func (c *Comm) postSend(dst, tag int, data []byte, size int) *rendezvous {
 	gdst := c.group[dst]
 	link, cost := c.proc.priceTo(gdst, size)
@@ -141,6 +150,9 @@ func (c *Comm) postSendPriced(gdst, tag int, data []byte, size int, link topolog
 	}
 	rdv := p.getRendezvous()
 	rdv.senderReady = p.clock.Now()
+	if carried != nil {
+		rdv.payload = carried[:size]
+	}
 	if l := p.evLoop(); l != nil {
 		if l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
 			carried, 0, wire, cost.RecvOverhead, rdv) {
@@ -151,7 +163,7 @@ func (c *Comm) postSendPriced(gdst, tag int, data []byte, size int, link topolog
 			return rdv
 		}
 	}
-	w.mailboxes[gdst].deliver(c.rank, tag, c.ctx, size, carried,
+	w.mailboxes[gdst].deliver(c.rank, tag, c.ctx, size, nil,
 		0, wire, cost.RecvOverhead, rdv)
 	return rdv
 }
@@ -262,42 +274,11 @@ func (c *Comm) tryRecvBytes(src, tag int, buf []byte, max int) (Status, bool, er
 }
 
 // finishRecv consumes a matched envelope: it advances the receiver clock to
-// the transfer's completion, reports rendezvous completion back to the
-// sender, copies the payload out and recycles the envelope.
+// the transfer's completion, copies the payload out, reports rendezvous
+// completion back to the sender and recycles the envelope.
 func (c *Comm) finishRecv(e *envelope, buf []byte, max int) (Status, error) {
 	p := c.proc
 	w := p.world
-	// The receive-side costs were priced by the sender (the model is
-	// symmetric in the endpoints) and ride on the envelope.
-	var payload []byte
-	if e.rdv == nil {
-		p.clock.AdvanceTo(e.arrival)
-		payload = e.data
-	} else {
-		// The transfer starts when both sides are ready and occupies the
-		// wire for the modelled duration; the receiver reports completion
-		// back so the blocking sender can advance its clock too.
-		done := vtime.Max(e.rdv.senderReady, p.clock.Now()) + e.wire
-		p.clock.AdvanceTo(done)
-		payload = e.rdv.payload
-		if o := e.rdv.owner; o.ev != nil {
-			if !o.ev.loop.drainDirect(o, e.rdv, done) {
-				e.rdv.val, e.rdv.ready = done, true
-				o.ev.loop.wakeRdv(o)
-			}
-		} else {
-			e.rdv.done <- done
-		}
-	}
-	p.clock.Advance(e.recvOver)
-	if w.cfg.Trace != nil {
-		gsrc := c.group[e.src]
-		w.cfg.Trace.record(Event{
-			Kind: EventRecv, Rank: p.rank, Peer: gsrc, Tag: e.tag, Bytes: e.size,
-			Link: p.linkTo(gsrc), Time: p.clock.Now(), Eager: e.rdv == nil,
-		})
-	}
-
 	st := Status{Source: e.src, Tag: e.tag, Count: e.size}
 	var err error
 	n := e.size
@@ -305,12 +286,47 @@ func (c *Comm) finishRecv(e *envelope, buf []byte, max int) (Status, error) {
 		n, st.Count = max, max
 		err = &ErrTruncate{Posted: max, Actual: e.size, Source: e.src, Tag: e.tag}
 	}
-	if payload != nil && buf != nil {
-		copy(buf[:n], payload[:n])
+	// The receive-side costs were priced by the sender (the model is
+	// symmetric in the endpoints) and ride on the envelope.
+	eager := e.rdv == nil
+	if eager {
+		p.clock.AdvanceTo(e.arrival)
+		if e.data != nil && buf != nil {
+			copy(buf[:n], e.data[:n])
+		}
+	} else {
+		// The transfer starts when both sides are ready and occupies the
+		// wire for the modelled duration; the receiver reports completion
+		// back so the blocking sender can advance its clock too. The copy
+		// out of the borrowed send buffer comes first: the report is what
+		// lets the sender reuse that buffer.
+		rdv := e.rdv
+		done := vtime.Max(rdv.senderReady, p.clock.Now()) + e.wire
+		p.clock.AdvanceTo(done)
+		if rdv.payload != nil && buf != nil {
+			copy(buf[:n], rdv.payload[:n])
+		}
+		e.rdv = nil
+		if o := rdv.owner; o.ev != nil {
+			if !o.ev.loop.drainDirect(o, rdv, done) {
+				rdv.val, rdv.ready = done, true
+				o.ev.loop.wakeRdv(o)
+			}
+		} else {
+			rdv.done <- done
+		}
 	}
-	// Stash the consumed envelope (carrying the payload regardless of
-	// protocol) for recycling on this rank's next receive.
-	e.data, e.rdv = payload, nil
+	p.clock.Advance(e.recvOver)
+	if w.cfg.Trace != nil {
+		gsrc := c.group[e.src]
+		w.cfg.Trace.record(Event{
+			Kind: EventRecv, Rank: p.rank, Peer: gsrc, Tag: e.tag, Bytes: e.size,
+			Link: p.linkTo(gsrc), Time: p.clock.Now(), Eager: eager,
+		})
+	}
+	// Stash the consumed envelope (with its pooled payload, if eager; a
+	// borrowed rendezvous buffer never enters the pool) for recycling on
+	// this rank's next receive.
 	p.spent = e
 	return st, err
 }

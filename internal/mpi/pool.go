@@ -48,8 +48,8 @@ func (p *Proc) getRendezvous() *rendezvous {
 }
 
 // putRendezvous recycles a drained handshake. Only the sender calls this
-// (after reading done), at which point the receiver has long since read the
-// payload pointer and senderReady.
+// (after reading done), at which point the receiver has long since copied
+// out of the borrowed payload and read senderReady.
 func (p *Proc) putRendezvous(r *rendezvous) {
 	r.payload = nil
 	r.ready = false

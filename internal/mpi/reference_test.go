@@ -70,14 +70,18 @@ func refAllgather(c *Comm, sbuf, rbuf []byte) error {
 	p := c.Size()
 	n := len(sbuf)
 	copy(rbuf[c.Rank()*n:(c.Rank()+1)*n], sbuf)
-	// Everyone sends to everyone (linear, tag-disambiguated by sender).
+	// Everyone sends to everyone (linear, tag-disambiguated by sender). The
+	// sends are nonblocking so rendezvous-sized blocks cannot deadlock.
+	var reqs []*Request
 	for r := 0; r < p; r++ {
 		if r == c.Rank() {
 			continue
 		}
-		if err := c.Send(sbuf, r, 44); err != nil {
+		req, err := c.Isend(sbuf, r, 44)
+		if err != nil {
 			return err
 		}
+		reqs = append(reqs, req)
 	}
 	for r := 0; r < p; r++ {
 		if r == c.Rank() {
@@ -87,19 +91,22 @@ func refAllgather(c *Comm, sbuf, rbuf []byte) error {
 			return err
 		}
 	}
-	return nil
+	return Waitall(reqs)
 }
 
 func refAlltoall(c *Comm, sbuf []byte, n int, rbuf []byte) error {
 	p := c.Size()
 	copy(rbuf[c.Rank()*n:(c.Rank()+1)*n], sbuf[c.Rank()*n:(c.Rank()+1)*n])
+	var reqs []*Request
 	for r := 0; r < p; r++ {
 		if r == c.Rank() {
 			continue
 		}
-		if err := c.Send(sbuf[r*n:(r+1)*n], r, 45); err != nil {
+		req, err := c.Isend(sbuf[r*n:(r+1)*n], r, 45)
+		if err != nil {
 			return err
 		}
+		reqs = append(reqs, req)
 	}
 	for r := 0; r < p; r++ {
 		if r == c.Rank() {
@@ -108,6 +115,45 @@ func refAlltoall(c *Comm, sbuf []byte, n int, rbuf []byte) error {
 		if _, err := c.Recv(rbuf[r*n:(r+1)*n], r, 45); err != nil {
 			return err
 		}
+	}
+	return Waitall(reqs)
+}
+
+// refReduceScatterBlock reduces the whole vector linearly, then keeps this
+// rank's block.
+func refReduceScatterBlock(c *Comm, sbuf, rbuf []byte, dt DType, op Op) error {
+	full := make([]byte, len(sbuf))
+	if err := refAllreduce(c, sbuf, full, dt, op); err != nil {
+		return err
+	}
+	n := len(rbuf)
+	copy(rbuf, full[c.Rank()*n:(c.Rank()+1)*n])
+	return nil
+}
+
+// refScan passes the running prefix down the rank chain: rank r receives
+// op(sbuf_0..sbuf_{r-1}) from r-1, folds in its own contribution and
+// forwards the result. With exclusive set, rbuf gets the received prefix
+// instead (and stays untouched on rank 0).
+func refScan(c *Comm, sbuf, rbuf []byte, dt DType, op Op, exclusive bool) error {
+	acc := append([]byte(nil), sbuf...)
+	if r := c.Rank(); r > 0 {
+		prefix := make([]byte, len(sbuf))
+		if _, err := c.Recv(prefix, r-1, 46); err != nil {
+			return err
+		}
+		if exclusive {
+			copy(rbuf, prefix)
+		}
+		if err := reduceInto(acc, prefix, dt, op); err != nil {
+			return err
+		}
+	}
+	if !exclusive {
+		copy(rbuf, acc)
+	}
+	if r := c.Rank(); r+1 < c.Size() {
+		return c.Send(acc, r+1, 46)
 	}
 	return nil
 }

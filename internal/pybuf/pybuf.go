@@ -216,11 +216,25 @@ func New(lib Library, gpu *device.GPU, dt mpi.DType, count int) (Buffer, error) 
 	}
 }
 
-// FillPattern writes a deterministic seed-dependent pattern, for tests.
+// FillPattern writes a deterministic seed-dependent pattern: byte i is
+// (seed*131 + 7*i + 13) % 251, with Go's truncated %. The residue is
+// carried forward by +7 mod 251 instead of divided out per byte; only the
+// prefix where the sum is still negative (a negative seed) takes the
+// formula directly, since its residues are negative too.
 func FillPattern(b Buffer, seed int) {
 	raw := b.Raw()
-	for i := range raw {
-		raw[i] = byte((seed*131 + i*7 + 13) % 251)
+	x := seed*131 + 13
+	i := 0
+	for ; i < len(raw) && x < 0; i++ {
+		raw[i] = byte(x % 251)
+		x += 7
+	}
+	r := x % 251
+	for ; i < len(raw); i++ {
+		raw[i] = byte(r)
+		if r += 7; r >= 251 {
+			r -= 251
+		}
 	}
 }
 

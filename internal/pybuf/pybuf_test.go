@@ -134,6 +134,22 @@ func TestFillPatternAndEqual(t *testing.T) {
 	}
 }
 
+// TestFillPatternMatchesFormula pins the incremental fill to the per-byte
+// formula it replaces, negative seeds (negative residues) included.
+func TestFillPatternMatchesFormula(t *testing.T) {
+	for _, seed := range []int{-3, 0, 1, 250, 251} {
+		for _, n := range []int{0, 1, 250, 251, 252, 100000} {
+			b := NewBytearrayBuf(n)
+			FillPattern(b, seed)
+			for i, got := range b.Raw() {
+				if want := byte((seed*131 + i*7 + 13) % 251); got != want {
+					t.Fatalf("seed %d len %d: byte %d = %d, want %d", seed, n, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFloat64Accessors(t *testing.T) {
 	b := NewNumPy(mpi.Float64, 8)
 	prop := func(i uint8, v float64) bool {

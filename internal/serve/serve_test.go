@@ -245,6 +245,9 @@ func TestBadRequests(t *testing.T) {
 		"unknown_bench":   `{"benchmark":"nosuch"}`,
 		"invalid_options": `{"benchmark":"latency","ranks":7}`,
 		"retired_knob":    `{"benchmark":"latency","no_schedfold":true}`,
+		// A reducing py-mode sweep moves float32 elements, which the
+		// default bytearray buffer cannot hold.
+		"bytearray_float": `{"benchmark":"allreduce","mode":"py"}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := post(t, s.Handler(), body)
@@ -258,6 +261,11 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("400 body %q is not an error object", rec.Body)
 			}
 		})
+	}
+	// The bytearray mismatch is refused by option validation, not by a
+	// rank partway into the simulation, and the answer names the fix.
+	if rec := post(t, s.Handler(), `{"benchmark":"allreduce","mode":"py"}`); !strings.Contains(rec.Body.String(), "-buffer numpy") {
+		t.Errorf("bytearray/float32 sweep answered %s, want the validation error naming -buffer numpy", rec.Body)
 	}
 }
 

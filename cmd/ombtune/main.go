@@ -47,6 +47,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *iters < 1 {
+		check(fmt.Errorf("-iters must be at least 1, got %d", *iters))
+	}
 	pls, err := tune.ParsePlacements(*placements)
 	check(err)
 	mpiImpl, err := netmodel.ParseImpl(*impl)

@@ -199,10 +199,14 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 				return err
 			}
 			// Isolate sizes from each other: after a collective barrier the
-			// ranks rewind their clocks and wire-busy state to zero, so each
-			// row depends only on the configuration and the size — clock
-			// skew from the previous size's loop and aggregation traffic
-			// cannot leak into this one.
+			// ranks rewind their clocks and wire-busy state to zero, so
+			// clock skew from the previous size's loop and aggregation
+			// traffic cannot leak into this one. Without an active fault
+			// plan each row then depends only on the configuration and the
+			// size (RowsIsolated); a plan's noise and jitter draws are
+			// keyed by per-rank counters that keep running from one size to
+			// the next, so under a plan a row also depends on the sizes
+			// before it.
 			if err := o.barrier(); err != nil {
 				return err
 			}
@@ -234,6 +238,63 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 	}
 	report.Series.Name = seriesName(opts)
 	return report, nil
+}
+
+// SelectedAlgorithm names the algorithm a run of o dispatches for its
+// benchmark's collective at one message size. It resolves and validates
+// the options as RunContext does (withDefaults, so the -algorithm and
+// -tuning-table process defaults count) and asks mpi.Policy.Select about
+// the Selection the dispatch site builds (mpi.NewSelection). A selection
+// error, such as a forced algorithm infeasible at this communicator size,
+// is the error the run fails with. Benchmarks without an algorithm
+// registry select nothing, and neither does pickle mode, whose collectives
+// move pickled frames rather than the benchmark's message; both return an
+// error.
+func (o Options) SelectedAlgorithm(size int) (string, error) {
+	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return "", err
+	}
+	coll, ok := o.Benchmark.Collective()
+	if !ok || o.Mode == ModePickle {
+		return "", fmt.Errorf("core: %s in %s mode dispatches no selectable collective", o.Benchmark, o.Mode)
+	}
+	forced, err := o.mpiAlgorithms()
+	if err != nil {
+		return "", err
+	}
+	bytes := size
+	if o.Mode == ModePy && !o.TimingOnly {
+		// Py-mode buffers hold whole elements (ops.setup).
+		bytes -= size % o.DType.Size()
+	}
+	if coll == mpi.CollReduceScatter {
+		// The benchmark's size is the per-rank block; the dispatch selects
+		// on the total payload.
+		bytes *= o.Ranks
+	}
+	policy := mpi.Policy{Tuning: o.Tuning, Forced: forced}
+	a, err := policy.Select(coll, mpi.NewSelection(coll, o.Ranks, bytes, o.DType))
+	if err != nil {
+		return "", err
+	}
+	return a.Name, nil
+}
+
+// RowsIsolated reports whether every row of a run of o depends only on the
+// options other than Sizes and on the row's own size, so that a run over a
+// subset of Sizes reports those rows bit for bit. RunContext rewinds every
+// clock between sizes, which makes this hold unless the effective options
+// carry an active fault plan (SetDefaultFaults included), whose draws keep
+// counting across sizes, or the benchmark has a fixed size axis that
+// replaces Sizes.
+func (o Options) RowsIsolated() bool {
+	o = o.withDefaults()
+	if spec := o.Benchmark.spec(); spec == nil || len(spec.FixedSizes) > 0 {
+		return false
+	}
+	plan, err := faults.Parse(o.Faults)
+	return err == nil && !plan.Active()
 }
 
 // rankState is one rank's benchmark-loop state; Run draws the per-sweep
@@ -299,8 +360,11 @@ var fuseRowReduce = true
 // timed section, like OMB's MPI_Reduce of elapsed times) as one 3-element
 // vector reduce with the fused min/sum/max operator — one message round
 // where the legacy path took three. Sizes are clock-isolated (see Run), so
-// the aggregation protocol cannot affect any reported latency; the legacy
-// path is kept only for the test asserting exactly that.
+// without an active fault plan the aggregation protocol cannot affect any
+// reported latency; the legacy path is kept only for the test asserting
+// exactly that. Under a plan the aggregation's collective and messages
+// advance the per-rank draw counters, so the protocol shifts later sizes'
+// draws.
 func reduceRow(o *ops, size int, localLat, mbps float64) (stats.Row, error) {
 	c := o.c
 	if !fuseRowReduce {

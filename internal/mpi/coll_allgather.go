@@ -85,7 +85,7 @@ func (c *Comm) allgatherStart(sbuf []byte, n int, rbuf []byte) (*collSched, erro
 	if p == 1 {
 		return nil, nil
 	}
-	s, err := c.startColl(CollAllgather, Selection{CommSize: p, Bytes: n},
+	s, err := c.startColl(CollAllgather, NewSelection(CollAllgather, p, n, Uint8),
 		collCall{rbuf: rbuf, n: n})
 	if err != nil {
 		return nil, fmt.Errorf("mpi: Allgather: %w", err)

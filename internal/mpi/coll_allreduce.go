@@ -85,8 +85,7 @@ func (c *Comm) allreduceStart(sbuf, rbuf []byte, n int, dt DType, op Op) (*collS
 		acc = rbuf[:n]
 		copy(acc, sbuf[:n])
 	}
-	s, err := c.startColl(CollAllreduce,
-		Selection{CommSize: p, Bytes: n, Elems: n / dt.Size()},
+	s, err := c.startColl(CollAllreduce, NewSelection(CollAllreduce, p, n, dt),
 		collCall{rbuf: acc, n: n, dt: dt, op: op})
 	if err != nil {
 		return nil, fmt.Errorf("mpi: Allreduce: %w", err)

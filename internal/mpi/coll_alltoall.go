@@ -81,7 +81,7 @@ func (c *Comm) alltoallStart(sbuf []byte, n int, rbuf []byte) (*collSched, error
 	if p == 1 {
 		return nil, nil
 	}
-	s, err := c.startColl(CollAlltoall, Selection{CommSize: p, Bytes: n},
+	s, err := c.startColl(CollAlltoall, NewSelection(CollAlltoall, p, n, Uint8),
 		collCall{sbuf: sbuf, rbuf: rbuf, n: n})
 	if err != nil {
 		return nil, fmt.Errorf("mpi: Alltoall: %w", err)

@@ -163,7 +163,7 @@ func (c *Comm) bcastStart(buf []byte, n, root int) (*collSched, error) {
 	if p == 1 {
 		return nil, nil
 	}
-	s, err := c.startColl(CollBcast, Selection{CommSize: p, Bytes: n},
+	s, err := c.startColl(CollBcast, NewSelection(CollBcast, p, n, Uint8),
 		collCall{sbuf: buf, n: n, root: root})
 	if err != nil {
 		return nil, fmt.Errorf("mpi: Bcast: %w", err)

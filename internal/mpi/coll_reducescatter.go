@@ -123,8 +123,7 @@ func (c *Comm) reduceScatterStart(sbuf, rbuf []byte, counts []int, dt DType, op 
 		}
 		return nil, nil
 	}
-	s, err := c.startColl(CollReduceScatter,
-		Selection{CommSize: p, Bytes: total, Elems: total / dt.Size()},
+	s, err := c.startColl(CollReduceScatter, NewSelection(CollReduceScatter, p, total, dt),
 		collCall{sbuf: sbuf, rbuf: rbuf, counts: counts, total: total, dt: dt, op: op})
 	if err != nil {
 		return nil, fmt.Errorf("mpi: ReduceScatter: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 )
 
@@ -155,13 +156,17 @@ func (t *TuningTable) Sort() {
 	})
 }
 
-// ParseTuningTable decodes and validates a JSON tuning table.
+// ParseTuningTable decodes and validates a JSON tuning table. The input is
+// exactly one table: anything but whitespace after it is an error.
 func ParseTuningTable(data []byte) (*TuningTable, error) {
 	var t TuningTable
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("mpi: decoding tuning table: %w", err)
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return nil, fmt.Errorf("mpi: decoding tuning table: trailing data after the table")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -165,3 +165,57 @@ func TestTuningTable(t *testing.T) {
 		t.Error("unknown table field should be rejected")
 	}
 }
+
+// TestParseTuningTableRejectsTrailingData pins that a table file holds
+// exactly one table: a second table (even an invalid one) or garbage after
+// it is an error, trailing whitespace is not.
+func TestParseTuningTableRejectsTrailingData(t *testing.T) {
+	table := `{"entries":[{"ranks":16,"ppn":1,"policy":{"tuning":{"allreduce_rabenseifner_min":4096}}}]}`
+	if _, err := ParseTuningTable([]byte(table + "\n \n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	for name, tail := range map[string]string{
+		"invalid second table": `{"entries":[{"ranks":1,"ppn":0}]}`,
+		"valid second table":   table,
+		"garbage":              " trailing garbage",
+	} {
+		_, err := ParseTuningTable([]byte(table + tail))
+		if err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("%s: ParseTuningTable answered %v, want a trailing-data error", name, err)
+		}
+	}
+}
+
+// FuzzParseTuningTable checks the table parser on arbitrary input: it
+// never panics, and a table it accepts re-marshals and re-parses to
+// entries whose policies make the same selection decisions.
+func FuzzParseTuningTable(f *testing.F) {
+	f.Add([]byte(`{"comment":"c","entries":[{"ranks":224,"ppn":56,"policy":{"tuning":{"alltoall_bruck_max_block":-1},` +
+		`"forced":{"alltoall":"pair","reduce-scatter":"rh"}}},{"ranks":16,"ppn":1,"policy":{"tuning":{}}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		table, err := ParseTuningTable(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(table)
+		if err != nil {
+			t.Fatalf("accepted table does not marshal: %v", err)
+		}
+		again, err := ParseTuningTable(out)
+		if err != nil {
+			t.Fatalf("re-marshalled table does not parse: %v\n%s", err, out)
+		}
+		if len(again.Entries) != len(table.Entries) {
+			t.Fatalf("round trip has %d entries, want %d", len(again.Entries), len(table.Entries))
+		}
+		for i, e := range table.Entries {
+			got := again.Entries[i]
+			if got.Ranks != e.Ranks || got.PPN != e.PPN {
+				t.Errorf("entry %d: placement %dx%d, want %dx%d", i, got.Ranks, got.PPN, e.Ranks, e.PPN)
+			}
+			if decisions(t, got.Policy) != decisions(t, e.Policy) {
+				t.Errorf("entry %d: round trip changed selection decisions\n%s", i, out)
+			}
+		}
+	})
+}

@@ -85,6 +85,20 @@ type Selection struct {
 // allgather thresholds bound.
 func (s Selection) Total() int { return s.CommSize * s.Bytes }
 
+// NewSelection builds the Selection one dispatch of coll consults: bytes
+// is the selection size documented on Selection.Bytes, and the reductions
+// also count it in elements of dt (the other collectives ignore dt). The
+// dispatch sites and core's Options.SelectedAlgorithm both build their
+// Selection here, so a prediction of the algorithm a run selects cannot
+// drift from the one the runtime dispatches.
+func NewSelection(coll Collective, commSize, bytes int, dt DType) Selection {
+	switch coll {
+	case CollAllreduce, CollReduceScatter:
+		return Selection{CommSize: commSize, Bytes: bytes, Elems: bytes / dt.Size()}
+	}
+	return Selection{CommSize: commSize, Bytes: bytes}
+}
+
 // collCall carries the operands of one collective invocation to an
 // algorithm implementation; unused fields stay zero.
 type collCall struct {

@@ -111,6 +111,38 @@ func TestClientEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeOptions checks the request decoder against its inverse on
+// arbitrary bodies: it never panics, and a body it accepts re-encodes
+// through EncodeOptions and decodes to options with the same content
+// address, so the service caches the sweep the client asked for.
+func FuzzDecodeOptions(f *testing.F) {
+	for _, body := range []string{
+		fastSweep(3),
+		slowSweep(2),
+		`{"benchmark":"allreduce","mode":"py","buffer":"numpy","dtype":"float64","sizes":[1024,4096],` +
+			`"tuning":{"allreduce_rabenseifner_min":4096},"algorithms":{"allreduce":"raben"},"faults":"noise:sigma=2us; seed:7"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		opts, err := decodeOptions(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		wire, err := EncodeOptions(opts)
+		if err != nil {
+			t.Fatalf("decoded options do not encode: %v", err)
+		}
+		again, err := decodeOptions(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("re-encoded body %s does not decode: %v", wire, err)
+		}
+		if opts.CacheKey() != again.CacheKey() {
+			t.Errorf("round trip through %s changed the content address", wire)
+		}
+	})
+}
+
 // TestClientAgainstService drives the real handler over httptest: report
 // decode, cache status progression, error mapping, and /stats.
 func TestClientAgainstService(t *testing.T) {

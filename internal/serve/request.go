@@ -59,13 +59,17 @@ type tuningJSON struct {
 // decodeOptions reads one sweepRequest from the body and resolves it into
 // core options. Unknown fields are rejected rather than ignored: a typo'd
 // knob silently falling back to its default would cache and serve numbers
-// the client did not ask for.
+// the client did not ask for. For the same reason the body is exactly one
+// object: anything but whitespace after it is rejected, not dropped.
 func decodeOptions(body io.Reader) (core.Options, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req sweepRequest
 	if err := dec.Decode(&req); err != nil {
 		return core.Options{}, fmt.Errorf("serve: bad request body: %w", err)
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return core.Options{}, fmt.Errorf("serve: bad request body: trailing data after the request object")
 	}
 	return req.options()
 }

@@ -245,6 +245,7 @@ func TestBadRequests(t *testing.T) {
 		"unknown_bench":   `{"benchmark":"nosuch"}`,
 		"invalid_options": `{"benchmark":"latency","ranks":7}`,
 		"retired_knob":    `{"benchmark":"latency","no_schedfold":true}`,
+		"trailing_data":   `{"benchmark":"latency"} trailing garbage`,
 		// A reducing py-mode sweep moves float32 elements, which the
 		// default bytearray buffer cannot hold.
 		"bytearray_float": `{"benchmark":"allreduce","mode":"py"}`,
@@ -261,6 +262,17 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("400 body %q is not an error object", rec.Body)
 			}
 		})
+	}
+	// Anything after the request object is refused rather than dropped,
+	// garbage or a second object alike, and the answer names the problem;
+	// trailing whitespace is not data.
+	for _, body := range []string{`{"benchmark":"latency"} trailing garbage`, fastSweep(2) + fastSweep(3)} {
+		if rec := post(t, s.Handler(), body); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "trailing data") {
+			t.Errorf("body %s answered %d %s, want a 400 naming the trailing data", body, rec.Code, rec.Body)
+		}
+	}
+	if rec := post(t, s.Handler(), fastSweep(2)+"\n \n"); rec.Code != http.StatusOK {
+		t.Errorf("body with trailing whitespace answered %d %s, want 200", rec.Code, rec.Body)
 	}
 	// The bytearray mismatch is refused by option validation, not by a
 	// rank partway into the simulation, and the answer names the fix.

@@ -6,7 +6,9 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/serve"
+	"repro/internal/stats"
 )
 
 // Evaluator answers objective probes. The simulator's determinism is the
@@ -14,12 +16,12 @@ import (
 // canonicalized options, so both backends may answer from a
 // content-addressed cache and the search cannot tell the difference — the
 // same seed walks the same trajectory whether probes are computed fresh,
-// from the in-process memo, or by an ombserve instance shared with other
-// tuners.
+// from the in-process row store, or by an ombserve instance shared with
+// other tuners.
 type Evaluator interface {
 	// Evaluate runs one probe and reports whether the answer came from a
-	// cache (the in-process memo, or the service's result cache /
-	// coalesced in-flight computation).
+	// cache (a probe the in-process evaluator has answered before, or the
+	// service's result cache / coalesced in-flight computation).
 	Evaluate(ctx context.Context, opts core.Options) (EvalResult, error)
 }
 
@@ -81,42 +83,170 @@ func (s *search) evalBatch(ctx context.Context, probes []core.Options) ([]EvalRe
 	return results, nil
 }
 
-// CoreEvaluator runs probes in process on the event engine, memoizing by
-// content address with the same key the tuning service uses.
+// CoreEvaluator runs probes in process on the event engine. It answers
+// from a row store: core.Run isolates sizes, so a fault-free row is a pure
+// function of the probe without its policy for the measured collective, the
+// size, and the algorithm the run selects there. A probe simulates only the
+// rows the store lacks and is assembled from the store, whether it is new
+// or seen before; moving one threshold re-simulates only the sizes whose
+// algorithm it changes. Hit accounting stays per probe (Cached means the
+// probe's content address was seen before), so the search's counters and
+// artifacts match an evaluator that memoizes whole probes.
 type CoreEvaluator struct {
-	mu   sync.Mutex
-	memo map[string][]Cell
+	mu sync.Mutex
+	// probes maps the content address of every probe answered so far to
+	// its rows' keys in row order.
+	probes map[string][]rowKey
+	rows   map[rowKey]float64
 }
 
-// NewCoreEvaluator returns an in-process evaluator with an empty memo.
+// rowKey addresses one row in the store. Where a probe's rows are not
+// isolated (rowKeys), probe is the probe's own content address and algo is
+// empty, so its rows are only ever shared with the same probe.
+type rowKey struct {
+	probe string
+	size  int
+	algo  string
+}
+
+// NewCoreEvaluator returns an in-process evaluator with an empty store.
 func NewCoreEvaluator() *CoreEvaluator {
-	return &CoreEvaluator{memo: make(map[string][]Cell)}
+	return &CoreEvaluator{probes: make(map[string][]rowKey), rows: make(map[rowKey]float64)}
 }
 
 // Evaluate implements Evaluator.
 func (e *CoreEvaluator) Evaluate(ctx context.Context, opts core.Options) (EvalResult, error) {
-	key := opts.CacheKey()
+	probe := opts.CacheKey()
 	e.mu.Lock()
-	cells, ok := e.memo[key]
+	keys, seen := e.probes[probe]
 	e.mu.Unlock()
-	if ok {
-		return EvalResult{Cells: cells, Cached: true}, nil
+	if !seen {
+		var err error
+		if keys, err = e.fill(ctx, opts, probe); err != nil {
+			return EvalResult{}, err
+		}
 	}
+	cells := make([]Cell, len(keys))
+	e.mu.Lock()
+	for i, k := range keys {
+		cells[i] = Cell{Size: k.size, AvgUs: e.rows[k]}
+	}
+	e.probes[probe] = keys
+	e.mu.Unlock()
+	return EvalResult{Cells: cells, Cached: seen}, nil
+}
+
+// fill stores every row of a probe not seen before and returns the rows'
+// keys. Isolated rows already in the store are not simulated again: the
+// run covers the missing sizes only. The mutex is never held across a
+// simulation, so two probes missing the same row may both simulate it;
+// they store the same bits.
+func (e *CoreEvaluator) fill(ctx context.Context, opts core.Options, probe string) ([]rowKey, error) {
+	keys := rowKeys(opts)
+	if keys == nil {
+		rows, err := simulate(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		keys = make([]rowKey, len(rows))
+		e.mu.Lock()
+		for i, row := range rows {
+			keys[i] = rowKey{probe: probe, size: row.Size}
+			e.rows[keys[i]] = row.AvgUs
+		}
+		e.mu.Unlock()
+		return keys, nil
+	}
+	var missing []rowKey
+	e.mu.Lock()
+	for _, k := range keys {
+		if _, ok := e.rows[k]; !ok {
+			missing = append(missing, k)
+		}
+	}
+	e.mu.Unlock()
+	if len(missing) == 0 {
+		return keys, nil
+	}
+	sub := opts
+	sub.Sizes = make([]int, len(missing))
+	for i, k := range missing {
+		sub.Sizes[i] = k.size
+	}
+	rows, err := simulate(ctx, sub)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	for i, row := range rows {
+		e.rows[missing[i]] = row.AvgUs
+	}
+	e.mu.Unlock()
+	return keys, nil
+}
+
+// rowKeys returns the store keys of a probe's rows in Sizes order, or nil
+// where the rows are not isolated from each other and the probe runs whole:
+// under an active fault plan, whose draws keep counting across sizes; for a
+// benchmark without an algorithm registry; and for an empty Sizes. Options
+// the run would reject (an infeasible forced algorithm, say) also return
+// nil, so the whole-probe run reports the error.
+func rowKeys(opts core.Options) []rowKey {
+	coll, ok := opts.Benchmark.Collective()
+	if !ok || len(opts.Sizes) == 0 || !opts.RowsIsolated() {
+		return nil
+	}
+	base := policyFreeKey(opts, coll)
+	keys := make([]rowKey, len(opts.Sizes))
+	for i, size := range opts.Sizes {
+		algo, err := opts.SelectedAlgorithm(size)
+		if err != nil {
+			return nil
+		}
+		keys[i] = rowKey{probe: base, size: size, algo: algo}
+	}
+	return keys
+}
+
+// policyFreeKey is the content address of a probe with the measured
+// collective's policy taken out: Sizes, coll's own Tuning knobs and its
+// Algorithms entry are cleared, and every other field stays, other
+// collectives' knobs included (a sub-collective may consult them). The
+// knobs are reset to the shipped defaults rather than zeroed, and a
+// non-nil Algorithms map stays non-nil, because withDefaults replaces a
+// zero Tuning and a nil map with the process defaults: clearing must not
+// turn the probe into one that runs under other thresholds or forces.
+func policyFreeKey(opts core.Options, coll mpi.Collective) string {
+	if opts.Tuning != (mpi.Tuning{}) {
+		def := mpi.DefaultTuning()
+		for _, k := range knobsFor(coll) {
+			*k.get(&opts.Tuning) = *k.get(&def)
+		}
+	}
+	if opts.Algorithms != nil {
+		algos := make(map[string]string, len(opts.Algorithms))
+		for name, algo := range opts.Algorithms {
+			if c, err := mpi.ParseCollective(name); err != nil || c != coll {
+				algos[name] = algo
+			}
+		}
+		opts.Algorithms = algos
+	}
+	opts.Sizes = nil
+	return opts.CacheKey()
+}
+
+// simulate runs one probe and returns its rows; a classified failure is an
+// error.
+func simulate(ctx context.Context, opts core.Options) ([]stats.Row, error) {
 	rep, err := core.RunContext(ctx, opts)
 	if err != nil {
-		return EvalResult{}, err
+		return nil, err
 	}
 	if rep.Failure != nil {
-		return EvalResult{}, fmt.Errorf("tune: probe failed (%s): %s", rep.Failure.Code, rep.Failure.Message)
+		return nil, fmt.Errorf("tune: probe failed (%s): %s", rep.Failure.Code, rep.Failure.Message)
 	}
-	cells = make([]Cell, len(rep.Series.Rows))
-	for i, row := range rep.Series.Rows {
-		cells[i] = Cell{Size: row.Size, AvgUs: row.AvgUs}
-	}
-	e.mu.Lock()
-	e.memo[key] = cells
-	e.mu.Unlock()
-	return EvalResult{Cells: cells}, nil
+	return rep.Series.Rows, nil
 }
 
 // ServeEvaluator answers probes over HTTP through a tuning service, so

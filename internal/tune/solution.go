@@ -211,36 +211,14 @@ func (c *searchContext) probeOptions(cfg Config, g gene) core.Options {
 	return opts
 }
 
-// selection mirrors the Selection the runtime builds when dispatching this
-// collective at one benchmark message size (see the coll_*.go dispatch
-// sites), so provenance can name the winning algorithm per cell without
-// re-running anything.
-func (c *searchContext) selection(size int) mpi.Selection {
-	sel := mpi.Selection{CommSize: c.placement.Ranks, Bytes: size}
-	const elemSize = 4 // reduces probe as float32
-	switch c.coll {
-	case mpi.CollAllreduce:
-		sel.Elems = size / elemSize
-	case mpi.CollReduceScatter:
-		// The benchmark's size is the per-rank block; selection sees the
-		// total payload.
-		sel.Bytes = size * c.placement.Ranks
-		sel.Elems = sel.Bytes / elemSize
-	}
-	return sel
-}
-
-// algorithmFor names the algorithm the gene's policy picks for one cell.
-func (c *searchContext) algorithmFor(g gene, size int) string {
-	p := mpi.Policy{Tuning: c.tuning(g)}
-	if g.forced != "" {
-		p.Forced = map[mpi.Collective]string{c.coll: g.forced}
-	}
-	a, err := p.Select(c.coll, c.selection(size))
+// algorithmFor names the algorithm the gene's policy picks for one cell:
+// the algorithm a run of the gene's probe dispatches at that size.
+func (c *searchContext) algorithmFor(cfg Config, g gene, size int) string {
+	name, err := c.probeOptions(cfg, g).SelectedAlgorithm(size)
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	return a.Name
+	return name
 }
 
 // assembleTable merges the chosen per-context genes into a

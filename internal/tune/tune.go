@@ -401,8 +401,8 @@ func (s *search) report(chosen []gene, chosenCells [][]Cell, sources []string) *
 		for k, cell := range chosenCells[ci] {
 			cr.Cells = append(cr.Cells, CellReport{
 				Size:             cell.Size,
-				DefaultAlgorithm: c.algorithmFor(def, cell.Size),
-				TunedAlgorithm:   c.algorithmFor(chosen[ci], cell.Size),
+				DefaultAlgorithm: c.algorithmFor(s.cfg, def, cell.Size),
+				TunedAlgorithm:   c.algorithmFor(s.cfg, chosen[ci], cell.Size),
 				DefaultUs:        s.defaultCells[ci][k].AvgUs,
 				TunedUs:          cell.AvgUs,
 			})

@@ -3,8 +3,10 @@ package tune
 import (
 	"context"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/serve"
 )
@@ -236,5 +238,154 @@ func TestBanditPrefersRewardingArm(t *testing.T) {
 	}
 	if b.pulls[0] <= b.pulls[1] {
 		t.Errorf("bandit did not favor the rewarding arm: pulls %v", b.pulls)
+	}
+}
+
+// TestRowStoreMatchesWholeProbes pins the row store against whole-probe
+// runs: every answer, first sight or repeat, equals core.RunContext of the
+// same probe. The probes overlap in sizes and policies, so a store keyed
+// too coarsely would answer some of them with another probe's rows. It runs
+// under a -faults default, whose draws make a row depend on the sizes
+// before it, and under a -tuning-table default whose forced algorithm an
+// unforced probe runs.
+func TestRowStoreMatchesWholeProbes(t *testing.T) {
+	sizes := []int{1024, 4096, 16384, 65536}
+	var probes []core.Options
+	for _, axis := range [][]int{sizes, sizes[1:2], sizes[:3], sizes[2:]} {
+		for _, min := range []int{0, 2048, 32768} {
+			for _, forced := range []string{"", "recursive_doubling", "rabenseifner"} {
+				opts := core.Options{
+					Benchmark: "allreduce", Ranks: 16, PPN: 1, TimingOnly: true,
+					Iters: 3, Warmup: 1, Sizes: axis,
+					Tuning: mpi.Tuning{AllreduceRabenseifnerMin: min},
+				}
+				if forced != "" {
+					opts.Algorithms = map[string]string{"allreduce": forced}
+				}
+				probes = append(probes, opts)
+			}
+		}
+	}
+	check := func(t *testing.T) {
+		ctx := context.Background()
+		ev := NewCoreEvaluator()
+		seen := map[string]bool{}
+		for pass := 0; pass < 2; pass++ {
+			for i, opts := range probes {
+				got, err := ev.Evaluate(ctx, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if key := opts.CacheKey(); got.Cached != seen[key] {
+					t.Errorf("pass %d probe %d: Cached = %v, content address seen before = %v", pass, i, got.Cached, seen[key])
+				} else {
+					seen[key] = true
+				}
+				rep, err := core.RunContext(ctx, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Cells) != len(rep.Series.Rows) {
+					t.Fatalf("probe %d: %d cells, whole run has %d rows", i, len(got.Cells), len(rep.Series.Rows))
+				}
+				for k, row := range rep.Series.Rows {
+					if got.Cells[k] != (Cell{Size: row.Size, AvgUs: row.AvgUs}) {
+						t.Errorf("pass %d probe %d (sizes %v, tuning %+v, algorithms %v): cell %+v, whole run %d B %.6f us",
+							pass, i, opts.Sizes, opts.Tuning, opts.Algorithms, got.Cells[k], row.Size, row.AvgUs)
+					}
+				}
+			}
+		}
+	}
+	t.Run("faults default", func(t *testing.T) {
+		core.SetDefaultFaults("noise:sigma=5us; seed:3")
+		defer core.SetDefaultFaults("")
+		check(t)
+	})
+	t.Run("tuning table", func(t *testing.T) {
+		core.SetDefaultTuningTable(&mpi.TuningTable{Entries: []mpi.TuningTableEntry{{
+			Ranks: 16, PPN: 1,
+			Policy: mpi.Policy{
+				Tuning: mpi.Tuning{AllreduceRabenseifnerMin: 4096},
+				Forced: map[mpi.Collective]string{mpi.CollAllreduce: "rabenseifner"},
+			},
+		}}})
+		defer core.SetDefaultTuningTable(nil)
+		check(t)
+	})
+}
+
+// TestRowStoreConcurrentProbes evaluates probes that share rows from
+// several goroutines at once, as evalBatch does: every answer must still
+// equal the whole-probe run.
+func TestRowStoreConcurrentProbes(t *testing.T) {
+	ctx := context.Background()
+	ev := NewCoreEvaluator()
+	var wg sync.WaitGroup
+	for _, min := range []int{1024, 4096, 16384, 65536} {
+		for _, sizes := range [][]int{{1024, 4096, 16384, 65536}, {4096, 65536}} {
+			opts := core.Options{
+				Benchmark: "allreduce", Ranks: 16, PPN: 1, TimingOnly: true, Iters: 3, Warmup: 1,
+				Sizes: sizes, Tuning: mpi.Tuning{AllreduceRabenseifnerMin: min},
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := ev.Evaluate(ctx, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rep, err := core.RunContext(ctx, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k, row := range rep.Series.Rows {
+					if got.Cells[k] != (Cell{Size: row.Size, AvgUs: row.AvgUs}) {
+						t.Errorf("threshold %d sizes %v: cell %+v, whole run %+v", min, sizes, got.Cells[k], row)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestRowStoreSimulatesOnlyMissingRows pins the saving: a probe whose rows
+// another probe already produced is answered without a simulation, and a
+// threshold move re-simulates only the sizes whose algorithm it changes.
+func TestRowStoreSimulatesOnlyMissingRows(t *testing.T) {
+	ctx := context.Background()
+	ev := NewCoreEvaluator()
+	probe := func(min int) core.Options {
+		return core.Options{
+			Benchmark: "allreduce", Ranks: 16, PPN: 1, TimingOnly: true, Iters: 3, Warmup: 1,
+			Sizes: []int{1024, 4096, 16384, 65536}, Tuning: mpi.Tuning{AllreduceRabenseifnerMin: min},
+		}
+	}
+	stored := func() int {
+		ev.mu.Lock()
+		defer ev.mu.Unlock()
+		return len(ev.rows)
+	}
+	for _, step := range []struct {
+		min, rows int
+	}{
+		{32768, 4}, // recursive doubling below 32 KiB, Rabenseifner at 64 KiB
+		{65536, 4}, // the same algorithm at every size: no new row
+		{8192, 5},  // Rabenseifner at 16 KiB is the only new row
+		{1024, 7},  // and at 1 KiB and 4 KiB
+	} {
+		res, err := ev.Evaluate(ctx, probe(step.min))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached {
+			t.Errorf("threshold %d: a new probe reported a hit", step.min)
+		}
+		if got := stored(); got != step.rows {
+			t.Errorf("threshold %d: store holds %d rows, want %d", step.min, got, step.rows)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pybuf"
 )
 
 // Steady-state allocation ceilings for the huge-world timing-only sweep.
@@ -63,5 +64,46 @@ func TestHugeWorldAllocRegression(t *testing.T) {
 					tc.ranks, got, tc.ceiling)
 			}
 		})
+	}
+}
+
+// pickleLatencyOptions is a pickle-mode latency run of 20+2 round trips
+// (44 messages) at 1 MiB.
+func pickleLatencyOptions() core.Options {
+	return core.Options{
+		Benchmark: core.Latency, Mode: core.ModePickle, Buffer: pybuf.NumPy,
+		Ranks: 2, PPN: 1, Sizes: []int{1 << 20},
+		Iters: 20, Warmup: 2, LargeIters: 20, LargeWarmup: 2,
+	}
+}
+
+// pickleAllocCeiling bounds the bytes a warm pickleLatencyOptions run
+// allocates. Each rank keeps its 1 MiB send buffer, one receive frame and
+// the communicator's send frame, ~6 MiB in all; pickling and unpickling
+// into fresh storage per message cost ~137 MiB for the same run.
+const pickleAllocCeiling = 8 << 20
+
+// TestPickleLatencyAllocCeiling pins the garbage-free object path: the
+// frames a pickle-mode run sends and receives reuse their storage and
+// unpickled host objects alias their frames, so the allocation volume does
+// not grow with the message count.
+func TestPickleLatencyAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	run := func() {
+		if _, err := core.Run(pickleLatencyOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("warm pickle latency run: %.1f MiB allocated (ceiling %d MiB)", float64(got)/(1<<20), pickleAllocCeiling>>20)
+	if got > pickleAllocCeiling {
+		t.Errorf("warm pickle-mode latency run allocated %d bytes, ceiling %d", got, pickleAllocCeiling)
 	}
 }

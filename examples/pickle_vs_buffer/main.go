@@ -55,7 +55,7 @@ func demoObjectAPI() {
 			}
 			return comm.SendObject(arr, 1, 0)
 		}
-		obj, _, err := comm.RecvObject(0, 0, nil)
+		obj, _, err := comm.RecvObject(nil, 0, 0, nil)
 		if err != nil {
 			return err
 		}

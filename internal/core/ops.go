@@ -6,6 +6,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/mpi"
 	"repro/internal/mpi4py"
+	"repro/internal/pickle"
 	"repro/internal/pybuf"
 	"repro/internal/vtime"
 )
@@ -21,7 +22,10 @@ type ops struct {
 	py   *mpi4py.Comm
 	gpu  *device.GPU
 
-	n          int // current message size in bytes
+	n int // current message size in bytes
+	// sraw and rraw are ModeC's raw buffers. In ModePickle rraw is the
+	// frame recv lands each message in: nothing reads a receive buffer
+	// object there, since the received object aliases the frame.
 	sraw, rraw []byte
 	sbuf, rbuf pybuf.Buffer
 
@@ -83,12 +87,17 @@ func (o *ops) setup(size, sendFactor, recvFactor int) error {
 	if err != nil {
 		return err
 	}
+	pybuf.FillPattern(sb, 1)
+	o.sbuf = sb
+	if o.opts.Mode == ModePickle {
+		o.rraw = make([]byte, pickle.FrameSize(size))
+		return nil
+	}
 	rb, err := pybuf.New(o.opts.Buffer, o.gpu, o.opts.DType, count*recvFactor)
 	if err != nil {
 		return err
 	}
-	pybuf.FillPattern(sb, 1)
-	o.sbuf, o.rbuf = sb, rb
+	o.rbuf = rb
 	return nil
 }
 
@@ -101,6 +110,24 @@ func (o *ops) teardown() {
 	}
 	o.sbuf, o.rbuf = nil, nil
 	o.sraw, o.rraw = nil, nil
+}
+
+// release ends the run: teardown, and the binding communicator goes too,
+// with the send frame it keeps. The rank-state slab outlives the run
+// (takeRankStates), so whatever is left here stays reachable until the
+// next run with the same rank count.
+func (o *ops) release() {
+	o.teardown()
+	o.py = nil
+}
+
+// dropObject frees a device object the harness received and discards; the
+// rank's own send buffer is kept.
+func (o *ops) dropObject(obj pybuf.Buffer) error {
+	if db, ok := obj.(pybuf.DeviceBuffer); ok && obj != o.sbuf {
+		return db.Free()
+	}
+	return nil
 }
 
 func (o *ops) send(dst, tag int) error {
@@ -144,14 +171,11 @@ func (o *ops) recv(src, tag int) error {
 			_, err := o.py.RecvObjectSpec(o.spec(), src, tag)
 			return err
 		}
-		buf, _, err := o.py.RecvObject(src, tag, o.gpu)
+		obj, _, err := o.py.RecvObject(o.rraw, src, tag, o.gpu)
 		if err != nil {
 			return err
 		}
-		if db, ok := buf.(pybuf.DeviceBuffer); ok {
-			return db.Free()
-		}
-		return nil
+		return o.dropObject(obj)
 	}
 }
 
@@ -330,17 +354,17 @@ func (o *ops) collectivePySpec(b Benchmark) error {
 func (o *ops) collectivePickle(b Benchmark) error {
 	switch b {
 	case Bcast:
-		_, err := o.py.BcastObject(o.sbuf, 0, o.gpu)
-		return err
+		out, err := o.py.BcastObject(o.sbuf, 0, o.gpu)
+		if err != nil {
+			return err
+		}
+		return o.dropObject(out)
 	case Allreduce:
 		out, err := o.py.AllreduceObject(o.sbuf, mpi.OpSum, o.gpu)
 		if err != nil {
 			return err
 		}
-		if db, ok := out.(pybuf.DeviceBuffer); ok && out != o.sbuf {
-			return db.Free()
-		}
-		return nil
+		return o.dropObject(out)
 	default:
 		return fmt.Errorf("core: pickle mode does not support %s", b)
 	}

@@ -192,7 +192,7 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 		if err := newOps(o, opts, c); err != nil {
 			return err
 		}
-		defer o.teardown()
+		defer o.release()
 		for _, size := range sizes {
 			sf, rf := spec.buffers(c.Size())
 			if err := o.setup(size, sf, rf); err != nil {

@@ -9,7 +9,8 @@
 //
 // Spec grammar (clauses separated by ';'):
 //
-//	kill:rank=R[,after=N][,at=Tus][:collective]
+//	kill:rank=R[,after=N][:collective]
+//	kill:rank=R,at=Tus
 //	noise:sigma=Dus
 //	jitter:link=F
 //	seed:N
@@ -22,11 +23,12 @@
 // seeded compute delay, uniform on [0, 2*sigma) (mean sigma), at every
 // collective entry of every rank. jitter stretches every message's wire
 // time by a seeded factor uniform on [1, 1+F). Durations accept "us", "ms"
-// and "s" suffixes (microseconds when bare).
+// and "s" suffixes (microseconds when bare); every number must be finite.
 package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,13 +145,18 @@ func Parse(spec string) (*Plan, error) {
 			return nil, fmt.Errorf("faults: clause %q: %w", clause, err)
 		}
 	}
+	// Kills are kept in String's canonical order, so a plan equals the
+	// plan its rendering parses to. Only the order among one rank's rules
+	// can change which fires, and the stable sort keeps it.
+	sort.SliceStable(p.Kills, func(i, j int) bool { return p.Kills[i].Rank < p.Kills[j].Rank })
 	return p, nil
 }
 
-// parseKill parses "rank=R[,after=N][,at=Tus][:coll]".
+// parseKill parses "rank=R[,after=N][:coll]" or "rank=R,at=Tus".
 func (p *Plan) parseKill(rest string) error {
 	args, coll, _ := strings.Cut(rest, ":")
 	k := Kill{Rank: -1, At: -1, Coll: strings.TrimSpace(strings.ToLower(coll))}
+	sawAfter := false
 	for _, kv := range strings.Split(args, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -172,7 +179,7 @@ func (p *Plan) parseKill(rest string) error {
 			if err != nil || n < 0 {
 				return fmt.Errorf("after %q must be a non-negative integer", val)
 			}
-			k.After = n
+			k.After, sawAfter = n, true
 		case "at":
 			t, err := parseDuration(val)
 			if err != nil {
@@ -188,6 +195,9 @@ func (p *Plan) parseKill(rest string) error {
 	}
 	if k.At >= 0 && k.Coll != "" {
 		return fmt.Errorf("at=T kills cannot name a collective (they fire on any entry)")
+	}
+	if k.At >= 0 && sawAfter {
+		return fmt.Errorf("at=T kills cannot count invocations with after=N")
 	}
 	p.Kills = append(p.Kills, k)
 	return nil
@@ -217,8 +227,8 @@ func (p *Plan) parseJitter(rest string) error {
 		return fmt.Errorf("jitter needs link=F, got %q", rest)
 	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-	if err != nil || f < 0 {
-		return fmt.Errorf("jitter fraction %q must be a non-negative number", val)
+	if err != nil || !(f >= 0) || math.IsInf(f, 0) {
+		return fmt.Errorf("jitter fraction %q must be a finite non-negative number", val)
 	}
 	p.Jitter = f
 	return nil
@@ -237,10 +247,12 @@ func parseDuration(s string) (float64, error) {
 		s, mult = s[:len(s)-1], 1e6
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("duration %q must be a non-negative number with an optional us/ms/s suffix", s)
+	// The product is checked, not v: a finite value in seconds can
+	// overflow once converted to microseconds. !(v >= 0) also catches NaN.
+	if v *= mult; err != nil || !(v >= 0) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("duration %q must be a finite non-negative number with an optional us/ms/s suffix", s)
 	}
-	return v * mult, nil
+	return v, nil
 }
 
 // Uniform draws the (seed, rank, counter) sample as a float64 uniform on

@@ -82,6 +82,16 @@ func TestParseErrors(t *testing.T) {
 		"jitter:link=-0.5",             // negative fraction
 		"seed:banana",                  // non-integer seed
 		"frobnicate:hard",              // unknown clause
+		// Non-finite numbers run to NaN latencies, which no report can
+		// encode, or render as a different plan.
+		"noise:sigma=inf",
+		"noise:sigma=NaN",
+		"noise:sigma=1e303s", // finite in seconds, infinite in microseconds
+		"jitter:link=inf",
+		"jitter:link=NaN",
+		"kill:rank=1,at=NaN",
+		"kill:rank=1,at=+Inf",
+		"kill:rank=1,after=3,at=5us", // after=N means nothing to an at=T kill
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)

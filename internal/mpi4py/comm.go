@@ -17,6 +17,9 @@ type Comm struct {
 	prof        *Profiler
 	reg         *device.Registry
 	pickleCosts pickle.Costs
+	// sendFrame is the storage SendObject and a BcastObject root pickle
+	// into, reused across calls.
+	sendFrame []byte
 }
 
 // Option configures a wrapped communicator.

@@ -16,7 +16,7 @@ import (
 
 // dumpsForTest pickles a buffer with the communicator's cost model.
 func dumpsForTest(b pybuf.Buffer, c *Comm) ([]byte, vtime.Micros, error) {
-	return pickle.Dumps(b, c.pickleCosts)
+	return pickle.Dumps(nil, b, c.pickleCosts)
 }
 
 // Failure injection: the binding layer must surface substrate failures
@@ -91,7 +91,7 @@ func TestRecvObjectRejectsGarbageFrame(t *testing.T) {
 			// Raw bytes that are not a pickle frame.
 			return c.raw.Send([]byte("definitely not a frame"), 1, 3)
 		}
-		if _, _, err := c.RecvObject(0, 3, nil); err == nil {
+		if _, _, err := c.RecvObject(nil, 0, 3, nil); err == nil {
 			return errors.New("garbage frame should fail to unpickle")
 		}
 		return nil
@@ -117,7 +117,7 @@ func TestTruncatedObjectFrameFails(t *testing.T) {
 			}
 			return c.raw.Send(frame[:len(frame)-16], 1, 4)
 		}
-		if _, _, err := c.RecvObject(0, 4, nil); err == nil {
+		if _, _, err := c.RecvObject(nil, 0, 4, nil); err == nil {
 			return errors.New("truncated frame should fail")
 		}
 		return nil

@@ -228,7 +228,7 @@ func TestObjectRoundTripAndCost(t *testing.T) {
 			return c.SendObject(arr, 1, 2)
 		}
 		before := p.Wtime()
-		obj, st, err := c.RecvObject(0, 2, nil)
+		obj, st, err := c.RecvObject(nil, 0, 2, nil)
 		if err != nil {
 			return err
 		}

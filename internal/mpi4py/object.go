@@ -17,33 +17,58 @@ import (
 // the rank's virtual clock, which is where the paper's Figures 30-33
 // behaviour comes from.
 
-// SendObject pickles and sends a buffer (mpi4py's comm.send).
+// SendObject pickles and sends a buffer (mpi4py's comm.send). The frame
+// is written into the communicator's send frame, which every send reuses:
+// Send returns only once the frame is free again (an eager payload is
+// staged when it is posted, a rendezvous receiver copies out of the frame
+// before it reports completion), and no object handed to a caller aliases
+// it.
 func (c *Comm) SendObject(buf pybuf.Buffer, dst, tag int) error {
-	frame, cost, err := pickle.Dumps(buf, c.pickleCosts)
+	frame, err := c.dumpsSendFrame(buf)
 	if err != nil {
 		return err
 	}
-	c.raw.Proc().AdvanceClock(cost)
 	return c.raw.Send(frame, dst, tag)
 }
 
-// RecvObject receives and unpickles a buffer (mpi4py's comm.recv). gpu is
-// required to materialise GPU-library objects and may be nil otherwise.
-func (c *Comm) RecvObject(src, tag int, gpu *device.GPU) (pybuf.Buffer, mpi.Status, error) {
+// dumpsSendFrame pickles buf into the communicator's send frame and
+// charges the cost.
+func (c *Comm) dumpsSendFrame(buf pybuf.Buffer) ([]byte, error) {
+	frame, cost, err := pickle.Dumps(c.sendFrame, buf, c.pickleCosts)
+	if err != nil {
+		return nil, err
+	}
+	c.sendFrame = frame
+	c.raw.Proc().AdvanceClock(cost)
+	return frame, nil
+}
+
+// RecvObject receives and unpickles a buffer (mpi4py's comm.recv(buf)).
+// The frame lands in buf[:count] when buf has the capacity for it, and in
+// a fresh slice otherwise; a nil buf always allocates. A host-library
+// object (bytearray, NumPy) is a view of that frame, not a copy, so the
+// caller must not reuse buf while it holds the object. gpu is required to
+// materialise GPU-library objects, which get fresh device memory, and may
+// be nil otherwise.
+func (c *Comm) RecvObject(buf []byte, src, tag int, gpu *device.GPU) (pybuf.Buffer, mpi.Status, error) {
 	st, err := c.raw.Probe(src, tag)
 	if err != nil {
 		return nil, st, err
 	}
-	frame := make([]byte, st.Count)
+	frame := buf[:0]
+	if cap(frame) < st.Count {
+		frame = make([]byte, st.Count)
+	}
+	frame = frame[:st.Count]
 	if st, err = c.raw.Recv(frame, st.Source, st.Tag); err != nil {
 		return nil, st, err
 	}
-	buf, cost, err := pickle.Loads(frame, gpu, c.pickleCosts)
+	obj, cost, err := pickle.Loads(frame, gpu, c.pickleCosts)
 	if err != nil {
 		return nil, st, err
 	}
 	c.raw.Proc().AdvanceClock(cost)
-	return buf, st, nil
+	return obj, st, nil
 }
 
 // SendObjectSpec / RecvObjectSpec are the timing-only forms: they charge
@@ -67,18 +92,17 @@ func (c *Comm) RecvObjectSpec(s Spec, src, tag int) (mpi.Status, error) {
 // BcastObject broadcasts a pickled buffer from root (mpi4py's comm.bcast):
 // the frame length travels first, then the frame, then non-roots unpickle.
 // Non-root ranks pass nil buf; the received object is returned everywhere.
+// The root pickles into its send frame; a non-root receives into a fresh
+// frame per call, since a host object it returns aliases that frame.
 func (c *Comm) BcastObject(buf pybuf.Buffer, root int, gpu *device.GPU) (pybuf.Buffer, error) {
 	var frame []byte
+	var lenBuf [8]byte
 	if c.raw.Rank() == root {
-		f, cost, err := pickle.Dumps(buf, c.pickleCosts)
+		f, err := c.dumpsSendFrame(buf)
 		if err != nil {
 			return nil, err
 		}
 		frame = f
-		c.raw.Proc().AdvanceClock(cost)
-	}
-	var lenBuf [8]byte
-	if c.raw.Rank() == root {
 		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(frame)))
 	}
 	if err := c.raw.Bcast(lenBuf[:], root); err != nil {
@@ -106,7 +130,8 @@ func (c *Comm) BcastObject(buf pybuf.Buffer, root int, gpu *device.GPU) (pybuf.B
 // binomial-tree reduction where every hop pickles, ships, unpickles and
 // applies op element-wise in "Python" (costed at the interpreter's rate),
 // followed by an object broadcast of the result. Returns the reduced buffer
-// on every rank.
+// on every rank; the caller owns it (and frees it, for a GPU library).
+// Every intermediate device object is freed here.
 func (c *Comm) AllreduceObject(buf pybuf.Buffer, op mpi.Op, gpu *device.GPU) (pybuf.Buffer, error) {
 	p := c.raw.Size()
 	acc, err := cloneBuffer(buf, gpu)
@@ -119,23 +144,41 @@ func (c *Comm) AllreduceObject(buf pybuf.Buffer, op mpi.Op, gpu *device.GPU) (py
 		if c.raw.Rank()&mask != 0 {
 			dst := c.raw.Rank() &^ mask
 			if err := c.SendObject(acc, dst, objTag); err != nil {
+				freeDevice(acc)
 				return nil, err
 			}
 			break
 		}
 		src := c.raw.Rank() | mask
 		if src < p {
-			other, _, err := c.RecvObject(src, objTag, gpu)
+			other, _, err := c.RecvObject(nil, src, objTag, gpu)
 			if err != nil {
+				freeDevice(acc)
 				return nil, err
 			}
-			if err := pythonReduce(c, acc, other, op); err != nil {
+			err = pythonReduce(c, acc, other, op)
+			freeDevice(other)
+			if err != nil {
+				freeDevice(acc)
 				return nil, err
 			}
 		}
 		mask <<= 1
 	}
-	return c.BcastObject(acc, 0, gpu)
+	out, err := c.BcastObject(acc, 0, gpu)
+	if out != acc {
+		// A non-root's partial sum is spent; the result is the broadcast
+		// object.
+		freeDevice(acc)
+	}
+	return out, err
+}
+
+// freeDevice releases b's device memory if it is a GPU buffer.
+func freeDevice(b pybuf.Buffer) {
+	if db, ok := b.(pybuf.DeviceBuffer); ok {
+		_ = db.Free()
+	}
 }
 
 // objTag is the reserved-by-convention user tag of the object collectives.

@@ -17,7 +17,7 @@ import (
 	"repro/internal/vtime"
 )
 
-// Frame layout: magic(4) version(1) library(1) dtype(1) reserved(1)
+// Frame layout: magic(4) version(1) library(1) dtype(1) reserved(1, zero)
 // count(8) payload(count*dtypeSize).
 const (
 	headerLen = 16
@@ -58,16 +58,25 @@ func (c Costs) call(n int) vtime.Micros {
 	return t
 }
 
-// Dumps serializes a buffer into a framed byte slice and returns the
-// virtual cost. GPU buffers are copied device-to-host first (that is what
-// pickling a CuPy/Numba array does), and that copy's cost is included.
-func Dumps(b pybuf.Buffer, costs Costs) ([]byte, vtime.Micros, error) {
+// Dumps serializes a buffer into a frame and returns it with the virtual
+// cost. The frame is written into dst's storage when cap(dst) holds it,
+// so a caller that keeps its last frame pickles without allocating; a nil
+// or too-small dst gets a fresh slice. Either way every byte of the frame
+// is written, so it does not depend on what dst held. GPU buffers are
+// copied device-to-host first (that is what pickling a CuPy/Numba array
+// does), and that copy's cost is included.
+func Dumps(dst []byte, b pybuf.Buffer, costs Costs) ([]byte, vtime.Micros, error) {
 	n := b.NBytes()
-	out := make([]byte, headerLen+n)
+	out := dst[:0]
+	if cap(out) < headerLen+n {
+		out = make([]byte, headerLen+n)
+	}
+	out = out[:headerLen+n]
 	copy(out[0:4], magic[:])
 	out[4] = version
 	out[5] = byte(b.Library())
 	out[6] = byte(b.DType())
+	out[7] = 0
 	binary.LittleEndian.PutUint64(out[8:], uint64(b.Count()))
 
 	cost := costs.call(n)
@@ -83,33 +92,44 @@ func Dumps(b pybuf.Buffer, costs Costs) ([]byte, vtime.Micros, error) {
 	return out, cost, nil
 }
 
-// Loads deserializes a frame into a fresh buffer and returns the virtual
-// cost. GPU-library frames are materialised back onto gpu (host-to-device
-// copy included); gpu may be nil for host libraries.
+// Loads deserializes a frame and returns the object with the virtual cost.
+// A host-library object (bytearray, NumPy) is a view of the frame's
+// payload, not a copy: it aliases frame, so the caller must not reuse the
+// frame's storage while it holds the object. GPU-library frames are
+// materialised in fresh device memory on gpu (host-to-device copy
+// included); gpu may be nil for host libraries.
 func Loads(frame []byte, gpu *device.GPU, costs Costs) (pybuf.Buffer, vtime.Micros, error) {
 	lib, dt, count, err := parseHeader(frame)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := count * dt.Size()
-	if len(frame) < headerLen+n {
-		return nil, 0, fmt.Errorf("pickle: frame %d bytes, need %d", len(frame), headerLen+n)
+	// Bound the count by the bytes present before multiplying: a forged
+	// count times the element size can overflow int.
+	if count > (len(frame)-headerLen)/dt.Size() {
+		return nil, 0, fmt.Errorf("pickle: frame %d bytes, header promises %d %v elements",
+			len(frame), count, dt)
 	}
+	n := count * dt.Size()
+	payload := frame[headerLen : headerLen+n : headerLen+n]
 	cost := costs.call(n)
+	if !lib.OnGPU() {
+		buf, err := pybuf.View(lib, dt, payload)
+		if err != nil {
+			return nil, 0, fmt.Errorf("pickle: loads: %w", err)
+		}
+		return buf, cost, nil
+	}
 	buf, err := pybuf.New(lib, gpu, dt, count)
 	if err != nil {
 		return nil, 0, fmt.Errorf("pickle: loads allocation: %w", err)
 	}
-	if db, ok := buf.(pybuf.DeviceBuffer); ok {
-		h2d, err := db.Alloc().CopyFromHost(0, frame[headerLen:headerLen+n])
-		if err != nil {
-			return nil, 0, fmt.Errorf("pickle: H2D for loads: %w", err)
-		}
-		cost += h2d
-	} else {
-		copy(buf.Raw(), frame[headerLen:headerLen+n])
+	db := buf.(pybuf.DeviceBuffer)
+	h2d, err := db.Alloc().CopyFromHost(0, payload)
+	if err != nil {
+		_ = db.Free()
+		return nil, 0, fmt.Errorf("pickle: H2D for loads: %w", err)
 	}
-	return buf, cost, nil
+	return buf, cost + h2d, nil
 }
 
 // FrameSize returns the wire size of a pickled buffer of n payload bytes.
@@ -142,6 +162,9 @@ func parseHeader(frame []byte) (pybuf.Library, mpi.DType, int, error) {
 	dt := mpi.DType(frame[6])
 	if dt < mpi.Uint8 || dt > mpi.Float64 {
 		return 0, 0, 0, fmt.Errorf("pickle: bad dtype byte %d", frame[6])
+	}
+	if frame[7] != 0 {
+		return 0, 0, 0, fmt.Errorf("pickle: reserved byte is %d, want 0", frame[7])
 	}
 	count := int(binary.LittleEndian.Uint64(frame[8:]))
 	if count < 0 {

@@ -199,13 +199,8 @@ func (g *gpuBuffer) CAI() device.ArrayInterface {
 // for the GPU libraries and ignored otherwise.
 func New(lib Library, gpu *device.GPU, dt mpi.DType, count int) (Buffer, error) {
 	switch lib {
-	case Bytearray:
-		if dt != mpi.Uint8 {
-			return nil, fmt.Errorf("pybuf: bytearray buffers are uint8, got %v", dt)
-		}
-		return NewBytearrayBuf(count), nil
-	case NumPy:
-		return NewNumPy(dt, count), nil
+	case Bytearray, NumPy:
+		return View(lib, dt, make([]byte, count*dt.Size()))
 	case CuPy, PyCUDA, Numba:
 		if gpu == nil {
 			return nil, fmt.Errorf("pybuf: %v requires a GPU", lib)
@@ -216,25 +211,48 @@ func New(lib Library, gpu *device.GPU, dt mpi.DType, count int) (Buffer, error) 
 	}
 }
 
+// View returns a host buffer of lib and dt over data without copying it:
+// the buffer aliases data, so writes through either are seen by both.
+// lib must be a host library, and data a whole number of dt elements.
+func View(lib Library, dt mpi.DType, data []byte) (Buffer, error) {
+	switch {
+	case lib != Bytearray && lib != NumPy:
+		return nil, fmt.Errorf("pybuf: %v is not a host library", lib)
+	case lib == Bytearray && dt != mpi.Uint8:
+		return nil, fmt.Errorf("pybuf: bytearray buffers are uint8, got %v", dt)
+	case len(data)%dt.Size() != 0:
+		return nil, fmt.Errorf("pybuf: %d bytes are not a whole number of %v elements", len(data), dt)
+	}
+	return &hostBuffer{lib: lib, dt: dt, count: len(data) / dt.Size(), data: data}, nil
+}
+
+// patternPeriod is the period of FillPattern's byte sequence.
+const patternPeriod = 251
+
 // FillPattern writes a deterministic seed-dependent pattern: byte i is
-// (seed*131 + 7*i + 13) % 251, with Go's truncated %. The residue is
-// carried forward by +7 mod 251 instead of divided out per byte; only the
-// prefix where the sum is still negative (a negative seed) takes the
-// formula directly, since its residues are negative too.
+// (seed*131 + 7*i + 13) % 251, with Go's truncated %. Once the sum is
+// non-negative the sequence repeats every 251 bytes, so one period is
+// computed and then doubled with copy; only the prefix where the sum is
+// still negative (a negative seed) takes the formula directly, since its
+// residues are negative too and do not repeat.
 func FillPattern(b Buffer, seed int) {
 	raw := b.Raw()
 	x := seed*131 + 13
 	i := 0
 	for ; i < len(raw) && x < 0; i++ {
-		raw[i] = byte(x % 251)
+		raw[i] = byte(x % patternPeriod)
 		x += 7
 	}
-	r := x % 251
-	for ; i < len(raw); i++ {
-		raw[i] = byte(r)
-		if r += 7; r >= 251 {
-			r -= 251
+	period := raw[i:min(len(raw), i+patternPeriod)]
+	r := x % patternPeriod
+	for j := range period {
+		period[j] = byte(r)
+		if r += 7; r >= patternPeriod {
+			r -= patternPeriod
 		}
+	}
+	for filled := i + len(period); filled < len(raw); {
+		filled += copy(raw[filled:], raw[i:filled])
 	}
 }
 

@@ -101,6 +101,31 @@ func TestNewDispatch(t *testing.T) {
 	}
 }
 
+func TestView(t *testing.T) {
+	data := make([]byte, 24)
+	v, err := View(NumPy, mpi.Float64, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Library() != NumPy || v.DType() != mpi.Float64 || v.Count() != 3 || v.NBytes() != 24 {
+		t.Errorf("view %v %v %d %d", v.Library(), v.DType(), v.Count(), v.NBytes())
+	}
+	data[0] = 0x7f
+	if v.Raw()[0] != 0x7f {
+		t.Error("a view must alias its bytes")
+	}
+	for name, err := range map[string]error{
+		"GPU library":     func() error { _, err := View(CuPy, mpi.Float64, data); return err }(),
+		"bytearray dtype": func() error { _, err := View(Bytearray, mpi.Int32, data); return err }(),
+		"partial element": func() error { _, err := View(NumPy, mpi.Float64, data[:20]); return err }(),
+		"unknown library": func() error { _, err := View(Library(9), mpi.Uint8, data); return err }(),
+	} {
+		if err == nil {
+			t.Errorf("%s: View should fail", name)
+		}
+	}
+}
+
 func TestTypestrRoundTrip(t *testing.T) {
 	for _, dt := range []mpi.DType{mpi.Uint8, mpi.Int32, mpi.Int64, mpi.Float32, mpi.Float64} {
 		ts := typestr(dt)
@@ -134,11 +159,12 @@ func TestFillPatternAndEqual(t *testing.T) {
 	}
 }
 
-// TestFillPatternMatchesFormula pins the incremental fill to the per-byte
-// formula it replaces, negative seeds (negative residues) included.
+// TestFillPatternMatchesFormula pins the period-copy fill to the per-byte
+// formula it replaces, at lengths around one and two periods and with
+// negative seeds (a negative-residue prefix of varying length) included.
 func TestFillPatternMatchesFormula(t *testing.T) {
-	for _, seed := range []int{-3, 0, 1, 250, 251} {
-		for _, n := range []int{0, 1, 250, 251, 252, 100000} {
+	for _, seed := range []int{-1000, -5, -3, -1, 0, 1, 7, 250, 251} {
+		for _, n := range []int{0, 1, 250, 251, 252, 502, 503, 100000} {
 			b := NewBytearrayBuf(n)
 			FillPattern(b, seed)
 			for i, got := range b.Raw() {

@@ -249,6 +249,9 @@ func TestBadRequests(t *testing.T) {
 		// A reducing py-mode sweep moves float32 elements, which the
 		// default bytearray buffer cannot hold.
 		"bytearray_float": `{"benchmark":"allreduce","mode":"py"}`,
+		// An infinite noise sigma is refused by the fault-spec parser;
+		// run, it would reach NaN latencies that fail JSON encoding.
+		"noise_inf": `{"benchmark":"latency","faults":"noise:sigma=inf"}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := post(t, s.Handler(), body)
@@ -278,6 +281,9 @@ func TestBadRequests(t *testing.T) {
 	// rank partway into the simulation, and the answer names the fix.
 	if rec := post(t, s.Handler(), `{"benchmark":"allreduce","mode":"py"}`); !strings.Contains(rec.Body.String(), "-buffer numpy") {
 		t.Errorf("bytearray/float32 sweep answered %s, want the validation error naming -buffer numpy", rec.Body)
+	}
+	if rec := post(t, s.Handler(), `{"benchmark":"latency","faults":"noise:sigma=inf"}`); !strings.Contains(rec.Body.String(), "-faults") {
+		t.Errorf("infinite noise sweep answered %s, want the validation error naming -faults", rec.Body)
 	}
 }
 

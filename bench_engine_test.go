@@ -1,40 +1,39 @@
 package repro
 
 import (
+	"flag"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/fixture"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/stats"
 )
 
 // largeWorldOptions is the 256-rank large-world configuration the perf
 // trajectory regresses against: a timing-only allreduce sweep over the
 // rendezvous sizes (16 KiB - 256 KiB), the shape of the paper's
 // full-subscription experiments.
-func largeWorldOptions(engine string) core.Options {
+func largeWorldOptions() core.Options {
 	return core.Options{
 		Benchmark: core.Allreduce, Mode: core.ModeC,
-		Ranks: 256, PPN: 32, TimingOnly: true, Engine: engine,
+		Ranks: 256, PPN: 32, TimingOnly: true,
 		MinSize: 16 * 1024, MaxSize: 256 * 1024,
 		Iters: 20, Warmup: 2, LargeIters: 10, LargeWarmup: 2,
 	}
 }
 
-// BenchmarkEngineLargeWorld runs the large-world sweep once per op, under
-// each execution engine. Both engines report identical virtual times (see
-// TestEngineLargeWorldParity); ns/op is the end-to-end wall-clock cost of
-// simulating the whole sweep.
+// BenchmarkEngineLargeWorld runs the large-world sweep once per op; ns/op
+// is the end-to-end wall-clock cost of simulating the whole sweep.
 func BenchmarkEngineLargeWorld(b *testing.B) {
-	for _, engine := range []string{"goroutine", "event"} {
-		b.Run(engine, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(largeWorldOptions(engine)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(largeWorldOptions()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -44,7 +43,7 @@ func BenchmarkEngineLargeWorld(b *testing.B) {
 func hugeWorldOptions(ranks int, noFold bool) core.Options {
 	return core.Options{
 		Benchmark: core.Allreduce, Mode: core.ModeC,
-		Ranks: ranks, PPN: ranks / 16, TimingOnly: true, Engine: "event",
+		Ranks: ranks, PPN: ranks / 16, TimingOnly: true,
 		NoFold:  noFold,
 		MinSize: 16 * 1024, MaxSize: 64 * 1024,
 		Iters: 10, Warmup: 2, LargeIters: 5, LargeWarmup: 1,
@@ -63,9 +62,8 @@ func reportCacheOverflows(b *testing.B, before int64) {
 	}
 }
 
-// BenchmarkEngineHugeWorld is the scale the event engine unlocks: 1024- to
-// 262144-rank timing-only allreduce sweeps that the goroutine engine cannot
-// run in reasonable wall-clock time. The 64Ki and 256Ki rows are the
+// BenchmarkEngineHugeWorld is the scale the event loop reaches: 1024- to
+// 262144-rank timing-only allreduce sweeps. The 64Ki and 256Ki rows are the
 // folding scale targets; their wall-clock is dominated by the
 // per-rank token scan and clock fanout (see README "Scaling limits").
 func BenchmarkEngineHugeWorld(b *testing.B) {
@@ -127,29 +125,30 @@ func TestEngineFoldSmoke1024(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false,
+	"record testdata/frozen/large_world_parity.json from this build instead of checking it")
+
 // TestEngineLargeWorldParity is the CI gate behind the bench-smoke job: the
-// large-world configuration must report byte-identical series under both
-// engines. A shortened sweep keeps the goroutine run affordable in CI.
+// large-world configuration must report, with folding on and off, the
+// series frozen in testdata/frozen from the per-rank goroutine executor the
+// runtime ran before the event loop became its only engine; the sweep is
+// the shortened one that answer was recorded for. Rewrite the file with
+// -update only when a reported number is meant to change.
 func TestEngineLargeWorldParity(t *testing.T) {
-	short := func(engine string) core.Options {
-		o := largeWorldOptions(engine)
+	frozen := fixture.Open(t, filepath.Join("testdata", "frozen", "large_world_parity.json"), *update)
+	for _, noFold := range []bool{false, true} {
+		o := largeWorldOptions()
 		o.Iters, o.Warmup, o.LargeIters, o.LargeWarmup = 4, 1, 2, 1
-		return o
-	}
-	want, err := core.Run(short("goroutine"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Run(short("event"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Series.Rows) != len(want.Series.Rows) {
-		t.Fatalf("row count diverged: goroutine %d, event %d", len(want.Series.Rows), len(got.Series.Rows))
-	}
-	for i, w := range want.Series.Rows {
-		if g := got.Series.Rows[i]; g != w {
-			t.Errorf("size %d: virtual times diverged:\ngoroutine: %+v\nevent:     %+v", w.Size, w, g)
+		o.NoFold = noFold
+		rep, err := core.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rep.Series.Rows
+		var want []stats.Row
+		if frozen.Check(t, "series", got, &want) && !reflect.DeepEqual(got, want) {
+			t.Errorf("fold off=%v: virtual times left the frozen answer:\ngot:    %+v\nfrozen: %+v",
+				noFold, got, want)
 		}
 	}
 }

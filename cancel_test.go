@@ -12,16 +12,6 @@ import (
 	"repro/internal/core"
 )
 
-// cancelEngines are the engines the cancellation contract covers.
-var cancelEngines = []string{"goroutine", "event"}
-
-// hugeWorldOptionsOn is hugeWorldOptions retargeted at an engine.
-func hugeWorldOptionsOn(engine string, ranks int) core.Options {
-	o := hugeWorldOptions(ranks, false)
-	o.Engine = engine
-	return o
-}
-
 // waitGoroutines polls until the process goroutine count drops back to (or
 // below) target+slack, failing after a deadline. Run returns after every
 // rank goroutine finished, but exited goroutines are reaped asynchronously,
@@ -44,33 +34,31 @@ func waitGoroutines(t *testing.T, target int) {
 
 // TestCancelPreCanceledDeterministic pins the deterministic cancel site: a
 // context canceled before the run starts fails every rank at its first
-// collective entry, so repeated runs — and both engines — report
-// bit-identical structured failures.
+// collective entry, so repeated runs report bit-identical structured
+// failures.
 func TestCancelPreCanceledDeterministic(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var bodies []string
-	for _, engine := range cancelEngines {
-		for round := 0; round < 2; round++ {
-			rep, err := core.RunContext(ctx, hugeWorldOptionsOn(engine, 4096))
-			if err != nil {
-				t.Fatalf("%s round %d: %v", engine, round, err)
-			}
-			if rep.Failure == nil {
-				t.Fatalf("%s round %d: pre-canceled run reported no failure", engine, round)
-			}
-			if rep.Failure.Code != "canceled" {
-				t.Fatalf("%s round %d: failure code %q, want %q", engine, round, rep.Failure.Code, "canceled")
-			}
-			if len(rep.Failure.Failed) != 0 {
-				t.Fatalf("%s round %d: cancellation listed dead ranks %v; nobody died", engine, round, rep.Failure.Failed)
-			}
-			body, err := json.Marshal(rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bodies = append(bodies, string(body))
+	for round := 0; round < 2; round++ {
+		rep, err := core.RunContext(ctx, hugeWorldOptions(4096, false))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
+		if rep.Failure == nil {
+			t.Fatalf("round %d: pre-canceled run reported no failure", round)
+		}
+		if rep.Failure.Code != "canceled" {
+			t.Fatalf("round %d: failure code %q, want %q", round, rep.Failure.Code, "canceled")
+		}
+		if len(rep.Failure.Failed) != 0 {
+			t.Fatalf("round %d: cancellation listed dead ranks %v; nobody died", round, rep.Failure.Failed)
+		}
+		body, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, string(body))
 	}
 	for i, body := range bodies[1:] {
 		if body != bodies[0] {
@@ -79,8 +67,8 @@ func TestCancelPreCanceledDeterministic(t *testing.T) {
 	}
 }
 
-// TestCancelMidRunHugeWorld cancels a 4096-rank sweep mid-flight on each
-// engine and pins the whole robustness contract: the run returns promptly
+// TestCancelMidRunHugeWorld cancels a 4096-rank sweep mid-flight on the
+// event loop and pins the whole robustness contract: the run returns promptly
 // (within 250ms of the cancel), the outcome is a classified "canceled"
 // failure rather than an error or a hang, no goroutines leak, and the
 // world's cross-run pools stay reusable (a follow-up clean run succeeds).
@@ -88,73 +76,71 @@ func TestCancelMidRunHugeWorld(t *testing.T) {
 	if testing.Short() {
 		t.Skip("huge-world run in -short mode")
 	}
-	for _, engine := range cancelEngines {
-		t.Run(engine, func(t *testing.T) {
-			// Warm the engine's pools before taking the goroutine baseline:
-			// the event engine legitimately retains one recycled coroutine
-			// worker per rank across runs (PR 8's pooled worker set), so a
-			// cold baseline would misread that pool as a leak. One clean
-			// single-iteration run populates it.
-			warm := hugeWorldOptionsOn(engine, 4096)
-			warm.MinSize, warm.MaxSize = 16384, 16384
-			warm.Iters, warm.Warmup, warm.LargeIters, warm.LargeWarmup = 1, 1, 1, 1
-			if _, err := core.RunContext(context.Background(), warm); err != nil {
-				t.Fatalf("warm run: %v", err)
-			}
-			baseline := runtime.NumGoroutine()
-			// Promptness: the engines poll the latched flag on a short leash
-			// (cancelPollMask events / the next blocking primitive), so the
-			// unwind is bounded. The bound is wall-clock and the suite runs
-			// on shared machines, so a few attempts absorb scheduler noise;
-			// the race detector slows everything by an order of magnitude,
-			// so only classification is asserted there.
-			const bound = 250 * time.Millisecond
-			var elapsed time.Duration
-			prompt := false
-			for attempt := 0; attempt < 3 && !prompt; attempt++ {
-				ctx, cancel := context.WithCancel(context.Background())
-				var canceledAt time.Time
-				timer := time.AfterFunc(2*time.Millisecond, func() {
-					canceledAt = time.Now()
-					cancel()
-				})
-				rep, err := core.RunContext(ctx, hugeWorldOptionsOn(engine, 4096))
-				returned := time.Now()
-				timer.Stop()
+	t.Run("event", func(t *testing.T) {
+		// Warm the pools before taking the goroutine baseline: the event
+		// loop legitimately retains one recycled coroutine worker per
+		// rank across runs (the pooled worker set), so a cold baseline
+		// would misread that pool as a leak. One clean single-iteration
+		// run populates it.
+		warm := hugeWorldOptions(4096, false)
+		warm.MinSize, warm.MaxSize = 16384, 16384
+		warm.Iters, warm.Warmup, warm.LargeIters, warm.LargeWarmup = 1, 1, 1, 1
+		if _, err := core.RunContext(context.Background(), warm); err != nil {
+			t.Fatalf("warm run: %v", err)
+		}
+		baseline := runtime.NumGoroutine()
+		// Promptness: the loop polls the latched flag on a short leash
+		// (every cancelPollMask+1 events), so the
+		// unwind is bounded. The bound is wall-clock and the suite runs
+		// on shared machines, so a few attempts absorb scheduler noise;
+		// the race detector slows everything by an order of magnitude,
+		// so only classification is asserted there.
+		const bound = 250 * time.Millisecond
+		var elapsed time.Duration
+		prompt := false
+		for attempt := 0; attempt < 3 && !prompt; attempt++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			var canceledAt time.Time
+			timer := time.AfterFunc(2*time.Millisecond, func() {
+				canceledAt = time.Now()
 				cancel()
-				if err != nil {
-					t.Fatalf("canceled run returned an error instead of a classified report: %v", err)
-				}
-				if rep.Failure == nil {
-					t.Skip("run completed before the cancel fired; nothing to assert")
-				}
-				if rep.Failure.Code != "canceled" {
-					t.Fatalf("failure code %q, want %q (message %q)", rep.Failure.Code, "canceled", rep.Failure.Message)
-				}
-				elapsed = returned.Sub(canceledAt)
-				prompt = elapsed <= bound
-			}
-			if !prompt && !raceEnabled {
-				t.Errorf("canceled 4096-rank run took %v to unwind, want <= %v", elapsed, bound)
-			}
-			waitGoroutines(t, baseline)
-
-			// Pools must survive a cancel: a clean warm run on the same
-			// engine right after must succeed and report rows.
-			small := hugeWorldOptionsOn(engine, 64)
-			small.PPN = 4
-			clean, err := core.RunContext(context.Background(), small)
+			})
+			rep, err := core.RunContext(ctx, hugeWorldOptions(4096, false))
+			returned := time.Now()
+			timer.Stop()
+			cancel()
 			if err != nil {
-				t.Fatalf("post-cancel run failed: %v", err)
+				t.Fatalf("canceled run returned an error instead of a classified report: %v", err)
 			}
-			if clean.Failure != nil {
-				t.Fatalf("post-cancel run inherited a failure: %+v", clean.Failure)
+			if rep.Failure == nil {
+				t.Skip("run completed before the cancel fired; nothing to assert")
 			}
-			if len(clean.Series.Rows) == 0 {
-				t.Fatal("post-cancel run reported no rows")
+			if rep.Failure.Code != "canceled" {
+				t.Fatalf("failure code %q, want %q (message %q)", rep.Failure.Code, "canceled", rep.Failure.Message)
 			}
-		})
-	}
+			elapsed = returned.Sub(canceledAt)
+			prompt = elapsed <= bound
+		}
+		if !prompt && !raceEnabled {
+			t.Errorf("canceled 4096-rank run took %v to unwind, want <= %v", elapsed, bound)
+		}
+		waitGoroutines(t, baseline)
+
+		// Pools must survive a cancel: a clean warm run right after
+		// must succeed and report rows.
+		small := hugeWorldOptions(64, false)
+		small.PPN = 4
+		clean, err := core.RunContext(context.Background(), small)
+		if err != nil {
+			t.Fatalf("post-cancel run failed: %v", err)
+		}
+		if clean.Failure != nil {
+			t.Fatalf("post-cancel run inherited a failure: %+v", clean.Failure)
+		}
+		if len(clean.Series.Rows) == 0 {
+			t.Fatal("post-cancel run reported no rows")
+		}
+	})
 }
 
 // TestCancelThenWarmRunStaysPooled proves a canceled huge-world run does

@@ -50,8 +50,7 @@ func main() {
 		window    = flag.Int("window", 64, "window size for bandwidth tests")
 		pairs     = flag.Int("pairs", 0, "pair count for the multi-pair benchmarks (0 = ranks/2)")
 		timing    = flag.Bool("timing-only", false, "skip payloads (huge-scale runs)")
-		engine    = flag.String("engine", "auto", "execution engine: auto (event for timing-only runs), goroutine, event")
-		fold      = flag.Bool("fold", true, "let the event engine fold symmetric ranks (false forces every rank to execute; reported numbers are identical either way)")
+		fold      = flag.Bool("fold", true, "let the event loop fold symmetric ranks (false forces every rank to execute; reported numbers are identical either way)")
 		algo      = flag.String("algorithm", "", "force collective algorithms: a name for this benchmark's collective, coll=name pairs, \"all\" to sweep every algorithm, \"list\" to show the registry")
 		faults    = flag.String("faults", "", "deterministic fault plan, e.g. \"kill:rank=3,after=2:allreduce; noise:sigma=5us; jitter:link=0.1; seed:42\"")
 		par       = flag.Int("parallel", 0, "worker count for the -algorithm all sweep (0 = serial)")
@@ -108,13 +107,12 @@ func main() {
 		Window:     *window,
 		Pairs:      *pairs,
 		TimingOnly: *timing,
-		Engine:     *engine,
 		NoFold:     !*fold,
 		Faults:     *faults,
 	}
 
 	// The budget covers the whole invocation (a sweep shares one deadline
-	// across its variants); expiry unwinds through the engines' structured
+	// across its variants); expiry unwinds through the runtime's structured
 	// cancellation and is classified in Report.Failure, never an abort
 	// mid-sweep.
 	ctx := context.Background()

@@ -35,8 +35,7 @@ func main() {
 		plot      = flag.Bool("plot", false, "render each experiment's series as an ASCII chart")
 		algo      = flag.String("algorithm", "", "force collective algorithms for every run, as coll=name pairs (e.g. allgather=ring,allreduce=rd)")
 		par       = flag.Int("parallel", 0, "sweep worker count for multi-variant experiments (0 = serial)")
-		engine    = flag.String("engine", "auto", "execution engine for every run: auto (event for timing-only runs), goroutine, event")
-		fold      = flag.Bool("fold", true, "let the event engine fold symmetric ranks (false forces every rank to execute; reported numbers are identical either way)")
+		fold      = flag.Bool("fold", true, "let the event loop fold symmetric ranks (false forces every rank to execute; reported numbers are identical either way)")
 		faults    = flag.String("faults", "", "deterministic fault plan applied to every run, e.g. \"noise:sigma=2us; jitter:link=0.1; seed:7\"")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget per benchmark run (0 = none); expiry reports a structured timeout failure instead of running on")
 		tableFile = flag.String("tuning-table", "", "apply a generated tuning table (see ombtune) as the per-placement default selection policy")
@@ -64,7 +63,6 @@ func main() {
 		core.SetDefaultAlgorithms(forced)
 	}
 	core.SetDefaultSweepWorkers(*par)
-	core.SetDefaultEngine(*engine)
 	core.SetDefaultFold(*fold)
 	core.SetDefaultFaults(*faults)
 	core.SetDefaultTimeout(*timeout)

@@ -4,8 +4,8 @@
 // The workload is a "ring relay": a token of the current message size hops
 // rank 0 → 1 → ... → p-1 → 0, and the reported latency is the per-hop
 // time. Registering it takes one RegisterBenchmark call; the run loop,
-// option validation, size sweep, report columns, -parallel sweeps and both
-// execution engines pick it up from the spec with no edits anywhere else.
+// option validation, size sweep, report columns, -parallel sweeps and
+// the CLIs pick it up from the spec with no edits anywhere else.
 // Run with:
 //
 //	go run ./examples/custom_benchmark

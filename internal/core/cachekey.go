@@ -22,10 +22,10 @@ import (
 //
 // Two kinds of fields are deliberately excluded:
 //
-//   - Execution knobs that cannot change a reported number: Engine and
-//     NoFold select *how* the simulation runs, and the parity suites pin
-//     their results bit-identical. Hashing them would split the cache
-//     across entries holding the same bytes.
+//   - Execution knobs that cannot change a reported number: NoFold
+//     selects *how* the simulation runs, and the parity suites pin its
+//     results bit-identical. Hashing it would split the cache across
+//     entries holding the same bytes.
 //   - The Profiler hook, which records binding-layer phases without
 //     affecting any reported number (the serving layer rejects it anyway:
 //     a hook cannot travel over JSON).

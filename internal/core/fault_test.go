@@ -6,51 +6,41 @@ import (
 	"testing"
 )
 
-// faultEngines are the engine configurations a fault-injected run must
-// agree across: same classified failure, same perturbed numbers, byte for
-// byte. The event engine needs timing-only worlds.
-var faultEngines = []struct {
-	name       string
-	engine     string
-	timingOnly bool
-}{
-	{"goroutine", "goroutine", true},
-	{"event", "event", true},
-}
+// foldSettings are the NoFold values a fault-injected run must agree
+// across: same classified failure, same perturbed numbers, byte for byte,
+// and both equal to the frozen answers (testdata/frozen).
+var foldSettings = []bool{false, true}
 
 // TestRunClassifiesKillFailure runs a fault scenario under a kill plan and
 // checks Run returns a classified Report.Failure — not an error, not a
-// hang — identically on both engines.
+// hang — at the frozen failure site.
 func TestRunClassifiesKillFailure(t *testing.T) {
-	var want *Failure
-	for _, eng := range faultEngines {
+	frozen := openFrozen(t, "kill_failure")
+	for _, noFold := range foldSettings {
 		opts := quickOpts(FaultAllreduce, ModeC)
 		opts.Ranks, opts.PPN = 8, 4
 		opts.MaxSize = 4 * 1024
-		opts.Engine = eng.engine
-		opts.TimingOnly = eng.timingOnly
+		opts.TimingOnly = true
+		opts.NoFold = noFold
 		opts.Faults = "kill:rank=3,after=5:allreduce"
 		rep, err := Run(opts)
 		if err != nil {
-			t.Fatalf("%s: Run = %v, want classified failure", eng.name, err)
+			t.Fatalf("fold off=%v: Run = %v, want classified failure", noFold, err)
 		}
 		f := rep.Failure
 		if f == nil {
-			t.Fatalf("%s: Report.Failure is nil under a kill plan", eng.name)
+			t.Fatalf("fold off=%v: Report.Failure is nil under a kill plan", noFold)
 		}
 		if f.Code != "MPI_ERR_PROC_FAILED" && f.Code != "RANK_KILLED" {
-			t.Fatalf("%s: failure code %q", eng.name, f.Code)
+			t.Fatalf("fold off=%v: failure code %q", noFold, f.Code)
 		}
 		if len(f.Failed) != 1 || f.Failed[0] != 3 {
-			t.Fatalf("%s: failure blames %v, want [3]", eng.name, f.Failed)
+			t.Fatalf("fold off=%v: failure blames %v, want [3]", noFold, f.Failed)
 		}
-		if want == nil {
-			want = f
-			continue
-		}
-		if !reflect.DeepEqual(want, f) {
-			t.Fatalf("engines disagree on the classified failure:\n%s: %+v\n%s: %+v",
-				faultEngines[0].name, want, eng.name, f)
+		var want Failure
+		if frozen.Check(t, opts.Faults, f, &want) && !reflect.DeepEqual(*f, want) {
+			t.Fatalf("fold off=%v: classified failure left the frozen answer:\n  got    %+v\n  frozen %+v",
+				noFold, *f, want)
 		}
 	}
 }
@@ -101,15 +91,16 @@ func TestFaultReportJSONFields(t *testing.T) {
 }
 
 // TestFaultNoiseSweepDeterministic re-runs a noise+jitter sweep across
-// serial and parallel workers and across both engines: every combination
-// must serialize byte-identically — the seeded perturbation depends only
-// on the plan, never on the schedule or the engine.
+// serial and parallel workers and across fold settings: every combination
+// must serialize byte-identically to the frozen answer — the seeded
+// perturbation depends only on the plan, never on the schedule.
 func TestFaultNoiseSweepDeterministic(t *testing.T) {
-	marshal := func(engine string, workers int) []byte {
+	frozen := openFrozen(t, "noise_sweep")
+	marshal := func(noFold bool, workers int) []byte {
 		base := quickOpts(Allreduce, ModeC)
 		base.Ranks, base.PPN = 8, 4
 		base.MaxSize = 8 * 1024
-		base.Engine = engine
+		base.NoFold = noFold
 		base.TimingOnly = true
 		base.Faults = "noise:sigma=3us; jitter:link=0.15; seed:42"
 		sweep := Sweep{
@@ -123,7 +114,7 @@ func TestFaultNoiseSweepDeterministic(t *testing.T) {
 		}
 		res, err := sweep.Run()
 		if err != nil {
-			t.Fatalf("engine %s workers %d: %v", engine, workers, err)
+			t.Fatalf("fold off=%v workers %d: %v", noFold, workers, err)
 		}
 		blob, err := json.Marshal(res.Reports)
 		if err != nil {
@@ -132,16 +123,13 @@ func TestFaultNoiseSweepDeterministic(t *testing.T) {
 		return blob
 	}
 
-	want := marshal("goroutine", 1)
-	for _, eng := range []string{"goroutine", "event"} {
+	for _, noFold := range foldSettings {
 		for _, workers := range []int{1, 4} {
-			if eng == "goroutine" && workers == 1 {
-				continue
-			}
-			got := marshal(eng, workers)
-			if string(got) != string(want) {
-				t.Fatalf("noise sweep not deterministic: engine %s workers %d differs from serial goroutine",
-					eng, workers)
+			got := json.RawMessage(marshal(noFold, workers))
+			var want json.RawMessage
+			if frozen.Check(t, "reports", got, &want) && string(got) != string(want) {
+				t.Fatalf("noise sweep not deterministic: fold off=%v workers %d differs from the frozen answer",
+					noFold, workers)
 			}
 		}
 	}

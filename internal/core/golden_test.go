@@ -9,11 +9,26 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/fixture"
 	"repro/internal/pybuf"
 	"repro/internal/stats"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden fixtures")
+var updateGolden = flag.Bool("update", false,
+	"rewrite the golden fixture and the testdata/frozen answers from this build")
+
+// Frozen answers: the fault and multi-pair parity tests compare reports
+// against answers recorded in testdata/frozen from the per-rank goroutine
+// executor the runtime ran before the event loop became its only engine.
+// The files are the reference, not a snapshot of the current build:
+// rewrite them with -update only when a reported number is meant to
+// change.
+
+// openFrozen loads testdata/frozen/<name>.json.
+func openFrozen(t *testing.T, name string) *fixture.Answers {
+	t.Helper()
+	return fixture.Open(t, filepath.Join("testdata", "frozen", name+".json"), *updateGolden)
+}
 
 // goldenConfigs is the fixed sweep pinned by the determinism fixture: every
 // collective family, both language modes (plus pickle), eager and rendezvous

@@ -16,7 +16,7 @@ import (
 // This file is the registry's existence proof: a whole workload family —
 // two benchmarks, their -pairs option validation, their report columns —
 // registers itself here without touching the run loop, the option
-// validator, or either CLI. It runs under both execution engines and in
+// validator, or either CLI. It runs with folding on or off and in
 // -parallel sweeps like every other registered workload.
 
 // The multi-pair benchmarks.

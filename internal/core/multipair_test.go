@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // Tests for the multi-pair family (mbw_mr, multi_bw) — the workload
@@ -90,27 +93,28 @@ func TestMultiBWMatchesMBWMRBandwidth(t *testing.T) {
 	}
 }
 
-// TestMultiPairEngineParity runs mbw_mr timing-only under both execution
-// engines and requires bit-identical series — the registry family must be
-// a first-class citizen of the event executor.
+// TestMultiPairEngineParity runs mbw_mr timing-only with folding on and
+// off and requires the series frozen from the retired goroutine executor
+// (testdata/frozen) — the registry family must be a first-class citizen of
+// the event loop.
 func TestMultiPairEngineParity(t *testing.T) {
+	frozen := openFrozen(t, "multipair_parity")
 	for _, shape := range [][2]int{{16, 1}, {63, 7}} {
-		opts := multiPairOpts(MultiBWMR)
-		opts.Ranks, opts.PPN = shape[0], shape[1]
-		opts.TimingOnly = true
-		opts.Engine = "goroutine"
-		goroutine, err := Run(opts)
-		if err != nil {
-			t.Fatalf("%dx%d goroutine: %v", shape[0], shape[1], err)
-		}
-		opts.Engine = "event"
-		event, err := Run(opts)
-		if err != nil {
-			t.Fatalf("%dx%d event: %v", shape[0], shape[1], err)
-		}
-		if !reflect.DeepEqual(goroutine.Series.Rows, event.Series.Rows) {
-			t.Errorf("%dx%d: engines diverged\ngoroutine: %+v\nevent:     %+v",
-				shape[0], shape[1], goroutine.Series.Rows, event.Series.Rows)
+		key := fmt.Sprintf("%dx%d", shape[0], shape[1])
+		for _, noFold := range []bool{false, true} {
+			opts := multiPairOpts(MultiBWMR)
+			opts.Ranks, opts.PPN = shape[0], shape[1]
+			opts.TimingOnly = true
+			opts.NoFold = noFold
+			rep, err := Run(opts)
+			if err != nil {
+				t.Fatalf("%s fold off=%v: %v", key, noFold, err)
+			}
+			var want []stats.Row
+			if frozen.Check(t, key, rep.Series.Rows, &want) && !reflect.DeepEqual(rep.Series.Rows, want) {
+				t.Errorf("%s fold off=%v: series left the frozen answer\ngot:    %+v\nfrozen: %+v",
+					key, noFold, rep.Series.Rows, want)
+			}
 		}
 	}
 }

@@ -96,16 +96,11 @@ type Options struct {
 	Pairs int
 	// TimingOnly runs without payloads (huge-scale experiments).
 	TimingOnly bool
-	// Engine selects the runtime execution engine: "auto" (the default;
-	// the discrete-event engine for timing-only runs, goroutines
-	// otherwise), "goroutine", or "event" (timing-only runs only). Both
-	// engines produce bit-identical virtual-time numbers.
-	Engine string
-	// NoFold disables the event engine's symmetry folding, forcing every
+	// NoFold disables the event loop's symmetry folding, forcing every
 	// rank to execute individually. Folding changes no reported number —
 	// the parity suite pins bit-identical virtual times either way — so
 	// this exists for A/B measurement (the fold-speedup benchmarks) and as
-	// an escape hatch. The goroutine engine never folds; it ignores this.
+	// an escape hatch.
 	NoFold bool
 	// Sizes, when non-empty, is the explicit message-size axis, replacing
 	// the MinSize/MaxSize power-of-two sweep — the crossover-scan
@@ -134,51 +129,14 @@ type Options struct {
 	Faults string
 }
 
-// defaultEngine is the process-wide engine default applied when
-// Options.Engine is empty; the CLIs' -engine flag sets it.
-var defaultEngine = "auto"
-
-// SetDefaultEngine installs the process-wide execution-engine default
-// ("auto", "goroutine" or "event"). It is meant to be called once at CLI
-// startup, before any Run.
-func SetDefaultEngine(name string) { defaultEngine = name }
-
 // defaultNoFold is the process-wide fold default applied when
 // Options.NoFold is false; the CLIs' -fold=false flag sets it.
 var defaultNoFold bool
 
 // SetDefaultFold installs the process-wide symmetry-folding default for
-// the event engine (true = fold, the normal setting). It is meant to be
+// the event loop (true = fold, the normal setting). It is meant to be
 // called once at CLI startup, before any Run.
 func SetDefaultFold(fold bool) { defaultNoFold = !fold }
-
-// engine resolves the options' engine choice. "auto" picks the
-// discrete-event engine exactly when the run is timing-only: the event
-// engine's payload path is not yet pinned by the data-carrying
-// correctness suite, and the goroutine engine is the validated substrate
-// for data-carrying runs.
-func (o Options) engine() (mpi.Engine, error) {
-	name := o.Engine
-	if name == "" {
-		name = defaultEngine
-	}
-	if strings.ToLower(name) == "auto" {
-		if o.TimingOnly {
-			return mpi.EngineEvent, nil
-		}
-		return mpi.EngineGoroutine, nil
-	}
-	eng, err := mpi.ParseEngine(strings.ToLower(name))
-	if err != nil {
-		return 0, fmt.Errorf("core: unknown engine %q (have auto, goroutine, event)", name)
-	}
-	if eng == mpi.EngineEvent && !o.TimingOnly {
-		return 0, fmt.Errorf("core: -engine=%s needs a timing-only run: the event engine's "+
-			"payload path is not yet pinned by the data-carrying correctness suite (see "+
-			"ROADMAP.md); pass -timing-only, or use -engine=goroutine for data-carrying runs", name)
-	}
-	return eng, nil
-}
 
 // defaultFaults is the process-wide fault-plan default applied when
 // Options.Faults is empty; the CLIs' -faults flag sets it.
@@ -339,8 +297,8 @@ func (o Options) withDefaults() Options {
 }
 
 // validate rejects inconsistent configurations. Every benchmark-specific
-// rule comes from the registry spec: supported modes and engines, minimum
-// rank counts, and the spec's own Validate hook.
+// rule comes from the registry spec: supported modes, minimum rank counts,
+// and the spec's own Validate hook.
 func (o Options) validate() error {
 	if o.Benchmark == "" {
 		return fmt.Errorf("core: Options.Benchmark is required")
@@ -383,13 +341,6 @@ func (o Options) validate() error {
 		if i > 0 && s <= o.Sizes[i-1] {
 			return fmt.Errorf("core: Sizes must be strictly increasing (%d after %d)", s, o.Sizes[i-1])
 		}
-	}
-	eng, err := o.engine()
-	if err != nil {
-		return err
-	}
-	if !spec.supportsEngine(eng) {
-		return fmt.Errorf("core: %s does not run on the %s engine", spec.Name, eng)
 	}
 	if _, err := o.mpiAlgorithms(); err != nil {
 		return err

@@ -70,9 +70,6 @@ type BenchmarkSpec struct {
 	// Modes restricts the language bindings the workload supports; nil
 	// means every mode (C, Py, Pickle).
 	Modes []Mode
-	// Engines restricts the execution engines the workload supports; nil
-	// means every engine.
-	Engines []mpi.Engine
 	// Columns selects the report-column set.
 	Columns Columns
 	// Reduces marks workloads that apply a reduction operator (their
@@ -104,19 +101,6 @@ func (s *BenchmarkSpec) SupportsMode(m Mode) bool {
 	}
 	for _, have := range s.Modes {
 		if have == m {
-			return true
-		}
-	}
-	return false
-}
-
-// supportsEngine reports whether the workload runs on the given engine.
-func (s *BenchmarkSpec) supportsEngine(e mpi.Engine) bool {
-	if len(s.Engines) == 0 {
-		return true
-	}
-	for _, have := range s.Engines {
-		if have == e {
 			return true
 		}
 	}

@@ -186,7 +186,7 @@ func TestBenchmarksListingMetadata(t *testing.T) {
 	}
 }
 
-// TestSpecMetadataDrivesValidation spot-checks that mode/engine/rank rules
+// TestSpecMetadataDrivesValidation spot-checks that mode and rank rules
 // come from the registry: pickle is rejected where the spec omits it,
 // overlap benchmarks are C-only, and MinRanks is enforced.
 func TestSpecMetadataDrivesValidation(t *testing.T) {

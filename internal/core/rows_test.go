@@ -118,9 +118,9 @@ func TestSizeSubsetRowsMatchFullSweep(t *testing.T) {
 		}
 	}
 
-	t.Run("data-carrying goroutine engine", func(t *testing.T) {
+	t.Run("data-carrying", func(t *testing.T) {
 		opts := Options{
-			Benchmark: Allreduce, Ranks: 8, PPN: 2, Engine: "goroutine",
+			Benchmark: Allreduce, Ranks: 8, PPN: 2,
 			Iters: 2, Warmup: 1, LargeIters: 2, LargeWarmup: 1, Sizes: rowSizes[:8],
 		}
 		checkSubsetRows(t, opts, rowsBySize(t, opts))

@@ -107,7 +107,7 @@ func Run(opts Options) (*Report, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is canceled or times out,
-// the simulation stops promptly on both engines and the outcome is
+// the simulation stops promptly and the outcome is
 // classified in Report.Failure (code "canceled" or "timeout") exactly like
 // a fault-plan failure — the rows completed before the cancel stay in the
 // report, and the world's cross-run pools remain reusable. The process-wide
@@ -140,10 +140,6 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine, err := opts.engine()
-	if err != nil {
-		return nil, err
-	}
 	plan, err := faults.Parse(opts.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("core: -faults: %w", err)
@@ -151,7 +147,6 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 	world, err := mpi.NewWorld(mpi.Config{
 		Placement:   place,
 		Model:       model,
-		Engine:      engine,
 		PyMode:      opts.Mode != ModeC,
 		CarryData:   !opts.TimingOnly,
 		Tuning:      opts.Tuning,

@@ -12,7 +12,7 @@ import (
 // recursive_doubling -> rabenseifner switch point: the power-of-two ablation
 // (algo_allreduce) measures the crossover near 8 KiB at 16x1, four times
 // below the 32 KiB threshold the MVAPICH2-style tuning tables ship. The
-// event engine makes a fine-grained scan cheap, so this experiment walks
+// event loop makes a fine-grained scan cheap, so this experiment walks
 // the switch region in 1 KiB steps instead of octaves, under both a
 // one-rank-per-node placement and a fully subscribed one, and reports where
 // the crossover actually sits in each regime.
@@ -40,7 +40,7 @@ func scanPlacement(ranks, ppn int) (rd, raben *stats.Series, err error) {
 	label := fmt.Sprintf("%dx%d", ranks, ppn)
 	base := core.Options{
 		Benchmark: core.Allreduce, Mode: core.ModeC,
-		Ranks: ranks, PPN: ppn, TimingOnly: true, Engine: "event",
+		Ranks: ranks, PPN: ppn, TimingOnly: true,
 		Sizes: crossoverSizes(), MinSize: 2 * 1024, MaxSize: 64 * 1024,
 		Iters: 20, Warmup: 2, LargeIters: 20, LargeWarmup: 2,
 	}

@@ -55,34 +55,36 @@ func init() {
 	})
 }
 
-// gpuBuffers runs OMB plus OMB-Py with each GPU buffer library and reports
-// each library's average overhead against the paper's number.
+// gpuBuffers runs OMB plus OMB-Py with each GPU buffer library as one
+// sweep, so ombrepro's -parallel flag overlaps them on the sweep engine's
+// worker pool, and reports each library's average overhead against the
+// paper's number.
 func gpuBuffers(id string, bench core.Benchmark, ranks, ppn, minS, maxS int, paper map[pybuf.Library]float64) (*Result, error) {
 	base := pairConfig{
 		bench: bench, cluster: "bridges2", ranks: ranks, ppn: ppn,
 		useGPU: true, minS: minS, maxS: maxS,
 	}
-	cRep, err := core.Run(base.options(core.ModeC))
-	if err != nil {
-		return nil, fmt.Errorf("OMB baseline: %w", err)
-	}
-	cRep.Series.Name = "OMB"
-	series := []*stats.Series{&cRep.Series}
-	var sts []Stat
-	for _, lib := range pybuf.GPULibraries() {
+	libs := pybuf.GPULibraries()
+	variants := []core.Variant{{Name: "OMB"}}
+	for _, lib := range libs {
 		pc := base
 		pc.buffer = lib
-		rep, err := core.Run(pc.options(core.ModePy))
-		if err != nil {
-			return nil, fmt.Errorf("OMB-Py/%v: %w", lib, err)
-		}
-		rep.Series.Name = "OMB-Py/" + lib.String()
-		s := rep.Series
-		series = append(series, &s)
+		variants = append(variants, core.Variant{
+			Name:   "OMB-Py/" + lib.String(),
+			Mutate: func(o *core.Options) { *o = pc.options(core.ModePy) },
+		})
+	}
+	res, err := core.Sweep{Base: base.options(core.ModeC), Variants: variants}.Run()
+	if err != nil {
+		return nil, err
+	}
+	series := res.Series()
+	var sts []Stat
+	for i, lib := range libs {
 		sts = append(sts, Stat{
 			Name:     fmt.Sprintf("avg %v overhead", lib),
 			Paper:    paper[lib],
-			Measured: stats.AvgOverheadUs(&s, &cRep.Series),
+			Measured: stats.AvgOverheadUs(series[i+1], series[0]),
 			Unit:     "us",
 		})
 	}

@@ -14,7 +14,7 @@ import (
 // seeded fault plan (2 us compute noise per collective entry plus 10% link
 // jitter) and compares the rd -> rabenseifner switch point against the
 // clean scan. Because the fault layer is deterministic, the noisy scan is
-// exactly reproducible: same plan, same numbers, on either engine.
+// exactly reproducible: same plan, same numbers, on every run.
 
 func init() {
 	register(Experiment{
@@ -34,7 +34,7 @@ func scanPlacementFaults(ranks, ppn int, faultSpec, tag string) (rd, raben *stat
 	label := fmt.Sprintf("%dx%d%s", ranks, ppn, tag)
 	base := core.Options{
 		Benchmark: core.Allreduce, Mode: core.ModeC,
-		Ranks: ranks, PPN: ppn, TimingOnly: true, Engine: "event",
+		Ranks: ranks, PPN: ppn, TimingOnly: true,
 		Sizes: crossoverSizes(), MinSize: 2 * 1024, MaxSize: 64 * 1024,
 		Iters: 20, Warmup: 2, LargeIters: 20, LargeWarmup: 2,
 		Faults: faultSpec,

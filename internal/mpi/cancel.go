@@ -8,27 +8,19 @@ package mpi
 // operation, and the world (with all its cross-run slab pools, coroutine
 // workers and compiled-schedule caches) remains fully reusable afterwards.
 //
-// Signal propagation differs per engine:
-//
-//   - Event engine: the whole world runs on one goroutine, so the loop
-//     polls the latched flag itself — every cancelPollMask dequeued events
-//     (driveUntil) — and fails the parked ranks exactly the way
-//     failStalled does, schedule handoffs through schedErr and coroutine
-//     parks through Proc.failure. The watcher goroutine never touches the
-//     loop's lock-elided mailboxes.
-//   - Goroutine engine: the watcher reuses the PR 7 watchdog plumbing — a
-//     Signal pass over the waiting mailbox condvars unparks receivers, the
-//     closed cancelChan unparks rendezvous waiters (completeSend selects on
-//     it), and Waitany pollers observe the latched failedFlag on their next
-//     pass. Runnable ranks hit the flag at their next blocking primitive or
-//     collective entry.
+// The whole world runs on one goroutine, so a watcher goroutine only
+// latches a flag; the loop polls it itself — every cancelPollMask+1
+// dequeued events (driveUntil) — and fails the parked ranks exactly the
+// way failStalled does, schedule handoffs through schedErr and coroutine
+// parks through Proc.failure. Runnable ranks hit the flag at their next
+// collective entry or park.
 //
 // Error sites are made deterministic where determinism is possible: a
 // context canceled *before* the run starts fails every rank at its first
-// collective entry (cancelEnter, called from driveSched and collRequest on
-// both engines), so serial, parallel and cross-engine runs of a
-// pre-canceled sweep report bit-identical failures. A mid-run cancel is
-// inherently a real-time event; only promptness is guaranteed then.
+// collective entry (cancelEnter, called from driveSched and collRequest),
+// so serial and parallel runs of a pre-canceled sweep report bit-identical
+// failures. A mid-run cancel is inherently a real-time event; only
+// promptness is guaranteed then.
 
 import (
 	"context"
@@ -126,14 +118,12 @@ func (w *World) armCancel() {
 	w.cancelOn = true
 	w.cancelCause = nil
 	w.cancelFlag.Store(false)
-	w.cancelChan = make(chan struct{})
 }
 
 // disarmCancel returns the world to the uncancellable steady state after
 // the run (and the watcher) have fully stopped.
 func (w *World) disarmCancel() {
 	w.cancelOn = false
-	w.cancelChan = nil
 	if w.faults == nil {
 		// cancelNow latches failedFlag to reuse the fault layer's
 		// drain-skipping paths; a fault plan resets it per Run itself.
@@ -147,10 +137,9 @@ func (w *World) cancelRequested() bool {
 	return w.cancelOn && w.cancelFlag.Load()
 }
 
-// cancelNow latches the cancel signal and unparks the goroutine engine's
-// blocked ranks. It runs on the watcher goroutine: cancelCause is written
-// before the flag's release store, so any rank that observes the flag also
-// observes the cause.
+// cancelNow latches the cancel signal; the event loop polls it. It runs on
+// the watcher goroutine: cancelCause is written before the flag's release
+// store, so a loop that observes the flag also observes the cause.
 func (w *World) cancelNow(cause error) {
 	if cause == nil {
 		cause = context.Canceled
@@ -158,23 +147,6 @@ func (w *World) cancelNow(cause error) {
 	w.cancelCause = cause
 	w.failedFlag.Store(true)
 	w.cancelFlag.Store(true)
-	close(w.cancelChan)
-	if w.cfg.Engine == EngineEvent {
-		// The event loop polls the flag itself, and its mailboxes are
-		// lock-elided single-goroutine structures the watcher must not touch.
-		return
-	}
-	// Unpark mailbox waiters exactly the way the watchdog's declaration pass
-	// does: a parking rank holds its mailbox lock from the cancel check
-	// through cond.Wait, so this Signal cannot slip between them. Rendezvous
-	// waiters and Waitany pollers wake on cancelChan / failedFlag.
-	for _, mb := range w.mailboxes {
-		mb.mu.Lock()
-		if mb.waiting {
-			mb.cond.Signal()
-		}
-		mb.mu.Unlock()
-	}
 }
 
 // cancelErr builds this rank's CanceledError at its current virtual time.
@@ -185,11 +157,11 @@ func (p *Proc) cancelErr(coll Collective, step int) *CanceledError {
 	}
 }
 
-// cancelEnter is the collective-entry cancellation checkpoint, shared by
-// both engines (driveSched and collRequest call it before doing anything).
-// It is the canonical deterministic cancel site: a context canceled before
-// the run starts stops every rank here, at its first collective, with
-// engine-independent state. Returns nil when no cancellation is pending.
+// cancelEnter is the collective-entry cancellation checkpoint (driveSched
+// and collRequest call it before doing anything). It is the canonical
+// deterministic cancel site: a context canceled before the run starts stops
+// every rank here, at its first collective, with schedule-independent
+// state. Returns nil when no cancellation is pending.
 func (p *Proc) cancelEnter(coll Collective) error {
 	if !p.world.cancelOn {
 		return nil
@@ -204,7 +176,7 @@ func (p *Proc) cancelEnter(coll Collective) error {
 	return nil
 }
 
-// failCanceled is the event engine's cancel resolution, the cancellation
+// failCanceled is the event loop's cancel resolution, the cancellation
 // twin of failStalled: every parked rank is failed — schedule handoffs
 // through schedErr, coroutine parks through Proc.failure — and re-queued so
 // the loop unwinds them through the normal error path (which is what keeps

@@ -64,39 +64,34 @@ func (c *Comm) barrierStart() *collSched {
 	if p == 1 {
 		return nil
 	}
-	if c.proc.ev != nil {
-		key := foldKey{shape: shapeKey{coll: collBarrier}, seq: c.collSeq}
-		if c.proc.ev.loop.schedFoldEligible(c, key.shape) {
-			c.proc.foldPend = foldPending{key: key}
-			return schedFoldPending
-		}
+	key := foldKey{shape: shapeKey{coll: collBarrier}, seq: c.collSeq}
+	if c.proc.ev.loop.schedFoldEligible(c, key.shape) {
+		c.proc.foldPend = foldPending{key: key}
+		return schedFoldPending
 	}
 	return c.compileBarrierSched()
 }
 
 // compileBarrierSched is the barrier's per-rank compile/replay — the
-// schedule-fold fallback and the whole path when folding is off or the
-// engine is goroutine-based.
+// schedule-fold fallback and the whole path when folding is off.
 func (c *Comm) compileBarrierSched() *collSched {
 	p := len(c.group)
 	build := func(s *collSched) error { return buildBarrierDiss(c, collCall{}, s) }
-	if c.proc.ev != nil {
-		key := replayKey{ctx: c.ctx, coll: collBarrier}
-		s, known := c.replaySched(key)
+	key := replayKey{ctx: c.ctx, coll: collBarrier}
+	s, known := c.replaySched(key)
+	if s != nil {
+		s.coll = collBarrier
+		return s
+	}
+	if !known {
+		s, _ = c.compileCachedSched(key,
+			stepKey{alg: barrierAlg, rank: c.rank, commSize: p}, 0, 0, build)
 		if s != nil {
 			s.coll = collBarrier
-			return s
 		}
-		if !known {
-			s, _ = c.compileCachedSched(key,
-				stepKey{alg: barrierAlg, rank: c.rank, commSize: p}, 0, 0, build)
-			if s != nil {
-				s.coll = collBarrier
-			}
-			return s
-		}
+		return s
 	}
-	s, _ := c.buildSched(0, 0, build)
+	s, _ = c.buildSched(0, 0, build)
 	if s != nil {
 		s.coll = collBarrier
 	}

@@ -66,11 +66,11 @@ type collStep struct {
 }
 
 // stepPrice caches a post step's resolved destination and message price.
-// Replay-cached schedules (event engine) carry one per step, filled on
-// first execution: both are constants of the (schedule, world) pair, and
-// skipping the per-post link classification and price lookup is measurable
-// at large rank counts. It lives beside the steps (not inside collStep) so
-// the goroutine engine's step arrays stay small.
+// Replay-cached schedules carry one per step, filled on first execution:
+// both are constants of the (schedule, world) pair, and skipping the
+// per-post link classification and price lookup is measurable at large
+// rank counts. It lives beside the steps (not inside collStep) so the step
+// arrays of one-off schedules stay small.
 type stepPrice struct {
 	gdst   int
 	link   topology.LinkClass
@@ -112,12 +112,11 @@ type collSched struct {
 	// completes.
 	phase uint8
 
-	// cached marks a schedule retained by the event engine's replay cache
-	// (eventsched.go): finish releases it for the next replay instead of
-	// tearing it down; inUse guards against replaying it while a previous
-	// invocation is still in flight; prices caches the post steps' message
-	// prices across replays (one entry per posting step, in post order,
-	// cursor postIdx).
+	// cached marks a schedule retained by the replay cache (eventsched.go):
+	// finish releases it for the next replay instead of tearing it down;
+	// inUse guards against replaying it while a previous invocation is
+	// still in flight; prices caches the post steps' message prices across
+	// replays (one entry per posting step, in post order, cursor postIdx).
 	cached, inUse bool
 	prices        []stepPrice
 	postIdx       int
@@ -294,49 +293,27 @@ func (s *collSched) postStep(peer int, buf []byte, n int) {
 	s.pendingSet = true
 }
 
-// drainStep completes the outstanding posted send; without block it
-// reports false when the handshake has not been reported yet. The error is
-// a fault-plan failure: the handshake's peer died and the stall detector
-// broke the wait.
-func (s *collSched) drainStep(block bool) (bool, error) {
+// drainStep completes the outstanding posted send, reporting false when
+// the handshake has not been reported yet.
+func (s *collSched) drainStep() bool {
 	if s.pending != nil {
-		if block {
-			if err := s.c.completeSend(s.pending); err != nil {
-				s.pending, s.pendingSet = nil, false
-				return false, err
-			}
-		} else {
-			done, ok := s.pending.tryDone()
-			if !ok {
-				return false, nil
-			}
-			s.c.proc.clock.AdvanceTo(done)
-			s.c.proc.putRendezvous(s.pending)
+		done, ok := s.pending.tryDone()
+		if !ok {
+			return false
 		}
+		s.c.proc.clock.AdvanceTo(done)
+		s.c.proc.putRendezvous(s.pending)
 	}
 	s.pending, s.pendingSet = nil, false
-	return true, nil
+	return true
 }
 
-// recvStep consumes the peer's message of this collective into dst; with
-// block false it reports false when nothing matches yet.
-func (s *collSched) recvStep(block bool, peer int, dst []byte, n int) (bool, error) {
-	if block {
-		if _, err := s.c.recvBytes(peer, s.tag, dst, n); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	_, ok, err := s.c.tryRecvBytes(peer, s.tag, dst, n)
-	return ok, err
-}
-
-// execStep runs steps[pc]. With block set it waits for receives and
-// handshakes like the blocking primitives; without it, it reports false
-// when the step cannot complete right now (nothing is consumed or charged
-// in that case, so the step — resumable mid-way through a fused op via
-// the phase cursor — can be retried).
-func (s *collSched) execStep(block bool) (bool, error) {
+// execStep runs steps[pc], reporting false when the step cannot complete
+// right now (nothing is consumed or charged in that case, so the step —
+// resumable mid-way through a fused op via the phase cursor — can be
+// retried). It never parks: the event loop replays schedules on stacks
+// that must not.
+func (s *collSched) execStep() (bool, error) {
 	c := s.c
 	st := &s.steps[s.pc]
 	switch st.op {
@@ -345,11 +322,7 @@ func (s *collSched) execStep(block bool) (bool, error) {
 			s.postStep(st.peer, st.src, st.n)
 			s.phase = 1
 		}
-		ok, err := s.drainStep(block)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
+		if !s.drainStep() {
 			return false, nil
 		}
 		s.phase = 0
@@ -359,7 +332,7 @@ func (s *collSched) execStep(block bool) (bool, error) {
 			s.phase = 1
 		}
 		if s.phase == 1 {
-			ok, err := s.recvStep(block, st.peer, st.dst, st.n)
+			_, ok, err := c.tryRecvBytes(st.peer, s.tag, st.dst, st.n)
 			if err != nil {
 				return false, err
 			}
@@ -368,11 +341,7 @@ func (s *collSched) execStep(block bool) (bool, error) {
 			}
 			s.phase = 2
 		}
-		ok, err := s.drainStep(block)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
+		if !s.drainStep() {
 			return false, nil
 		}
 		s.phase = 0
@@ -382,19 +351,13 @@ func (s *collSched) execStep(block bool) (bool, error) {
 		if !s.pendingSet {
 			panic("mpi: collective schedule waitSend without post")
 		}
-		ok, err := s.drainStep(block)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
+		if !s.drainStep() {
 			return false, nil
 		}
 	case opRecv:
 		// Error paths leave any posted send pending; the caller drains it
-		// (drainPending) before abandoning the schedule — execStep itself
-		// must stay non-blocking when block is false, and the event loop
-		// replays schedules on a stack that must never park.
-		ok, err := s.recvStep(block, st.peer, st.dst, st.n)
+		// (drainPending) before abandoning the schedule.
+		_, ok, err := c.tryRecvBytes(st.peer, s.tag, st.dst, st.n)
 		if err != nil {
 			return false, err
 		}
@@ -441,9 +404,8 @@ func (s *collSched) drainPending() {
 
 // driveSched executes the remaining steps with blocking semantics and
 // releases the schedule. This is the whole execution of a blocking
-// collective and the tail of a collective Request's Wait. Under the event
-// engine the drive is handed to the event loop instead (same steps, same
-// clock arithmetic, two coroutine switches total).
+// collective and the tail of a collective Request's Wait; the steps run on
+// the event loop (driveSteps), two coroutine switches in total.
 func (c *Comm) driveSched(s *collSched) error {
 	if c.proc.world.cancelOn {
 		// Cancellation checkpoint before any step runs: the canonical
@@ -479,26 +441,7 @@ func (c *Comm) driveSched(s *collSched) error {
 			return err
 		}
 	}
-	if c.proc.ev != nil {
-		return c.driveSchedEvent(s)
-	}
-	for s.pc < len(s.steps) {
-		if _, err := s.execStep(true); err != nil {
-			// A stall-detector (or cancel) failure surfaces from the blocked
-			// primitive without schedule context; attach it here.
-			if fe, ok := err.(*RankFailedError); ok && fe.Collective == "" {
-				fe.Collective, fe.Step = s.coll, s.pc
-			}
-			if ce, ok := err.(*CanceledError); ok && ce.Collective == "" {
-				ce.Collective, ce.Step = s.coll, s.pc
-			}
-			s.drainPending()
-			s.finish()
-			return err
-		}
-	}
-	s.finish()
-	return nil
+	return c.driveSteps(s)
 }
 
 // advancePrefix executes the deterministic prefix of a schedule: local
@@ -506,7 +449,7 @@ func (c *Comm) driveSched(s *collSched) error {
 // completion depends on another rank (a receive, or draining a rendezvous
 // handshake). Running it at I*-post time is what lets eager rounds overlap
 // with compute injected before Wait, while keeping the virtual-time outcome
-// independent of real-time goroutine interleaving.
+// independent of the order the loop runs ranks in.
 func (s *collSched) advancePrefix() error {
 	for s.pc < len(s.steps) {
 		st := &s.steps[s.pc]
@@ -538,7 +481,7 @@ func (s *collSched) advancePrefix() error {
 			}
 			return nil
 		}
-		if _, err := s.execStep(true); err != nil {
+		if _, err := s.execStep(); err != nil {
 			return err
 		}
 	}
@@ -549,7 +492,7 @@ func (s *collSched) advancePrefix() error {
 // reports whether it ran to completion. It does not release the schedule.
 func (s *collSched) tryDrive() (bool, error) {
 	for s.pc < len(s.steps) {
-		ok, err := s.execStep(false)
+		ok, err := s.execStep()
 		if err != nil {
 			return false, err
 		}
@@ -577,15 +520,15 @@ func (c *Comm) nextCollTag() int {
 }
 
 // startColl selects the algorithm for one collective invocation, compiles
-// its schedule and returns it ready to drive. Under the event engine,
-// buffer-free invocations eligible for schedule folding defer the compile
-// entirely (the schedFoldPending sentinel; see schedfold.go) — in the
-// steady folded state no schedule object ever exists for them. Ineligible
+// its schedule and returns it ready to drive. Buffer-free invocations
+// eligible for schedule folding defer the compile entirely (the
+// schedFoldPending sentinel; see schedfold.go) — in the steady folded
+// state no schedule object ever exists for them. Ineligible
 // buffer-free invocations hit the replay cache: the schedule compiled for
 // this (algorithm, size, root, dtype, op) shape is re-armed instead of
 // rebuilt (see eventsched.go).
 func (c *Comm) startColl(coll Collective, sel Selection, call collCall) (*collSched, error) {
-	if c.proc.ev != nil && call.replayable() {
+	if call.replayable() {
 		key := foldKey{shape: shapeKey{coll: coll, n: call.n, root: call.root,
 			dt: call.dt, op: call.op}, seq: c.collSeq}
 		if c.proc.ev.loop.schedFoldEligible(c, key.shape) {
@@ -608,9 +551,9 @@ func (c *Comm) startColl(coll Collective, sel Selection, call collCall) (*collSc
 	return s, nil
 }
 
-// compileReplayColl is the event engine's per-rank compile/replay of a
-// buffer-free collective invocation — the schedule-fold fallback path and
-// the whole path when schedule folding is off.
+// compileReplayColl is the per-rank compile/replay of a buffer-free
+// collective invocation — the schedule-fold fallback path and the whole
+// path when schedule folding is off.
 func (c *Comm) compileReplayColl(coll Collective, sel Selection, call collCall) (*collSched, error) {
 	key := replayKey{ctx: c.ctx, coll: coll, n: call.n, root: call.root, dt: call.dt, op: call.op}
 	s, known := c.replaySched(key)
@@ -708,7 +651,9 @@ func (c *Comm) collRequest(s *collSched) (*Request, error) {
 // Progress gives every outstanding nonblocking collective on this rank a
 // chance to advance without blocking, the analogue of an MPI progress-engine
 // poll. Completion (or an execution error) is recorded on the owning
-// Request and surfaced by its Test/Wait.
+// Request and surfaced by its Test/Wait. When collectives remain
+// outstanding, Progress yields the rank to the event loop before
+// returning.
 func (p *Proc) Progress() {
 	for i := len(p.activeScheds) - 1; i >= 0; i-- {
 		s := p.activeScheds[i]
@@ -722,5 +667,8 @@ func (p *Proc) Progress() {
 			r.sched = nil
 			r.complete(Status{}, err)
 		}
+	}
+	if len(p.activeScheds) != 0 {
+		p.yieldPoll()
 	}
 }

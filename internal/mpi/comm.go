@@ -8,7 +8,7 @@ import (
 
 // Comm is a communicator: an ordered group of world ranks with a private
 // message context, analogous to MPI_Comm. A Comm value is bound to one rank
-// (its proc) and must only be used from that rank's goroutine; the
+// (its proc) and must only be used from that rank's body; the
 // "collective" methods must be called by every member.
 type Comm struct {
 	// collSeq counts the communicator's collective invocations; each one

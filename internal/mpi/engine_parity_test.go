@@ -9,13 +9,14 @@ import (
 	"repro/internal/vtime"
 )
 
-// Engine-parity suite: the event engine must reproduce the goroutine
-// engine's virtual-time behaviour exactly. For every registered algorithm
-// of every collective, at three message sizes (eager, mid, rendezvous) and
-// three placements (one rank per node, multi-rank nodes, a folded non-power-
-// of-two world), both engines run the same timing-only workload and must
-// agree on every rank's final virtual clock and on every rank's full
-// message log (send and recv events, in program order, with timestamps).
+// Engine-parity suite: the event loop must reproduce, bit for bit, the
+// virtual-time behaviour of the per-rank goroutine executor it replaced.
+// For every registered algorithm of every collective, at three message
+// sizes (eager, mid, rendezvous) and three placements (one rank per node,
+// multi-rank nodes, a folded non-power-of-two world), the runtime must
+// match that executor's frozen answers (frozen_test.go) on every rank's
+// final virtual clock and on every rank's full message log (send and recv
+// events, in program order, with timestamps) — with folding on and off.
 
 // parityPlacements are the (ranks, ppn) shapes of the suite.
 var parityPlacements = [][2]int{{16, 1}, {8, 4}, {63, 7}}
@@ -24,34 +25,46 @@ var parityPlacements = [][2]int{{16, 1}, {8, 4}, {63, 7}}
 // algorithm switch points.
 var engineParitySizes = []int{1024, 16 * 1024, 128 * 1024}
 
-// parityOutcome is one engine's observable result.
-type parityOutcome struct {
-	end    []vtime.Micros
-	events [][]Event // per rank, in that rank's program order
+// parityRecord is one run's observable result as frozen: every rank's end
+// clock and, for a traced run, the digest of every rank's message log.
+type parityRecord struct {
+	End []vtime.Micros `json:"end"`
+	Log []string       `json:"log,omitempty"`
 }
 
-// runCollParity runs one collective twice (cold and steady-state pools) on
-// the given engine and captures the outcome.
-func runCollParity(t *testing.T, engine Engine, ranks, ppn int, coll Collective, algo string, n int) parityOutcome {
+// parityWorld builds the timing-only Frontera world of the suite.
+func parityWorld(t *testing.T, ranks, ppn int, cfg Config) *World {
 	t.Helper()
 	place, err := topology.NewPlacement(&topology.Frontera, ranks, ppn, topology.Block, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := NewTrace()
-	w, err := NewWorld(Config{
-		Placement:  place,
-		Model:      netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2),
-		CarryData:  false,
-		Engine:     engine,
-		Trace:      trace,
-		Algorithms: map[Collective]string{coll: algo},
-	})
+	cfg.Placement = place
+	cfg.Model = netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2)
+	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+// runCollParity runs one collective twice (cold and steady-state pools) and
+// captures the outcome. A traced run records the message logs; tracing
+// closes the fold gate, so the untraced fold-on run is the one that
+// exercises folding.
+func runCollParity(t *testing.T, traced, disableFold bool, ranks, ppn int, coll Collective, algo string, n int) parityRecord {
+	t.Helper()
+	var trace *Trace
+	if traced {
+		trace = NewTrace()
+	}
+	w := parityWorld(t, ranks, ppn, Config{
+		Trace:       trace,
+		DisableFold: disableFold,
+		Algorithms:  map[Collective]string{coll: algo},
+	})
 	end := make([]vtime.Micros, ranks)
-	err = w.Run(func(p *Proc) error {
+	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
 		for i := 0; i < 2; i++ {
 			if err := invokeCollective(c, coll, n); err != nil {
@@ -62,15 +75,19 @@ func runCollParity(t *testing.T, engine Engine, ranks, ppn int, coll Collective,
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("%v engine: %v", engine, err)
+		t.Fatal(err)
 	}
-	perRank := make([][]Event, ranks)
-	trace.mu.Lock()
-	for _, e := range trace.events {
-		perRank[e.Rank] = append(perRank[e.Rank], e)
+	rec := parityRecord{End: end}
+	if traced {
+		perRank := make([][]Event, ranks)
+		for _, e := range trace.Events() {
+			perRank[e.Rank] = append(perRank[e.Rank], e)
+		}
+		for _, events := range perRank {
+			rec.Log = append(rec.Log, logDigest(events))
+		}
 	}
-	trace.mu.Unlock()
-	return parityOutcome{end: end, events: perRank}
+	return rec
 }
 
 // invokeCollective calls one registry collective in its timing-only form.
@@ -92,28 +109,15 @@ func invokeCollective(c *Comm, coll Collective, n int) error {
 }
 
 // runSubCommParity runs a workload over Dup'd and Split sub-communicators
-// on the given engine and captures every rank's final virtual clock: a
-// world-comm barrier, collectives on a full duplicate, collectives on
-// interleaved color groups (odd world sizes give non-power-of-two halves),
-// and a closing barrier on the duplicate so cross-group skew feeds back
-// into every clock.
-func runSubCommParity(t *testing.T, engine Engine, ranks, ppn int) []vtime.Micros {
+// and captures every rank's final virtual clock: a world-comm barrier,
+// collectives on a full duplicate, collectives on interleaved color groups
+// (odd world sizes give non-power-of-two halves), and a closing barrier on
+// the duplicate so cross-group skew feeds back into every clock.
+func runSubCommParity(t *testing.T, disableFold bool, ranks, ppn int) []vtime.Micros {
 	t.Helper()
-	place, err := topology.NewPlacement(&topology.Frontera, ranks, ppn, topology.Block, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWorld(Config{
-		Placement: place,
-		Model:     netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2),
-		CarryData: false,
-		Engine:    engine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := parityWorld(t, ranks, ppn, Config{DisableFold: disableFold})
 	end := make([]vtime.Micros, ranks)
-	err = w.Run(func(p *Proc) error {
+	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
 		if err := c.Barrier(); err != nil {
 			return err
@@ -147,35 +151,50 @@ func runSubCommParity(t *testing.T, engine Engine, ranks, ppn int) []vtime.Micro
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("%v engine: %v", engine, err)
+		t.Fatal(err)
 	}
 	return end
 }
 
-// TestEngineParitySubComms pins the event engine to the goroutine engine
-// on Dup/Split sub-communicator collectives: TestEngineParity only covers
-// world-comm schedules, but the split bookkeeping (fresh contexts, group
-// rank translation, interleaved color groups) runs through separate code
-// in both engines and must agree on every rank's final virtual clock.
+// compareEnds reports every rank whose end clock left the frozen answer.
+func compareEnds(t *testing.T, label string, got, want []vtime.Micros) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d end clocks, frozen answer has %d", label, len(got), len(want))
+	}
+	for r := range want {
+		if got[r] != want[r] {
+			t.Errorf("%s: rank %d: virtual end time %v, frozen %v", label, r, got[r], want[r])
+		}
+	}
+}
+
+// TestEngineParitySubComms pins Dup/Split sub-communicator collectives:
+// TestEngineParity only covers world-comm schedules, but the split
+// bookkeeping (fresh contexts, group rank translation, interleaved color
+// groups) runs through separate code and must keep every rank's final
+// virtual clock.
 func TestEngineParitySubComms(t *testing.T) {
+	frozen := openFrozen(t, "engine_parity_subcomms")
 	for _, shape := range parityPlacements {
 		ranks, ppn := shape[0], shape[1]
-		t.Run(fmt.Sprintf("%dx%d", ranks, ppn), func(t *testing.T) {
-			want := runSubCommParity(t, EngineGoroutine, ranks, ppn)
-			got := runSubCommParity(t, EngineEvent, ranks, ppn)
-			for r := 0; r < ranks; r++ {
-				if got[r] != want[r] {
-					t.Errorf("rank %d: virtual end time diverged: goroutine %v, event %v",
-						r, want[r], got[r])
+		name := fmt.Sprintf("%dx%d", ranks, ppn)
+		t.Run(name, func(t *testing.T) {
+			for _, disableFold := range []bool{false, true} {
+				got := runSubCommParity(t, disableFold, ranks, ppn)
+				var want []vtime.Micros
+				if frozen.Check(t, name, got, &want) {
+					compareEnds(t, fmt.Sprintf("fold off=%v", disableFold), got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestEngineParity pins the event engine to the goroutine engine, bit for
-// bit, across the full algorithm registry.
+// TestEngineParity pins the runtime to the frozen answers, bit for bit,
+// across the full algorithm registry.
 func TestEngineParity(t *testing.T) {
+	frozen := openFrozen(t, "engine_parity")
 	for _, shape := range parityPlacements {
 		ranks, ppn := shape[0], shape[1]
 		for _, coll := range Collectives() {
@@ -186,24 +205,19 @@ func TestEngineParity(t *testing.T) {
 				for _, n := range engineParitySizes {
 					name := fmt.Sprintf("%dx%d/%s/%s/%d", ranks, ppn, coll, alg.Name, n)
 					t.Run(name, func(t *testing.T) {
-						want := runCollParity(t, EngineGoroutine, ranks, ppn, coll, alg.Name, n)
-						got := runCollParity(t, EngineEvent, ranks, ppn, coll, alg.Name, n)
-						for r := 0; r < ranks; r++ {
-							if got.end[r] != want.end[r] {
-								t.Errorf("rank %d: virtual end time diverged: goroutine %v, event %v",
-									r, want.end[r], got.end[r])
-							}
-							if len(got.events[r]) != len(want.events[r]) {
-								t.Fatalf("rank %d: message log length diverged: goroutine %d events, event %d",
-									r, len(want.events[r]), len(got.events[r]))
-							}
-							for i := range want.events[r] {
-								if got.events[r][i] != want.events[r][i] {
-									t.Fatalf("rank %d event %d diverged:\ngoroutine: %+v\nevent:     %+v",
-										r, i, want.events[r][i], got.events[r][i])
-								}
+						traced := runCollParity(t, true, true, ranks, ppn, coll, alg.Name, n)
+						var want parityRecord
+						if !frozen.Check(t, name, traced, &want) {
+							return
+						}
+						compareEnds(t, "fold off, traced", traced.End, want.End)
+						for r := range want.Log {
+							if traced.Log[r] != want.Log[r] {
+								t.Errorf("rank %d: message log digest %s, frozen %s", r, traced.Log[r], want.Log[r])
 							}
 						}
+						folded := runCollParity(t, false, false, ranks, ppn, coll, alg.Name, n)
+						compareEnds(t, "fold on", folded.End, want.End)
 					})
 				}
 			}

@@ -1,22 +1,25 @@
 package mpi
 
-// The event engine: a discrete-event executor that runs an entire
-// timing-only world on one goroutine. The goroutine engine spends most of
-// its large-world wall clock in scheduler handoffs — every message parks a
-// rank and signals another across a mailbox — while the virtual-time
-// numbers it computes depend only on message timestamps, never on real
-// scheduling. The event engine exploits that: ranks become coroutines
-// (iter.Pull), a binary-heap run queue orders resumptions by
-// (virtual time, rank), and a rank blocked inside a compiled collective
-// schedule is advanced *stacklessly* — the loop replays its remaining
-// (rank, step) entries in place as messages arrive, so a whole collective
-// costs two coroutine switches instead of two per message. All clock
-// arithmetic, link-busy vectors, price memos and trace hooks are the same
-// code the goroutine engine runs, which is what makes every virtual-time
-// number bit-identical between the engines (pinned by TestEngineParity and
-// the golden fixture).
+// The event loop: a discrete-event executor that runs an entire world on
+// one goroutine, and the runtime's only engine. The virtual-time numbers a
+// world computes depend only on message timestamps, never on real
+// scheduling, so nothing is gained by giving every rank an OS-scheduled
+// goroutine: ranks are coroutines (iter.Pull), a binary-heap run queue
+// orders resumptions by (virtual time, rank), and a rank blocked inside a
+// compiled collective schedule is advanced *stacklessly* — the loop replays
+// its remaining (rank, step) entries in place as messages arrive, so a
+// whole collective costs two coroutine switches instead of two per
+// message. Payloads move through the same steps: a receive copies out of
+// the eager staging buffer or the sender's borrowed rendezvous buffer, and
+// a cut-through delivery copies straight into the parked receiver's
+// buffer. Run order cannot change a virtual-time number; the frozen
+// answers of TestEngineParity and the golden fixture pin them.
 //
-// Two classic DES refinements keep the loop itself off the profile:
+// A world uses one core. Independent worlds — the variants of a
+// core.Sweep — run on separate goroutines, which is where a multi-core
+// host pays off.
+//
+// Classic DES refinements keep the loop itself off the profile:
 //
 //   - Direct handoff: the common pattern is "deliver one message, then
 //     block", which makes the just-woken peer the next rank to run. A
@@ -34,62 +37,17 @@ package mpi
 //     round trip. A sender about to miss can also pull a runnable
 //     receiver's schedule forward to its block point first (pullForward),
 //     which is what keeps whole collective rounds switch-free.
-//
-// The engine requires CarryData=false (enforced by NewWorld): payload
-// movement is legal under it, but the data-carrying correctness suite runs
-// on the goroutine engine until the event engine is extended (see
-// ROADMAP.md).
 
 import (
-	"fmt"
-
 	"repro/internal/vtime"
 )
 
-// DebugCounters, when non-nil, accumulates event-engine statistics for
+// DebugCounters, when non-nil, accumulates event-loop statistics for
 // performance investigations ([0]=cut-through deliveries, [1]=mailbox
 // deliveries, [3]=heap pushes, [4]=slot handoffs, [5]=heap pops,
 // [6]=coroutine resumes, [7]=loop-side schedule replays). Not for
 // production use.
 var DebugCounters *[8]int64
-
-// Engine selects the execution substrate of a world.
-type Engine int
-
-const (
-	// EngineGoroutine runs one goroutine per rank with park/signal mailbox
-	// synchronization. It is the default and the only engine validated for
-	// data-carrying worlds.
-	EngineGoroutine Engine = iota
-	// EngineEvent runs the whole world as a sequential discrete-event
-	// simulation on the calling goroutine. Timing-only worlds only;
-	// virtual-time results are bit-identical to EngineGoroutine.
-	EngineEvent
-)
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EngineGoroutine:
-		return "goroutine"
-	case EngineEvent:
-		return "event"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine resolves an engine by name.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "goroutine":
-		return EngineGoroutine, nil
-	case "event":
-		return EngineEvent, nil
-	default:
-		return 0, fmt.Errorf("mpi: unknown engine %q (have goroutine, event)", s)
-	}
-}
 
 // rankState tracks where a rank is in the event loop's lifecycle.
 type rankState uint8
@@ -248,6 +206,12 @@ type eventLoop struct {
 	fold         foldGather
 	foldWake     []*eventRank
 	foldWakeHead int
+	// polls queues ranks whose nonblocking poll (Test, Testany, Testall,
+	// Progress) came back incomplete (yieldPoll), FIFO. Only the outermost
+	// driveUntil frame serves it, and only once nothing else is runnable and
+	// no partial fold gather is left to release.
+	polls     []*eventRank
+	pollsHead int
 }
 
 // evBefore orders run-queue entries by (key, rank).
@@ -308,7 +272,7 @@ func (l *eventLoop) pop() *eventRank {
 // queued or done is a no-op.
 func (l *eventLoop) wake(p *Proc) {
 	er := p.ev
-	if er == nil || er.state != rankBlocked || er.wait == waitFold {
+	if er.state != rankBlocked || er.wait == waitFold {
 		return
 	}
 	er.state = rankRunnable
@@ -324,7 +288,7 @@ func (l *eventLoop) wake(p *Proc) {
 // wakeFor is wake for a delivery of (ctx, src, tag): blocked ranks whose
 // wait filter rejects the message stay parked.
 func (l *eventLoop) wakeFor(p *Proc, ctx, src, tag int) {
-	if er := p.ev; er != nil && er.state == rankBlocked && er.wants(ctx, src, tag) {
+	if er := p.ev; er.state == rankBlocked && er.wants(ctx, src, tag) {
 		er.state = rankRunnable
 		er.wait = waitAny
 		if l.nslots < len(l.slots) {
@@ -336,8 +300,11 @@ func (l *eventLoop) wakeFor(p *Proc, ctx, src, tag int) {
 	}
 }
 
-// runEvent is World.Run on the event engine.
-func (w *World) runEvent(body func(p *Proc) error) error {
+// Run executes body once per rank and waits for all ranks. The whole
+// world runs as a discrete-event simulation on the calling goroutine. The
+// first error (by rank order) is returned; a panicking rank is converted
+// into an error carrying its stack.
+func (w *World) Run(body func(p *Proc) error) error {
 	growEventCaches(w.size)
 	if w.faults != nil {
 		w.resetFaultRun()
@@ -358,7 +325,6 @@ func (w *World) runEvent(body func(p *Proc) error) error {
 		p.ev = er
 		l.ranks[r] = er
 		w.mailboxes[r].owner = p
-		w.mailboxes[r].noLock = true
 		// Seed the Proc-side pending mirror: a prior errored Run of this
 		// world may have left undelivered envelopes behind.
 		p.mbPend = int32(w.mailboxes[r].npend)
@@ -376,7 +342,6 @@ func (w *World) runEvent(body func(p *Proc) error) error {
 		releaseCoroWorkers(l.ranks)
 		for _, mb := range w.mailboxes {
 			mb.owner = nil
-			mb.noLock = false
 		}
 		// Shape verdicts are keyed by invocation value (shapeKey), not by
 		// schedule pointers, so foldShapes/foldNo survive the teardown:
@@ -417,8 +382,9 @@ func (w *World) runEvent(body func(p *Proc) error) error {
 	return nil
 }
 
-// take removes the next runnable rank: the handoff slot first, then the
-// heap; nil when nothing is runnable.
+// take removes the next runnable rank: the handoff slots first, then the
+// fold wake list and the heap; nil when nothing is runnable. Yielded
+// pollers are not runnable here: takePoll serves them.
 func (l *eventLoop) take() *eventRank {
 	if l.nslots > 0 {
 		l.nslots--
@@ -439,13 +405,43 @@ func (l *eventLoop) take() *eventRank {
 		}
 		return er
 	}
-	if len(l.heap) == 0 {
+	if len(l.heap) != 0 {
+		if DebugCounters != nil {
+			DebugCounters[5]++
+		}
+		return l.pop()
+	}
+	return nil
+}
+
+// takePoll removes the longest-waiting yielded poller; nil when none.
+func (l *eventLoop) takePoll() *eventRank {
+	if l.pollsHead == len(l.polls) {
 		return nil
 	}
-	if DebugCounters != nil {
-		DebugCounters[5]++
+	er := l.polls[l.pollsHead]
+	l.polls[l.pollsHead] = nil
+	l.pollsHead++
+	if l.pollsHead == len(l.polls) {
+		l.polls = l.polls[:0]
+		l.pollsHead = 0
 	}
-	return l.pop()
+	return er
+}
+
+// yieldPoll requeues the running rank after a nonblocking poll came back
+// incomplete and switches to the loop. The rank waits on the poll queue,
+// not in the heap at its clock: a failed poll does not advance the clock,
+// so the heap would hand the CPU straight back to it ahead of the ranks it
+// is waiting on, and the poll loop would never end. driveUntil resumes it
+// only when nothing else can run (see there).
+func (p *Proc) yieldPoll() {
+	er := p.ev
+	er.state = rankRunnable
+	er.loop.polls = append(er.loop.polls, er)
+	if !er.yield(struct{}{}) {
+		panic(eventStop{})
+	}
 }
 
 // driveUntil is the event loop itself, runnable on any stack: it pops
@@ -475,30 +471,39 @@ func (l *eventLoop) driveUntil(target *eventRank) {
 			// Before declaring nothing runnable, release a stalled partial
 			// fold gather: its parked joiners fall back to normal execution,
 			// so folding can never introduce a deadlock that the unfolded
-			// engine would not have.
+			// engine would not have. A poller waiting on a gathered rank is
+			// such a case, so the release comes before any poller runs.
 			if l.releaseFoldStalled() {
 				continue
 			}
 			if target == nil {
-				return
+				// Only yielded pollers are left. They run here, in the
+				// outermost frame, where no rank is buried below: whatever a
+				// poller waits on is parked or runnable, never stuck under a
+				// frame that keeps resuming the poller instead of unwinding.
+				if er = l.takePoll(); er == nil {
+					return
+				}
+			} else {
+				// Nothing is runnable but our collective is incomplete (a
+				// yielded poller does not count). Either a frame buried below
+				// us holds the rank whose body must run next, or the next
+				// message for us arrives only after an outer caller or a
+				// poller makes progress — all need control to unwind, so
+				// yield. While suspended here the rank behaves like any
+				// parked rank: its schedule advances stacklessly in
+				// whichever frame pops it, and the frame that completes it
+				// resumes us. A true deadlock unwinds every frame the same
+				// way until the top-level loop reports it.
+				target.blockOnStep(target.sched)
+				target.driving = false
+				if !target.yield(struct{}{}) {
+					panic(eventStop{})
+				}
+				target.driving = true
+				target.wait = waitAny
+				continue
 			}
-			// Nothing is runnable but our collective is incomplete. Either
-			// a frame buried below us holds the rank whose body must run
-			// next, or the next message for us arrives only after an outer
-			// caller makes progress — both need control to unwind, so
-			// yield. While suspended here the rank behaves like any parked
-			// rank: its schedule advances stacklessly in whichever frame
-			// pops it, and the frame that completes it resumes us. A true
-			// deadlock unwinds every frame the same way until the top-level
-			// loop reports it.
-			target.blockOnStep(target.sched)
-			target.driving = false
-			if !target.yield(struct{}{}) {
-				panic(eventStop{})
-			}
-			target.driving = true
-			target.wait = waitAny
-			continue
 		}
 		er.state = rankRunning
 		if s := er.sched; s != nil {
@@ -538,13 +543,11 @@ func (l *eventLoop) driveUntil(target *eventRank) {
 	}
 }
 
-// driveSchedEvent is driveSched under the event engine: try to run the
-// schedule to completion on the rank's own stack, and if it blocks, hand
-// it to the loop and drive the loop from here — the loop replays the
-// remaining steps as messages arrive and this frame returns when the
-// collective is over. The steps executed (and therefore every clock
-// advance) are identical to the blocking drive's.
-func (c *Comm) driveSchedEvent(s *collSched) error {
+// driveSteps runs a compiled schedule to completion and releases it: try
+// to run it on the rank's own stack, and if it blocks, hand it to the loop
+// and drive the loop from here — the loop replays the remaining steps as
+// messages arrive and this frame returns when the collective is over.
+func (c *Comm) driveSteps(s *collSched) error {
 	done, err := s.tryDrive()
 	if !done && err == nil {
 		er := c.proc.ev
@@ -564,22 +567,6 @@ func (c *Comm) driveSchedEvent(s *collSched) error {
 	}
 	s.finish()
 	return nil
-}
-
-// completeSendEvent is completeSend's wait loop under the event engine.
-// The error is a fault-plan failure: the receiver died and failStalled
-// broke the park.
-func (c *Comm) completeSendEvent(rdv *rendezvous) (vtime.Micros, error) {
-	er := c.proc.ev
-	for !rdv.ready {
-		if c.proc.failure != nil {
-			return 0, c.proc.failure
-		}
-		er.wait = waitRdv
-		c.proc.park()
-	}
-	rdv.ready = false
-	return rdv.val, nil
 }
 
 // drainDirect is cut-through completion of a rendezvous report: when the
@@ -650,7 +637,7 @@ func (l *eventLoop) pullForward(gdst int) bool {
 // already latched in (val, ready) and will be consumed when its own
 // progress reaches the drain.
 func (l *eventLoop) wakeRdv(p *Proc) {
-	if er := p.ev; er != nil && er.state == rankBlocked && er.wait != waitMsg && er.wait != waitFold {
+	if er := p.ev; er.state == rankBlocked && er.wait != waitMsg && er.wait != waitFold {
 		er.state = rankRunnable
 		er.wait = waitAny
 		if l.nslots < len(l.slots) {

@@ -5,13 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Schedule replay for the event engine. In a timing-only world the
-// benchmark collectives pass nil buffers, so the schedule an algorithm
-// compiles for a given (communicator, size, root, dtype, op) is the same
-// flat step list on every invocation — only the internal tag differs.
-// Rebuilding it per call is pure overhead (about a fifth of the goroutine
-// engine's large-world profile), so the event executor compiles each
-// distinct invocation shape once and replays the cached steps afterwards:
+// Schedule replay. In a timing-only world the benchmark collectives pass
+// nil buffers, so the schedule an algorithm compiles for a given
+// (communicator, size, root, dtype, op) is the same flat step list on
+// every invocation — only the internal tag differs. Rebuilding it per call
+// is pure overhead (it was about a fifth of a large world's profile), so
+// the executor compiles each distinct invocation shape once and replays
+// the cached steps afterwards:
 // re-stamp the tag, rewind the cursor, drive. Replay changes no clock
 // arithmetic, so virtual times stay bit-identical; schedules that own
 // staging buffers or reference user memory are never cached.
@@ -205,8 +205,7 @@ func (c *Comm) compileCachedSched(key replayKey, skey stepKey, dt DType, op Op, 
 // sync.Pool: a huge world triggers several GC cycles per run, and a
 // sync.Pool drained that often recycles nothing between runs. The byte cap
 // bounds retained memory instead; schedules beyond it are dropped to the
-// GC. Only the event engine feeds the store (its teardown point sees every
-// rank's pools at once).
+// GC. Run's teardown feeds the store (it sees every rank's pools at once).
 // The store keeps two classes: light schedules own no step storage (replay
 // shells whose steps are borrowed from the stepCache) and cost ~3KB of
 // retained price capacity, while heavy schedules carry an owned step array

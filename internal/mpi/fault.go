@@ -11,26 +11,21 @@ package mpi
 //   - Message post (postSendPriced): link jitter stretches the wire time by
 //     a seeded per-message factor.
 //   - Stall detection: when a rank dies mid-collective its peers would
-//     block forever. The event engine detects the stall exactly — its run
+//     block forever. The event loop detects the stall exactly — its run
 //     queue drains with ranks still parked (failStalled) — and the
-//     goroutine engine runs the watchdog below, which declares failure only
-//     after verifying every rank is parked with no wake source in flight.
-//     Either way the survivors' blocking calls complete with a structured
-//     RankFailedError instead of deadlocking.
+//     survivors' blocking calls complete with a structured RankFailedError
+//     instead of deadlocking.
 //
 // Every sample comes from faults.Uniform with per-rank operation counters
-// that advance identically on both engines, so a plan's virtual-time
-// outcome is bit-identical across engines, across -parallel sweeps, and
-// across fold-on/fold-off (faults break rank symmetry, so NewWorld closes
-// the fold gate on a faulted world — both settings take the unfolded path).
+// that advance in program order, so a plan's virtual-time outcome is
+// bit-identical across runs, across -parallel sweeps, and across
+// fold-on/fold-off (faults break rank symmetry, so NewWorld closes the
+// fold gate on a faulted world — both settings take the unfolded path).
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/vtime"
@@ -115,7 +110,7 @@ type BlockedRank struct {
 	Time vtime.Micros
 }
 
-// DeadlockError is the event engine's structured no-progress diagnostic:
+// DeadlockError is the event loop's structured no-progress diagnostic:
 // the run queue drained with ranks still parked and no fault plan to blame,
 // so the program itself deadlocked (unmatched receive, missing peer). It
 // names every parked rank and its pending operation.
@@ -145,16 +140,12 @@ func (e *DeadlockError) Error() string {
 
 // recordDead registers a rank killed by the fault plan.
 func (w *World) recordDead(rank int) {
-	w.deadMu.Lock()
 	w.dead = append(w.dead, rank)
-	w.deadMu.Unlock()
 }
 
 // deadSorted snapshots the dead ranks, sorted ascending.
 func (w *World) deadSorted() []int {
-	w.deadMu.Lock()
 	d := append([]int(nil), w.dead...)
-	w.deadMu.Unlock()
 	sort.Ints(d)
 	return d
 }
@@ -162,9 +153,7 @@ func (w *World) deadSorted() []int {
 // resetFaultRun clears the per-Run failure state (worlds may Run more than
 // once; kill counters live on the per-Run Procs and reset with them).
 func (w *World) resetFaultRun() {
-	w.deadMu.Lock()
 	w.dead = w.dead[:0]
-	w.deadMu.Unlock()
 	w.failedFlag.Store(false)
 }
 
@@ -221,8 +210,7 @@ func (p *Proc) kill(s *collSched) error {
 }
 
 // parkFailure records (and returns) the rank's point-to-point failure
-// after a blocking wait was broken by the stall detector or by a cancel
-// signal. driveSched enriches the error with the collective and step when
+// after a blocking wait was broken by a stall or by a cancel signal. driveSched enriches the error with the collective and step when
 // the wait was a schedule's.
 func (p *Proc) parkFailure() error {
 	if p.failure == nil {
@@ -238,7 +226,7 @@ func (p *Proc) parkFailure() error {
 	return p.failure
 }
 
-// failStalled is the event engine's stall resolution: the run queue
+// failStalled is the event loop's stall resolution: the run queue
 // drained with ranks still parked. When the fault plan has killed ranks,
 // every parked survivor is failed — schedule-parked ranks get their
 // RankFailedError through the schedule handoff (schedErr), coroutine-parked
@@ -341,235 +329,4 @@ func describeStep(s *collSched) string {
 	default:
 		return fmt.Sprintf("step op %d", st.op)
 	}
-}
-
-// parkKind classifies what a goroutine-engine rank is parked on, for the
-// watchdog's wake-source verification.
-type parkKind uint8
-
-const (
-	parkNone parkKind = iota
-	// parkMsg: parked in mailbox.match/peek on a (ctx, src, tag) match.
-	parkMsg
-	// parkRdv: parked in completeSend on a rendezvous completion report.
-	parkRdv
-	// parkPoll: sleeping between Waitany poll passes; wakes on its own.
-	parkPoll
-)
-
-// parkRecord is one rank's registered parking site.
-type parkRecord struct {
-	kind          parkKind
-	src, tag, ctx int
-	rdv           *rendezvous
-	// rdvs are the outstanding rendezvous handshakes of a polling rank's
-	// requests: a completion report latched in any of them means the poller
-	// can make progress, so failure must not be declared.
-	rdvs []*rendezvous
-}
-
-// watchdog is the goroutine engine's stall detector, active only when the
-// fault plan can kill ranks. Ranks register every blocking park with it;
-// a monitor goroutine declares failure when (a) a rank has died, (b) every
-// live rank is parked, (c) no parked rank has a wake source in flight
-// (a matching envelope or a latched rendezvous report), and (d) nothing
-// changed while it was checking (a generation counter bumped by every
-// park/unpark). Declaration closes failedCh (unparking rendezvous waiters
-// and pollers) and signals every waiting mailbox condvar; woken ranks
-// construct their own RankFailedError via parkFailure.
-//
-// The verification protocol cannot miss a wakeup: parking ranks hold their
-// mailbox lock from registration through cond.Wait (the monitor's signal
-// pass takes the same lock), and the count+generation recheck after
-// verification guarantees no rank ran — and therefore no new wake source
-// appeared — between the checks.
-type watchdog struct {
-	w        *World
-	mu       sync.Mutex
-	parked   int
-	done     int
-	gen      uint64
-	recs     []parkRecord
-	failed   atomic.Bool
-	failedCh chan struct{}
-	stop     chan struct{}
-	exited   chan struct{}
-}
-
-// newWatchdog builds and starts the stall monitor.
-func newWatchdog(w *World) *watchdog {
-	wd := &watchdog{
-		w:        w,
-		recs:     make([]parkRecord, w.size),
-		failedCh: make(chan struct{}),
-		stop:     make(chan struct{}),
-		exited:   make(chan struct{}),
-	}
-	go wd.monitor()
-	return wd
-}
-
-// enterMsg registers a rank about to park on a mailbox match. The caller
-// holds the mailbox lock (lock order: mailbox.mu, then watchdog.mu).
-func (wd *watchdog) enterMsg(rank, src, tag, ctx int) {
-	wd.mu.Lock()
-	wd.recs[rank] = parkRecord{kind: parkMsg, src: src, tag: tag, ctx: ctx}
-	wd.parked++
-	wd.gen++
-	wd.mu.Unlock()
-}
-
-// enterRdv registers a rank about to park on a rendezvous completion.
-func (wd *watchdog) enterRdv(rank int, rdv *rendezvous) {
-	wd.mu.Lock()
-	wd.recs[rank] = parkRecord{kind: parkRdv, rdv: rdv}
-	wd.parked++
-	wd.gen++
-	wd.mu.Unlock()
-}
-
-// enterPoll registers a rank sleeping between Waitany poll passes; rdvs
-// are the handshakes whose completion would let the poller progress.
-func (wd *watchdog) enterPoll(rank int, rdvs []*rendezvous) {
-	wd.mu.Lock()
-	wd.recs[rank] = parkRecord{kind: parkPoll, rdvs: rdvs}
-	wd.parked++
-	wd.gen++
-	wd.mu.Unlock()
-}
-
-// exit unregisters a parked rank.
-func (wd *watchdog) exit(rank int) {
-	wd.mu.Lock()
-	wd.recs[rank] = parkRecord{}
-	wd.parked--
-	wd.gen++
-	wd.mu.Unlock()
-}
-
-// rankDone counts a finished rank (its body returned).
-func (wd *watchdog) rankDone(rank int) {
-	wd.mu.Lock()
-	wd.recs[rank] = parkRecord{}
-	wd.done++
-	wd.gen++
-	wd.mu.Unlock()
-}
-
-// failedNow reports whether failure has been declared.
-func (wd *watchdog) failedNow() bool { return wd.failed.Load() }
-
-// shutdown stops the monitor (the Run is over).
-func (wd *watchdog) shutdown() {
-	close(wd.stop)
-	<-wd.exited
-}
-
-// watchdogTick is the monitor's polling period. Real time, not virtual:
-// it bounds only how quickly a stall is *declared*, never any virtual-time
-// number.
-const watchdogTick = 200 * time.Microsecond
-
-// monitor polls for a verified stall.
-func (wd *watchdog) monitor() {
-	defer close(wd.exited)
-	ticker := time.NewTicker(watchdogTick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-wd.stop:
-			return
-		case <-ticker.C:
-			if wd.tryDeclare() {
-				return
-			}
-		}
-	}
-}
-
-// tryDeclare runs one verification pass; it reports true once failure has
-// been declared.
-func (wd *watchdog) tryDeclare() bool {
-	w := wd.w
-	if len(w.deadSorted()) == 0 {
-		return false
-	}
-	wd.mu.Lock()
-	if wd.parked+wd.done < w.size {
-		wd.mu.Unlock()
-		return false
-	}
-	gen := wd.gen
-	recs := append([]parkRecord(nil), wd.recs...)
-	wd.mu.Unlock()
-
-	// Verify no parked rank has a wake source in flight. Everything checked
-	// here predates the generation snapshot; anything newer implies a rank
-	// ran, which the recheck below catches.
-	for rank := range recs {
-		rec := &recs[rank]
-		switch rec.kind {
-		case parkMsg:
-			mb := w.mailboxes[rank]
-			mb.mu.Lock()
-			e, _, _ := mb.find(rec.src, rec.tag, rec.ctx)
-			mb.mu.Unlock()
-			if e != nil {
-				return false
-			}
-		case parkRdv:
-			if len(rec.rdv.done) > 0 {
-				return false
-			}
-		case parkPoll:
-			mb := w.mailboxes[rank]
-			mb.mu.Lock()
-			pending := mb.npend
-			mb.mu.Unlock()
-			if pending > 0 {
-				return false
-			}
-			for _, rdv := range rec.rdvs {
-				if rdv != nil && len(rdv.done) > 0 {
-					return false
-				}
-			}
-		}
-	}
-
-	wd.mu.Lock()
-	ok := wd.gen == gen && wd.parked+wd.done >= w.size
-	if ok {
-		wd.failed.Store(true)
-		w.failedFlag.Store(true)
-		close(wd.failedCh)
-	}
-	wd.mu.Unlock()
-	if !ok {
-		return false
-	}
-	// Unpark mailbox waiters; rendezvous waiters and pollers wake on
-	// failedCh. Parked ranks hold their mailbox lock until cond.Wait, so
-	// this Signal cannot race ahead of a registration.
-	for _, mb := range w.mailboxes {
-		mb.mu.Lock()
-		if mb.waiting {
-			mb.cond.Signal()
-		}
-		mb.mu.Unlock()
-	}
-	return true
-}
-
-// pollWait sleeps a Waitany poller until the next pass, registered with
-// the watchdog so a stalled world can still be declared failed around it.
-func (wd *watchdog) pollWait(rank int, rdvs []*rendezvous) {
-	wd.enterPoll(rank, rdvs)
-	t := time.NewTimer(watchdogTick)
-	select {
-	case <-wd.failedCh:
-	case <-t.C:
-	}
-	t.Stop()
-	wd.exit(rank)
 }

@@ -42,7 +42,7 @@ func TestRequestOpsEmptySlices(t *testing.T) {
 func TestRequestErrorPropagation(t *testing.T) {
 	for _, cfg := range faultConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			w := faultWorld(t, cfg.engine, cfg.disableFold, 2, 1, "kill:rank=1,after=0:barrier")
+			w := faultWorld(t, cfg.disableFold, 2, 1, "kill:rank=1,after=0:barrier")
 			var waitallErr, waitanyErr error
 			var anyIdx, testIdx int
 			var pooledOK, freelistOK bool
@@ -107,7 +107,7 @@ func TestRequestErrorPropagation(t *testing.T) {
 func TestWaitanyFailurePropagation(t *testing.T) {
 	for _, cfg := range faultConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			w := faultWorld(t, cfg.engine, cfg.disableFold, 2, 1, "kill:rank=1,after=0:barrier")
+			w := faultWorld(t, cfg.disableFold, 2, 1, "kill:rank=1,after=0:barrier")
 			var idx int
 			var waitErr error
 			err := w.Run(func(p *Proc) error {
@@ -146,7 +146,7 @@ func TestWaitanyFailurePropagation(t *testing.T) {
 func TestIsendWaitToDeadRank(t *testing.T) {
 	for _, cfg := range faultConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			w := faultWorld(t, cfg.engine, cfg.disableFold, 2, 1, "kill:rank=1,after=0:barrier")
+			w := faultWorld(t, cfg.disableFold, 2, 1, "kill:rank=1,after=0:barrier")
 			var waitErr error
 			err := w.Run(func(p *Proc) error {
 				c := p.CommWorld()

@@ -3,8 +3,10 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/fixture"
 	"repro/internal/faults"
 	"repro/internal/netmodel"
 	"repro/internal/topology"
@@ -12,24 +14,21 @@ import (
 )
 
 // Fault-injection suite: kill plans must terminate every collective with
-// structured errors — never a hang — bit-identically across the goroutine
-// and event engines and across fold-on/fold-off, and seeded noise/jitter
-// plans must be deterministic.
+// structured errors — never a hang — at the error sites and virtual times
+// frozen from the retired goroutine executor (frozen_test.go), with folding
+// on and off, and seeded noise/jitter plans must be deterministic.
 
-// faultConfigs are the engine/fold combinations every kill scenario must
-// agree across.
+// faultConfigs are the fold settings every kill scenario must agree across.
 var faultConfigs = []struct {
 	name        string
-	engine      Engine
 	disableFold bool
 }{
-	{"goroutine", EngineGoroutine, false},
-	{"event", EngineEvent, false},
-	{"event_nofold", EngineEvent, true},
+	{"event", false},
+	{"event_nofold", true},
 }
 
 // faultWorld builds a timing-only world with the given fault spec.
-func faultWorld(t *testing.T, engine Engine, disableFold bool, ranks, ppn int, spec string) *World {
+func faultWorld(t *testing.T, disableFold bool, ranks, ppn int, spec string) *World {
 	t.Helper()
 	plan, err := faults.Parse(spec)
 	if err != nil {
@@ -43,7 +42,6 @@ func faultWorld(t *testing.T, engine Engine, disableFold bool, ranks, ppn int, s
 		Placement:   place,
 		Model:       netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2),
 		CarryData:   false,
-		Engine:      engine,
 		DisableFold: disableFold,
 		Faults:      plan,
 	})
@@ -72,10 +70,57 @@ func invokeAnyCollective(c *Comm, coll Collective, n int) error {
 	}
 }
 
+// faultRecord is one rank's terminal error as frozen: which kind, where
+// and when. Kind is "killed", "failed", or empty for a rank that finished
+// cleanly.
+type faultRecord struct {
+	Kind       string       `json:"kind,omitempty"`
+	Collective Collective   `json:"collective,omitempty"`
+	Step       int          `json:"step,omitempty"`
+	Invocation int          `json:"invocation,omitempty"`
+	Time       vtime.Micros `json:"time,omitempty"`
+	Failed     []int        `json:"failed,omitempty"`
+}
+
 // faultOutcome is one configuration's observable result: the terminal error
 // of every rank.
 type faultOutcome struct {
 	errs []error
+}
+
+// records converts the outcome to its frozen form.
+func (o faultOutcome) records(t *testing.T) []faultRecord {
+	t.Helper()
+	recs := make([]faultRecord, len(o.errs))
+	for r, err := range o.errs {
+		var killed *RankKilledError
+		var failed *RankFailedError
+		switch {
+		case err == nil:
+		case errors.As(err, &killed):
+			recs[r] = faultRecord{Kind: "killed", Collective: killed.Collective,
+				Invocation: killed.Invocation, Time: killed.Time}
+		case errors.As(err, &failed):
+			recs[r] = faultRecord{Kind: "failed", Collective: failed.Collective,
+				Step: failed.Step, Time: failed.Time, Failed: failed.Failed}
+		default:
+			t.Fatalf("rank %d: unstructured error %v", r, err)
+		}
+	}
+	return recs
+}
+
+// checkFaultRecords compares an outcome with its frozen answer.
+func checkFaultRecords(t *testing.T, frozen *fixture.Answers, key, cfg string, out faultOutcome) {
+	t.Helper()
+	got := out.records(t)
+	var want []faultRecord
+	if !frozen.Check(t, key, got, &want) {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: error sites left the frozen answer:\n  got    %+v\n  frozen %+v", cfg, got, want)
+	}
 }
 
 // runKillScenario loops a collective on every rank until the fault plan
@@ -84,9 +129,9 @@ type faultOutcome struct {
 // iteration ends in a barrier so ranks with no data dependency on the
 // victim (e.g. a bcast subtree not containing it) still observe the
 // failure instead of running ahead forever.
-func runKillScenario(t *testing.T, engine Engine, disableFold bool, ranks int, spec string, coll Collective, n int) faultOutcome {
+func runKillScenario(t *testing.T, disableFold bool, ranks int, spec string, coll Collective, n int) faultOutcome {
 	t.Helper()
-	w := faultWorld(t, engine, disableFold, ranks, 1, spec)
+	w := faultWorld(t, disableFold, ranks, 1, spec)
 	out := faultOutcome{errs: make([]error, ranks)}
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
@@ -103,7 +148,7 @@ func runKillScenario(t *testing.T, engine Engine, disableFold bool, ranks int, s
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("%v engine (fold off=%v): %v", engine, disableFold, err)
+		t.Fatalf("fold off=%v: %v", disableFold, err)
 	}
 	return out
 }
@@ -116,16 +161,16 @@ var faultCollectives = []Collective{
 
 // TestFaultKillParity kills rank 3 on its second invocation of each
 // collective and checks structured errors and bit-identical error sites
-// across both engines and fold settings.
+// against the frozen answers, with folding on and off.
 func TestFaultKillParity(t *testing.T) {
 	const ranks, victim, n = 8, 3, 4096
+	frozen := openFrozen(t, "fault_kill")
 	for _, coll := range faultCollectives {
 		coll := coll
 		t.Run(string(coll), func(t *testing.T) {
 			spec := fmt.Sprintf("kill:rank=%d,after=1:%s", victim, coll)
-			var ref faultOutcome
-			for ci, cfg := range faultConfigs {
-				out := runKillScenario(t, cfg.engine, cfg.disableFold, ranks, spec, coll, n)
+			for _, cfg := range faultConfigs {
+				out := runKillScenario(t, cfg.disableFold, ranks, spec, coll, n)
 
 				var killed *RankKilledError
 				if !errors.As(out.errs[victim], &killed) {
@@ -153,43 +198,18 @@ func TestFaultKillParity(t *testing.T) {
 							cfg.name, r, failed.Failed, victim)
 					}
 				}
-
-				if ci == 0 {
-					ref = out
-					continue
-				}
-				// Engine/fold parity: identical error sites, bit-identical
-				// virtual times.
-				for r := 0; r < ranks; r++ {
-					if r == victim {
-						var a, b *RankKilledError
-						errors.As(ref.errs[r], &a)
-						errors.As(out.errs[r], &b)
-						if *a != *b {
-							t.Fatalf("%s: kill mismatch vs %s:\n  %+v\n  %+v",
-								cfg.name, faultConfigs[0].name, a, b)
-						}
-						continue
-					}
-					var a, b *RankFailedError
-					errors.As(ref.errs[r], &a)
-					errors.As(out.errs[r], &b)
-					if a.Collective != b.Collective || a.Step != b.Step || a.Time != b.Time {
-						t.Fatalf("%s: rank %d failure site mismatch vs %s:\n  %+v\n  %+v",
-							cfg.name, r, faultConfigs[0].name, a, b)
-					}
-				}
+				checkFaultRecords(t, frozen, string(coll), cfg.name, out)
 			}
 		})
 	}
 }
 
-// TestFaultKillAtTime exercises the virtual-time kill trigger on both
-// engines.
+// TestFaultKillAtTime exercises the virtual-time kill trigger.
 func TestFaultKillAtTime(t *testing.T) {
 	const ranks, n = 8, 4096
+	frozen := openFrozen(t, "fault_kill_at_time")
 	for _, cfg := range faultConfigs {
-		out := runKillScenario(t, cfg.engine, cfg.disableFold, ranks,
+		out := runKillScenario(t, cfg.disableFold, ranks,
 			"kill:rank=0,at=30us", CollAllreduce, n)
 		var killed *RankKilledError
 		if !errors.As(out.errs[0], &killed) {
@@ -202,15 +222,16 @@ func TestFaultKillAtTime(t *testing.T) {
 			t.Fatalf("%s: killed on invocation %d, want at least one clean pass",
 				cfg.name, killed.Invocation)
 		}
+		checkFaultRecords(t, frozen, "allreduce", cfg.name, out)
 	}
 }
 
 // TestFaultNonblockingCollective checks that a kill plan surfaces through
-// the Iallreduce post/Wait path on both engines with no hang.
+// the Iallreduce post/Wait path with no hang.
 func TestFaultNonblockingCollective(t *testing.T) {
 	const ranks, n = 8, 4096
 	for _, cfg := range faultConfigs {
-		w := faultWorld(t, cfg.engine, cfg.disableFold, ranks, 1, "kill:rank=2,after=1:allreduce")
+		w := faultWorld(t, cfg.disableFold, ranks, 1, "kill:rank=2,after=1:allreduce")
 		errs := make([]error, ranks)
 		err := w.Run(func(p *Proc) error {
 			c := p.CommWorld()
@@ -247,9 +268,9 @@ func TestFaultNonblockingCollective(t *testing.T) {
 
 // runNoiseScenario runs a mixed collective workload under a plan and
 // returns every rank's final clock.
-func runNoiseScenario(t *testing.T, engine Engine, disableFold bool, ranks int, spec string) []vtime.Micros {
+func runNoiseScenario(t *testing.T, disableFold bool, ranks int, spec string) []vtime.Micros {
 	t.Helper()
-	w := faultWorld(t, engine, disableFold, ranks, 1, spec)
+	w := faultWorld(t, disableFold, ranks, 1, spec)
 	end := make([]vtime.Micros, ranks)
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
@@ -275,15 +296,20 @@ func runNoiseScenario(t *testing.T, engine Engine, disableFold bool, ranks int, 
 }
 
 // TestFaultNoiseJitterDeterminism pins the seeded straggler/jitter draws:
-// the same plan must produce bit-identical clocks run-to-run, across
-// engines and across fold settings — and a different seed must not.
+// the same plan must reproduce the frozen clocks run-to-run and across fold
+// settings — and a different seed must not.
 func TestFaultNoiseJitterDeterminism(t *testing.T) {
 	const ranks = 8
 	const spec = "noise:sigma=5us; jitter:link=0.2; seed:42"
-	ref := runNoiseScenario(t, EngineGoroutine, false, ranks, spec)
+	frozen := openFrozen(t, "fault_noise")
+	ref := runNoiseScenario(t, false, ranks, spec)
+	var want []vtime.Micros
+	if frozen.Check(t, spec, ref, &want) {
+		compareEnds(t, "noise plan", ref, want)
+	}
 	for _, cfg := range faultConfigs {
 		for rep := 0; rep < 2; rep++ {
-			got := runNoiseScenario(t, cfg.engine, cfg.disableFold, ranks, spec)
+			got := runNoiseScenario(t, cfg.disableFold, ranks, spec)
 			for r := range got {
 				if got[r] != ref[r] {
 					t.Fatalf("%s rep %d: rank %d clock %s != %s", cfg.name, rep, r, got[r], ref[r])
@@ -291,8 +317,8 @@ func TestFaultNoiseJitterDeterminism(t *testing.T) {
 			}
 		}
 	}
-	clean := runNoiseScenario(t, EngineEvent, false, ranks, "")
-	reseeded := runNoiseScenario(t, EngineEvent, false, ranks, "noise:sigma=5us; jitter:link=0.2; seed:43")
+	clean := runNoiseScenario(t, false, ranks, "")
+	reseeded := runNoiseScenario(t, false, ranks, "noise:sigma=5us; jitter:link=0.2; seed:43")
 	same := true
 	for r := range ref {
 		if reseeded[r] != ref[r] {
@@ -317,8 +343,8 @@ func TestFaultNoiseJitterDeterminism(t *testing.T) {
 // virtual time relative to no plan at all.
 func TestFaultInertPlanZeroImpact(t *testing.T) {
 	const ranks = 8
-	clean := runNoiseScenario(t, EngineEvent, false, ranks, "")
-	inert := runNoiseScenario(t, EngineEvent, false, ranks, " ; ; ")
+	clean := runNoiseScenario(t, false, ranks, "")
+	inert := runNoiseScenario(t, false, ranks, " ; ; ")
 	for r := range clean {
 		if clean[r] != inert[r] {
 			t.Fatalf("rank %d: inert plan moved clock %s -> %s", r, clean[r], inert[r])
@@ -330,7 +356,7 @@ func TestFaultInertPlanZeroImpact(t *testing.T) {
 // no-progress error on an intentionally deadlocked 2-rank world.
 func TestEventDeadlockDiagnostic(t *testing.T) {
 	t.Run("p2p", func(t *testing.T) {
-		w := faultWorld(t, EngineEvent, false, 2, 1, "")
+		w := faultWorld(t, false, 2, 1, "")
 		err := w.Run(func(p *Proc) error {
 			// Both ranks receive first: no message is ever posted.
 			_, err := p.CommWorld().RecvN(nil, 16, 1-p.Rank(), 5)
@@ -354,7 +380,7 @@ func TestEventDeadlockDiagnostic(t *testing.T) {
 		}
 	})
 	t.Run("collective", func(t *testing.T) {
-		w := faultWorld(t, EngineEvent, false, 2, 1, "")
+		w := faultWorld(t, false, 2, 1, "")
 		err := w.Run(func(p *Proc) error {
 			if p.Rank() == 1 {
 				return nil // never enters the barrier

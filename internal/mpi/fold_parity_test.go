@@ -29,7 +29,6 @@ func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms ma
 		Placement:   place,
 		Model:       netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2),
 		CarryData:   false,
-		Engine:      EngineEvent,
 		DisableFold: disableFold,
 		Algorithms:  algorithms,
 	})
@@ -236,5 +235,43 @@ func TestFoldParityRootedFallback(t *testing.T) {
 				t.Errorf("bcast never fell back from a full gather: %+v", stats)
 			}
 		})
+	}
+}
+
+// TestFoldParityPollingRank pins the order in which the loop breaks a
+// stall against a partial gather: the gather is released before a yielded
+// poller runs again. Ranks 1..7 enter a bcast while rank 0 polls for a
+// message rank 1 sends only after it; served first, the poller would spin
+// forever on a gather it never joins.
+func TestFoldParityPollingRank(t *testing.T) {
+	const ranks, n = 8, 1024
+	stats, _ := assertFoldParity(t, ranks, 4, nil, func(p *Proc) error {
+		c := p.CommWorld()
+		if p.Rank() == 0 {
+			r, err := c.IrecvN(nil, n, 1, 7)
+			if err != nil {
+				return err
+			}
+			for {
+				done, _, err := r.Test()
+				if err != nil {
+					return err
+				}
+				if done {
+					break
+				}
+			}
+			return c.BcastN(nil, n, 1)
+		}
+		if err := c.BcastN(nil, n, 1); err != nil {
+			return err
+		}
+		if p.Rank() == 1 {
+			return c.SendN(nil, n, 0, 7)
+		}
+		return nil
+	})
+	if stats.Released == 0 {
+		t.Errorf("the polling rank's gather was never released: %+v", stats)
 	}
 }

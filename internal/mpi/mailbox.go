@@ -1,11 +1,6 @@
 package mpi
 
-import (
-	"runtime"
-	"sync"
-
-	"repro/internal/vtime"
-)
+import "repro/internal/vtime"
 
 // This file implements the indexed, allocation-free mailbox at the heart of
 // the message engine. Senders are identified at post time, so pending
@@ -16,14 +11,14 @@ import (
 // exactly, envelope for envelope. Buckets are growable ring buffers (O(1)
 // head removal, shorter-side shift on mid-queue extraction), and envelopes
 // and payload staging buffers are recycled through per-mailbox freelists, so
-// steady-state traffic allocates nothing.
+// steady-state traffic allocates nothing. A world's mailboxes are touched
+// only by the goroutine running its event loop, so nothing here locks.
 
 // envelope is a message in flight. Eager messages carry their payload copy
 // and arrival timestamp; rendezvous messages carry a handshake, which
 // borrows the sender's buffer instead of a copy. Envelopes are owned by the
-// receiving mailbox's freelist: deliver draws one under the mailbox lock
-// and the receiver hands it back (with its eager payload) on its next
-// mailbox operation.
+// receiving mailbox's freelist: deliver draws one and the receiver hands it
+// back (with its eager payload) on its next mailbox operation.
 type envelope struct {
 	src, tag, ctx int
 	size          int
@@ -103,24 +98,15 @@ const srcSmallMax = 4
 const denseSrcMax = 2048
 
 // mailbox is the per-rank message store with tag matching. Mailboxes are
-// laid out as one slab per world (NewWorld) with the condvar inline, so a
-// huge world costs one allocation, not two per rank.
+// laid out as one slab per world (NewWorld), so a huge world costs one
+// allocation, not one per rank.
 type mailbox struct {
-	mu   sync.Mutex
-	cond sync.Cond // cond.L points at mu; set once at world construction
-	seq  uint64
-	// owner is the receiving rank's Proc, bound for the duration of an
-	// event-engine run (nil otherwise). It routes deliver's wakeup through
-	// the event loop instead of the condvar; noLock mirrors it so the
-	// mutex elision check is one load on the hot path (everything in an
-	// event-engine world happens on the one goroutine running the loop).
-	owner  *Proc
-	noLock bool
-	// waiting marks the owner rank as parked in match/peek; deliver only
-	// pays for Signal when somebody is actually listening.
-	waiting bool
-	// npend counts queued envelopes across every bucket. The event engine's
-	// symmetry folding needs "is this mailbox completely empty" in O(1) at
+	seq uint64
+	// owner is the receiving rank's Proc, bound for the duration of a run
+	// (nil otherwise). deliver wakes it through the event loop.
+	owner *Proc
+	// npend counts queued envelopes across every bucket. The symmetry
+	// folding needs "is this mailbox completely empty" in O(1) at
 	// gather time (fold.go); it is maintained at deliver and at every
 	// removal point in take.
 	npend int
@@ -137,7 +123,7 @@ type mailbox struct {
 	ctx0     srcQueues
 	ctx0init bool
 
-	// freelists, guarded by mu: consumed envelopes and the eager payload
+	// freelists: consumed envelopes and the eager payload
 	// staging buffers they carried (the byte half of a scratchArena,
 	// sharing its power-of-two capacity classes). The first few envelopes
 	// come from inline seed storage and recycle through inline slots —
@@ -150,20 +136,6 @@ type mailbox struct {
 	envFreeA [4]*envelope
 	envFree  []*envelope
 	pay      scratchArena
-}
-
-// lock/unlock guard the mailbox under the goroutine engine and compile to
-// a branch under the single-threaded event engine.
-func (mb *mailbox) lock() {
-	if !mb.noLock {
-		mb.mu.Lock()
-	}
-}
-
-func (mb *mailbox) unlock() {
-	if !mb.noLock {
-		mb.mu.Unlock()
-	}
 }
 
 // queues returns the context's queue index, creating it on first use; the
@@ -237,8 +209,8 @@ func (mb *mailbox) ring(ctx, src int) *envRing {
 }
 
 // srcBucketEmpty reports whether nothing from src is pending in gdst's
-// mailbox for ctx — the FIFO-safety condition of the event engine's
-// cut-through delivery to a runnable rank.
+// mailbox for ctx — the FIFO-safety condition of cut-through delivery to a
+// runnable rank.
 func (l *eventLoop) srcBucketEmpty(gdst, ctx, src int) bool {
 	mb := l.w.mailboxes[gdst]
 	q := mb.lookup(ctx)
@@ -257,27 +229,23 @@ func (l *eventLoop) srcBucketEmpty(gdst, ctx, src int) bool {
 	return r == nil || r.size == 0
 }
 
-// deliver queues a message. An eager message's payload (data, when
-// non-nil) is staged into a pooled buffer: an eager send completes at post
-// time, so the copy is the receive side's only view of the bytes and the
-// sender may reuse data immediately. A rendezvous message stages nothing
-// (data is nil): its handshake borrows the sender's buffer, which stays
-// untouched until the receiver has copied out of it and reported
-// completion. The staging copy runs outside the mailbox lock so concurrent
-// senders to one rank overlap their copies instead of serializing on the
-// mutex. wire and recvOver are the receive-side costs priced by the sender.
+// deliver queues a message and wakes the owner rank when the message can
+// unblock it. An eager message's payload (data, when non-nil) is staged
+// into a pooled buffer: an eager send completes at post time, so the copy
+// is the receive side's only view of the bytes and the sender may reuse
+// data immediately. A rendezvous message stages nothing (data is nil): its
+// handshake borrows the sender's buffer, which stays untouched until the
+// receiver has copied out of it and reported completion. wire and recvOver
+// are the receive-side costs priced by the sender.
 func (mb *mailbox) deliver(src, tag, ctx, size int, data []byte, arrival, wire, recvOver vtime.Micros, rdv *rendezvous) {
 	var payload []byte
 	if data != nil {
-		mb.lock()
 		payload = mb.pay.getRaw(size) // fully overwritten by the copy below
-		mb.unlock()
 		copy(payload, data[:size])
 	}
 	if DebugCounters != nil {
 		DebugCounters[1]++
 	}
-	mb.lock()
 	e := mb.getEnvelope()
 	e.src, e.tag, e.ctx, e.size = src, tag, ctx, size
 	e.seq = mb.seq
@@ -287,71 +255,45 @@ func (mb *mailbox) deliver(src, tag, ctx, size int, data []byte, arrival, wire, 
 	mb.seq++
 	mb.ring(ctx, src).push(e)
 	mb.npend++
-	if o := mb.owner; o != nil {
-		o.mbPend = int32(mb.npend)
-	}
-	wake := mb.waiting
-	mb.unlock()
-	if o := mb.owner; o != nil && o.ev != nil {
-		// Event engine: a delivery is the wake event for a rank blocked on
-		// this mailbox (receive, probe, or a replayed schedule's recv step)
-		// — unless its wait filter says the message cannot unblock it.
-		o.ev.loop.wakeFor(o, ctx, src, tag)
-		return
-	}
-	// Each rank is single-threaded, so a mailbox never has more than one
-	// waiter (its owner rank): Signal suffices, and only when it is parked.
-	if wake {
-		mb.cond.Signal()
-	}
+	o := mb.owner
+	o.mbPend = int32(mb.npend)
+	// A delivery is the wake event for a rank blocked on this mailbox
+	// (receive, probe, or a replayed schedule's recv step) — unless its wait
+	// filter says the message cannot unblock it.
+	o.ev.loop.wakeFor(o, ctx, src, tag)
+}
+
+// recycle returns a consumed envelope, with its eager payload, to the
+// freelists.
+func (mb *mailbox) recycle(e *envelope) {
+	mb.pay.put(e.data)
+	e.data = nil
+	mb.putEnvelope(e)
 }
 
 // tryMatch removes and returns a queued message matching (src, tag, ctx),
 // or nil when none is pending — the non-blocking probe the incremental
 // collective engine and Request.Test poll with. A previously consumed
-// envelope is recycled under the lock even when nothing matches.
+// envelope is recycled first, even when nothing matches.
 func (mb *mailbox) tryMatch(src, tag, ctx int, recycle *envelope) *envelope {
-	mb.lock()
-	defer mb.unlock()
 	if recycle != nil {
-		mb.pay.put(recycle.data)
-		recycle.data = nil
-		mb.putEnvelope(recycle)
+		mb.recycle(recycle)
 	}
 	return mb.take(src, tag, ctx)
 }
 
-// match blocks until a message matching (src, tag, ctx) is queued and
-// removes it. Matching is FIFO per (source, tag) pair, which together with
-// single-threaded ranks gives MPI's non-overtaking guarantee. A previously
-// consumed envelope may be passed in for recycling under the same lock.
-// Under a fault plan match can return nil: the rank this receive depends
-// on is dead and the stall detector broke the wait (queued messages are
-// always consumed before the failure check, so a satisfiable match never
-// reports failure).
+// match parks rank p until a message matching (src, tag, ctx) is queued in
+// its mailbox and removes it. Matching is FIFO per (source, tag) pair,
+// which together with single-threaded ranks gives MPI's non-overtaking
+// guarantee. A previously consumed envelope may be passed in for
+// recycling. match returns nil when the rank fails while parked — a fault
+// plan killed the rank this receive depends on, or the run was canceled
+// (queued messages are always consumed before the failure check, so a
+// satisfiable match never reports failure).
 func (mb *mailbox) match(p *Proc, src, tag, ctx int, recycle *envelope) *envelope {
-	mb.lock()
-	defer mb.unlock()
 	if recycle != nil {
-		mb.pay.put(recycle.data)
-		recycle.data = nil
-		mb.putEnvelope(recycle)
+		mb.recycle(recycle)
 	}
-	if o := mb.owner; o != nil && o.ev != nil {
-		// Event engine: park the rank's coroutine; the next delivery that
-		// can satisfy the match wakes it.
-		for {
-			if e := mb.take(src, tag, ctx); e != nil {
-				return e
-			}
-			if o.failure != nil {
-				return nil
-			}
-			o.parkFor(ctx, src, tag)
-		}
-	}
-	wd := p.world.wd
-	yielded := false
 	for {
 		if e := mb.take(src, tag, ctx); e != nil {
 			return e
@@ -359,52 +301,14 @@ func (mb *mailbox) match(p *Proc, src, tag, ctx int, recycle *envelope) *envelop
 		if p.failure != nil {
 			return nil
 		}
-		if wd != nil && wd.failedNow() {
-			return nil
-		}
-		if p.world.cancelRequested() {
-			// The run was canceled: report no match, the caller's
-			// parkFailure turns it into a CanceledError. The flag is
-			// re-checked under mb.mu before every park, and cancelNow's
-			// signal pass takes the same lock, so the wakeup cannot be
-			// missed.
-			return nil
-		}
-		// Yield once before parking: the sender this rank is waiting on is
-		// usually runnable, so handing it the CPU gets the message queued
-		// without paying for a full park/wakeup cycle. Park only when the
-		// yield did not help.
-		if !yielded {
-			yielded = true
-			mb.mu.Unlock()
-			runtime.Gosched()
-			mb.mu.Lock()
-			continue
-		}
-		if wd != nil {
-			// Registration happens under mb.mu, and so does the stall
-			// declaration's wake pass, so a Signal can never slip between
-			// the registration and the Wait.
-			wd.enterMsg(p.rank, src, tag, ctx)
-			mb.waiting = true
-			mb.cond.Wait()
-			mb.waiting = false
-			wd.exit(p.rank)
-		} else {
-			mb.waiting = true
-			mb.cond.Wait()
-			mb.waiting = false
-		}
+		p.parkFor(ctx, src, tag)
 	}
 }
 
-// peek blocks until a message matching (src, tag, ctx) is queued and
+// peek parks rank p until a message matching (src, tag, ctx) is queued and
 // returns it without removing it. Like match, peek returns nil when the
-// stall detector declares failure while the rank is parked.
+// rank fails while parked.
 func (mb *mailbox) peek(p *Proc, src, tag, ctx int) *envelope {
-	mb.lock()
-	defer mb.unlock()
-	wd := p.world.wd
 	for {
 		if _, ring, i := mb.find(src, tag, ctx); ring != nil {
 			return ring.at(i)
@@ -412,27 +316,7 @@ func (mb *mailbox) peek(p *Proc, src, tag, ctx int) *envelope {
 		if p.failure != nil {
 			return nil
 		}
-		if o := mb.owner; o != nil && o.ev != nil {
-			o.parkFor(ctx, src, tag)
-			continue
-		}
-		if wd != nil && wd.failedNow() {
-			return nil
-		}
-		if p.world.cancelRequested() {
-			return nil
-		}
-		if wd != nil {
-			wd.enterMsg(p.rank, src, tag, ctx)
-			mb.waiting = true
-			mb.cond.Wait()
-			mb.waiting = false
-			wd.exit(p.rank)
-		} else {
-			mb.waiting = true
-			mb.cond.Wait()
-			mb.waiting = false
-		}
+		p.parkFor(ctx, src, tag)
 	}
 }
 
@@ -476,9 +360,7 @@ func (mb *mailbox) take(src, tag, ctx int) *envelope {
 // mirror (Proc.mbPend, read by the fold eligibility checks) in sync.
 func (mb *mailbox) dropPend() {
 	mb.npend--
-	if o := mb.owner; o != nil {
-		o.mbPend = int32(mb.npend)
-	}
+	mb.owner.mbPend = int32(mb.npend)
 }
 
 // tagMatches reports whether a posted receive tag accepts an envelope tag.
@@ -583,7 +465,6 @@ func (mb *mailbox) getEnvelope() *envelope {
 }
 
 // putEnvelope recycles a consumed envelope, preferring the inline slots.
-// The caller holds the mailbox lock.
 func (mb *mailbox) putEnvelope(e *envelope) {
 	if n := mb.envFreeN; n < int8(len(mb.envFreeA)) {
 		mb.envFreeA[n] = e

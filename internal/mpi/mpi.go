@@ -1,9 +1,10 @@
 // Package mpi implements a complete MPI-like message-passing runtime in Go
-// with deterministic virtual timing. Ranks are goroutines; payload bytes
-// really move through per-rank mailboxes with tag matching; blocking
-// semantics (eager vs rendezvous) follow the protocol selected by the
-// network model; and every operation advances the rank's virtual clock so
-// the micro-benchmarks built on top report reproducible latencies.
+// with deterministic virtual timing. Ranks are coroutines of one
+// discrete-event loop (event.go); payload bytes really move through
+// per-rank mailboxes with tag matching; blocking semantics (eager vs
+// rendezvous) follow the protocol selected by the network model; and every
+// operation advances the rank's virtual clock so the micro-benchmarks built
+// on top report reproducible latencies.
 //
 // The package provides communicators, blocking point-to-point operations,
 // and the blocking collectives of the paper's Table II (plus their vector
@@ -14,8 +15,6 @@ package mpi
 
 import (
 	"fmt"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/faults"
@@ -41,9 +40,9 @@ type Config struct {
 	Placement *topology.Placement
 	// Model prices every event (required).
 	Model *netmodel.Model
-	// Engine selects the execution substrate (see Engine). The zero value
-	// is EngineGoroutine; EngineEvent requires a timing-only world
-	// (CarryData false).
+	// Engine is ignored: every world runs on the event loop.
+	//
+	// Deprecated: leave it unset.
 	Engine Engine
 	// PyMode applies the Python-binding penalty model (THREAD_MULTIPLE
 	// locking and shared-memory degradation) to every operation; it is set
@@ -80,6 +79,17 @@ type Config struct {
 	Faults *faults.Plan
 }
 
+// Engine named an execution substrate when the runtime had two.
+//
+// Deprecated: the event loop is the only executor and Config.Engine is
+// ignored.
+type Engine int
+
+// EngineEvent is the discrete-event executor, the only one.
+//
+// Deprecated: see Engine.
+const EngineEvent Engine = 1
+
 // World is a set of ranks sharing mailboxes and a cost model.
 type World struct {
 	cfg       Config
@@ -104,11 +114,9 @@ type World struct {
 	domLink  []topology.LinkClass // domCount*domCount
 	domCount int
 
-	ctxMu   sync.Mutex
 	nextCtx int
 
-	// Symmetry-folding state (event engine only, single-threaded; fold.go
-	// and schedfold.go). foldShapes caches the analyzed shape of a
+	// Symmetry-folding state (single-threaded; fold.go and schedfold.go). foldShapes caches the analyzed shape of a
 	// collective invocation keyed by its value shape (collective, bytes,
 	// root, dtype, op); foldNo records shapes proven unfoldable so later
 	// invocations skip the gather entirely. Value keys survive Run
@@ -129,25 +137,20 @@ type World struct {
 
 	// Fault-injection state (fault.go). faults aliases cfg.Faults for the
 	// hot-path nil check; dead lists ranks killed by the plan this Run;
-	// failedFlag latches once a stall has been declared so abandoned
-	// handshakes stop blocking; wd is the goroutine engine's stall
-	// detector, non-nil only while a killing plan Runs.
+	// failedFlag latches once a stall has been declared (or a cancel has
+	// fired) so abandoned handshakes stop blocking.
 	faults     *faults.Plan
-	deadMu     sync.Mutex
 	dead       []int
 	failedFlag atomic.Bool
-	wd         *watchdog
 
 	// Cancellation state (cancel.go). cancelOn is set only for the duration
 	// of a RunContext with a cancellable context, so an unarmed world pays a
 	// single boolean load per checkpoint; cancelFlag latches when the
-	// context fires, cancelCause carries context.Cause (written before the
-	// flag's release store), and cancelChan is closed on cancel to unpark
-	// the goroutine engine's rendezvous waiters.
+	// context fires, and cancelCause carries context.Cause (written before
+	// the flag's release store).
 	cancelOn    bool
 	cancelFlag  atomic.Bool
 	cancelCause error
-	cancelChan  chan struct{}
 }
 
 // linkTabMaxRanks bounds the worlds that get the direct size*size link
@@ -250,12 +253,6 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		forced[coll] = canon
 	}
-	if cfg.Engine == EngineEvent && cfg.CarryData {
-		return nil, fmt.Errorf("mpi: Config.Engine %q requires a timing-only world: payload "+
-			"movement through the event executor is not yet pinned by the data-carrying "+
-			"correctness suite (an open ROADMAP.md item); set CarryData false, or use "+
-			"Engine %q for data-carrying runs", cfg.Engine, EngineGoroutine)
-	}
 	size := cfg.Placement.Size()
 	if cfg.Faults != nil {
 		for _, k := range cfg.Faults.Kills {
@@ -287,7 +284,6 @@ func NewWorld(cfg Config) (*World, error) {
 	for i := range w.mailboxes {
 		mb := &mbs[i]
 		mb.size = size
-		mb.cond.L = &mb.mu
 		w.mailboxes[i] = mb
 	}
 	w.worldGroup = make([]int, size)
@@ -302,7 +298,7 @@ func NewWorld(cfg Config) (*World, error) {
 // memory. The world must not be used again afterwards — call it when the
 // world is done for good (core.Run does, once per sweep). Safe on an
 // errored or faulted world: recycled slabs are cleared before reuse, and
-// no Run-scoped pointer into the mailbox slab survives runEvent's
+// no Run-scoped pointer into the mailbox slab survives Run's
 // teardown. Idempotent.
 func (w *World) Release() {
 	mbs := w.mbSlab
@@ -329,8 +325,6 @@ func (w *World) Policy() Policy { return w.policy }
 
 // allocCtx reserves a contiguous block of n communicator context ids.
 func (w *World) allocCtx(n int) int {
-	w.ctxMu.Lock()
-	defer w.ctxMu.Unlock()
 	base := w.nextCtx
 	w.nextCtx += n
 	return base
@@ -348,57 +342,9 @@ func (e *RankError) Error() string { return fmt.Sprintf("mpi: rank %d: %v", e.Ra
 // Unwrap exposes the underlying error.
 func (e *RankError) Unwrap() error { return e.Err }
 
-// Run executes body once per rank on the world's configured engine and
-// waits for all ranks. The first error (by rank order) is returned; a
-// panicking rank is converted into an error carrying its stack.
-//
-// Under EngineGoroutine every rank is a goroutine; under EngineEvent the
-// whole world runs as a discrete-event simulation on the calling goroutine
-// (see event.go), with bit-identical virtual-time results.
-func (w *World) Run(body func(p *Proc) error) error {
-	if w.cfg.Engine == EngineEvent {
-		return w.runEvent(body)
-	}
-	if w.faults != nil {
-		w.resetFaultRun()
-		if w.faults.HasKills() {
-			w.wd = newWatchdog(w)
-		}
-	}
-	errs := make([]error, w.size)
-	var wg sync.WaitGroup
-	wg.Add(w.size)
-	for r := 0; r < w.size; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			if wd := w.wd; wd != nil {
-				defer wd.rankDone(rank)
-			}
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[rank] = fmt.Errorf("panic: %v\n%s", rec, debug.Stack())
-				}
-			}()
-			p := &Proc{world: w, rank: rank}
-			errs[rank] = body(p)
-		}(r)
-	}
-	wg.Wait()
-	if w.wd != nil {
-		w.wd.shutdown()
-		w.wd = nil
-	}
-	for r, err := range errs {
-		if err != nil {
-			return &RankError{Rank: r, Err: err}
-		}
-	}
-	return nil
-}
-
 // Proc is the per-rank handle: it owns the rank's virtual clock and is only
-// ever used from that rank's goroutine (or, under the event engine, from
-// the one goroutine running the whole world).
+// ever used from that rank's coroutine, on the one goroutine running the
+// whole world.
 type Proc struct {
 	// Field order is deliberate up to comm0v: a fold resolution walks every
 	// rank of a huge world twice (token scan, then clock fanout; fold.go),
@@ -416,19 +362,17 @@ type Proc struct {
 	// fold resolver cannot describe symbolically; both reset with ResetClock.
 	foldLB  *foldLB
 	lbDirty bool
-	// mbPend mirrors this rank's mailbox npend counter while an event-engine
-	// run owns the mailbox (mailbox.go maintains it alongside npend whenever
-	// owner is set). The fold eligibility checks read it from the Proc line
+	// mbPend mirrors this rank's mailbox npend counter while a run owns the
+	// mailbox (mailbox.go maintains it alongside npend). The fold eligibility checks read it from the Proc line
 	// they already touch instead of paying a cold mailbox line per rank.
 	mbPend int32
 	// comm0 is the rank's cached world communicator; comm0v is its inline
 	// storage, so CommWorld never allocates.
 	comm0  *Comm
 	comm0v Comm
-	// ev is the rank's event-engine state; nil under the goroutine engine.
-	// Every blocking primitive branches on it: instead of parking the OS
-	// thread it suspends the rank's coroutine (or hands its compiled
-	// schedule to the event loop) until a message wakes it.
+	// ev is the rank's event-loop state. Every blocking primitive suspends
+	// the rank's coroutine (or hands its compiled schedule to the loop)
+	// until a message wakes it.
 	ev *eventRank
 	// linkBusy tracks, per destination world rank, when this rank's wire
 	// to that peer frees up; back-to-back eager sends serialize on it.
@@ -449,8 +393,7 @@ type Proc struct {
 	reqFree      []*Request
 	schedFree    []*collSched
 	activeScheds []*collSched
-	// replay caches compiled collective schedules for the event engine's
-	// buffer-free replays (see eventsched.go). A rank holds only a handful
+	// replay caches compiled collective schedules for buffer-free replays (see eventsched.go). A rank holds only a handful
 	// of shapes at a time, so a linearly scanned slice beats a map.
 	replay []replayEntry
 	// arena recycles the collectives' staging buffers.

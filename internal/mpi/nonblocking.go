@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Nonblocking operations. The real OSU bandwidth tests post windows of
 // MPI_Isend/MPI_Irecv, and the nonblocking-collective tests
@@ -29,6 +26,9 @@ import (
 //     under Test/Wait/Progress. There is no background progress thread, so
 //     rounds that depend on peer traffic advance only inside those calls —
 //     like an MPI library without an async progress engine.
+//   - A poll (Test, Testany, Testall, Progress) that leaves work incomplete
+//     yields the rank to the event loop before returning, so a poll loop
+//     lets the ranks it waits on run. Yielding charges no virtual time.
 //   - A completed Request may be recycled by the rank's next nonblocking
 //     call: Wait/Test stay idempotent on the held pointer until then, but
 //     a Request must not be stored across subsequent nonblocking calls.
@@ -169,10 +169,20 @@ func (r *Request) Wait() (Status, error) {
 
 // Test advances the request as far as possible without blocking and reports
 // whether it completed, with the completion status and error when it did.
+// An incomplete Test yields the rank to the event loop first.
 func (r *Request) Test() (bool, Status, error) {
 	if r == nil {
 		return false, Status{}, fmt.Errorf("mpi: Test on nil request")
 	}
+	done, st, err := r.test()
+	if !done {
+		r.comm.proc.yieldPoll()
+	}
+	return done, st, err
+}
+
+// test is one non-yielding Test pass.
+func (r *Request) test() (bool, Status, error) {
 	if r.done {
 		r.release()
 		return true, r.status, r.err
@@ -233,70 +243,48 @@ func Waitall(reqs []*Request) error {
 // index -1 immediately, like MPI_Waitany's MPI_UNDEFINED.
 func Waitany(reqs []*Request) (int, Status, error) {
 	for {
-		active := false
 		var proc *Proc
 		for i, r := range reqs {
 			if r == nil || r.pooled {
 				continue
 			}
-			active = true
 			proc = r.comm.proc
-			if done, st, err := r.Test(); done {
+			if done, st, err := r.test(); done {
 				return i, st, err
 			}
 		}
-		if !active {
+		if proc == nil {
 			return -1, Status{}, nil
 		}
 		// A declared stall means none of the pending requests can ever
-		// complete (the verification pass saw them unprogressable): error
-		// out instead of polling forever.
+		// complete (the loop drained with them unprogressable): error out
+		// instead of polling forever.
 		if proc.failure != nil || proc.world.failedFlag.Load() {
 			return -1, Status{}, proc.parkFailure()
 		}
-		// Nothing completed this pass: hand the CPU to peer ranks before
-		// polling again. Under the event engine the rank parks instead;
-		// any delivery into its mailbox or rendezvous completion wakes it
-		// for the next poll.
-		if proc.ev != nil {
-			proc.park()
-		} else if wd := proc.world.wd; wd != nil {
-			// Register the outstanding rendezvous handshakes so the stall
-			// verification can prove none of them is already reported (a
-			// reported handshake would complete on the next poll pass).
-			var rdvs []*rendezvous
-			for _, r := range reqs {
-				if r == nil || r.pooled || r.done {
-					continue
-				}
-				if r.ps != nil {
-					rdvs = append(rdvs, r.ps)
-				}
-				if r.sched != nil && r.sched.pending != nil {
-					rdvs = append(rdvs, r.sched.pending)
-				}
-			}
-			wd.pollWait(proc.rank, rdvs)
-		} else {
-			runtime.Gosched()
-		}
+		// Nothing completed this pass: park until any delivery into the
+		// rank's mailbox or rendezvous completion wakes it for the next
+		// pass.
+		proc.park()
 	}
 }
 
 // Testall advances every request without blocking and reports whether all
 // of them have completed; the first recorded error is returned once every
-// request is done.
+// request is done. An incomplete Testall yields the rank to the event loop
+// first.
 func Testall(reqs []*Request) (bool, error) {
-	all := true
+	var pending *Request
 	for _, r := range reqs {
 		if r == nil {
 			continue
 		}
-		if done, _, _ := r.Test(); !done {
-			all = false
+		if done, _, _ := r.test(); !done {
+			pending = r
 		}
 	}
-	if !all {
+	if pending != nil {
+		pending.comm.proc.yieldPoll()
 		return false, nil
 	}
 	var firstErr error
@@ -314,15 +302,21 @@ func Testall(reqs []*Request) (bool, error) {
 // Testany makes one non-blocking pass over the active requests and returns
 // the index and status of the first one found complete during the pass
 // (including requests finished earlier by Proc.Progress), or -1 when none
-// is (or when every request is inactive).
+// is (or when every request is inactive). A pass that leaves active
+// requests incomplete yields the rank to the event loop first.
 func Testany(reqs []*Request) (int, Status, error) {
+	var proc *Proc
 	for i, r := range reqs {
 		if r == nil || r.pooled {
 			continue
 		}
-		if done, st, err := r.Test(); done {
+		proc = r.comm.proc
+		if done, st, err := r.test(); done {
 			return i, st, err
 		}
+	}
+	if proc != nil {
+		proc.yieldPoll()
 	}
 	return -1, Status{}, nil
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/faults"
 	"repro/internal/netmodel"
@@ -38,44 +37,31 @@ type Status struct {
 // like a single-copy large-message path such as MVAPICH2's LiMIC), and the
 // receiver copies out of it before reporting completion. It computes the
 // transfer completion instant (it knows both ready times and the wire cost)
-// and reports it back on done, so neither side ever waits on the other's
-// *next* operation -- which is what keeps symmetric exchanges (Sendrecv,
-// recursive doubling) live. The report is what frees the sender to reuse
-// its buffer; until then the buffer must stay unmodified, as MPI requires
-// of a send buffer until its send completes. A handshake abandoned by a
-// fault or cancel may still be consumed by a receiver, which then reads a
-// buffer its failed sender no longer writes.
-// Handshakes (and their channels) are recycled through the sending rank's
-// freelist; a nil *rendezvous is the completed-at-post eager send handle.
-//
-// Under the event engine the completion report skips the channel: the
-// receiver writes (val, ready) directly and wakes the owning rank through
-// the event loop — everything is single-threaded there, and the channel
-// round trip is measurable on the rendezvous fast path.
+// and reports it back in (val, ready), waking the sender through the event
+// loop, so neither side ever waits on the other's *next* operation -- which
+// is what keeps symmetric exchanges (Sendrecv, recursive doubling) live.
+// The report is what frees the sender to reuse its buffer; until then the
+// buffer must stay unmodified, as MPI requires of a send buffer until its
+// send completes. A handshake abandoned by a fault or cancel may still be
+// consumed by a receiver, which then reads a buffer its failed sender no
+// longer writes.
+// Handshakes are recycled through the sending rank's freelist; a nil
+// *rendezvous is the completed-at-post eager send handle.
 type rendezvous struct {
-	senderReady vtime.Micros      // sender clock when the RTS was posted
-	payload     []byte            // the sender's buffer, borrowed (nil when not carried)
-	done        chan vtime.Micros // receiver -> sender: transfer completion
-	owner       *Proc             // the sending rank
-	val         vtime.Micros      // event engine: completion instant
-	ready       bool              // event engine: val is set
+	senderReady vtime.Micros // sender clock when the RTS was posted
+	payload     []byte       // the sender's buffer, borrowed (nil when not carried)
+	owner       *Proc        // the sending rank
+	val         vtime.Micros // transfer completion instant
+	ready       bool         // val is set
 }
 
 // tryDone non-blockingly polls the transfer's completion report.
 func (r *rendezvous) tryDone() (vtime.Micros, bool) {
-	if r.owner.ev != nil {
-		if !r.ready {
-			return 0, false
-		}
-		r.ready = false
-		return r.val, true
-	}
-	select {
-	case d := <-r.done:
-		return d, true
-	default:
+	if !r.ready {
 		return 0, false
 	}
+	r.ready = false
+	return r.val, true
 }
 
 // postSend injects a message toward communicator rank dst and returns a
@@ -106,8 +92,8 @@ func (c *Comm) postSendPriced(gdst, tag int, data []byte, size int, link topolog
 
 	// Link jitter stretches this message's wire time by a seeded factor on
 	// [1, 1+Jitter). The draw is keyed on the rank's message counter, which
-	// advances identically on both engines, and the cached cost struct is
-	// never mutated (it is shared across invocations).
+	// advances in program order, and the cached cost struct is never
+	// mutated (it is shared across invocations).
 	wire := cost.Wire
 	if f := w.faults; f != nil && f.Jitter > 0 {
 		p.msgSeq++
@@ -134,15 +120,14 @@ func (c *Comm) postSendPriced(gdst, tag int, data []byte, size int, link topolog
 		// then occupies it for its transmit time.
 		start := vtime.Max(p.clock.Now(), p.linkBusyUntil(gdst))
 		p.holdLink(gdst, start+cost.Transmit)
-		if l := p.evLoop(); l != nil {
-			if l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
-				carried, start+wire, 0, cost.RecvOverhead, nil) {
-				return nil
-			}
-			if l.pullForward(gdst) && l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
-				carried, start+wire, 0, cost.RecvOverhead, nil) {
-				return nil
-			}
+		l := p.ev.loop
+		if l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
+			carried, start+wire, 0, cost.RecvOverhead, nil) {
+			return nil
+		}
+		if l.pullForward(gdst) && l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
+			carried, start+wire, 0, cost.RecvOverhead, nil) {
+			return nil
 		}
 		w.mailboxes[gdst].deliver(c.rank, tag, c.ctx, size, carried,
 			start+wire, 0, cost.RecvOverhead, nil)
@@ -153,88 +138,41 @@ func (c *Comm) postSendPriced(gdst, tag int, data []byte, size int, link topolog
 	if carried != nil {
 		rdv.payload = carried[:size]
 	}
-	if l := p.evLoop(); l != nil {
-		if l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
-			carried, 0, wire, cost.RecvOverhead, rdv) {
-			return rdv
-		}
-		if l.pullForward(gdst) && l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
-			carried, 0, wire, cost.RecvOverhead, rdv) {
-			return rdv
-		}
+	l := p.ev.loop
+	if l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
+		carried, 0, wire, cost.RecvOverhead, rdv) {
+		return rdv
+	}
+	if l.pullForward(gdst) && l.deliverDirect(gdst, c.rank, p.rank, tag, c.ctx, size,
+		carried, 0, wire, cost.RecvOverhead, rdv) {
+		return rdv
 	}
 	w.mailboxes[gdst].deliver(c.rank, tag, c.ctx, size, nil,
 		0, wire, cost.RecvOverhead, rdv)
 	return rdv
 }
 
-// evLoop returns the event loop driving this rank, nil under the
-// goroutine engine.
-func (p *Proc) evLoop() *eventLoop {
-	if p.ev == nil {
-		return nil
-	}
-	return p.ev.loop
-}
-
-// completeSend blocks until the rendezvous transfer finishes and advances
-// the sender clock to its completion instant. It is a no-op for eager
-// sends. The error is a fault-plan failure: the receiver died and the
-// stall detector broke the wait (the handshake is abandoned, not
-// recycled).
+// completeSend parks the rank until the rendezvous transfer finishes and
+// advances the sender clock to its completion instant. It is a no-op for
+// eager sends. The error is the rank's failure when it fails while parked
+// — the receiver died under a fault plan, or the run was canceled — and
+// the handshake is then abandoned, not recycled.
 func (c *Comm) completeSend(rdv *rendezvous) error {
 	if rdv == nil {
 		return nil
 	}
-	var done vtime.Micros
-	if c.proc.ev != nil {
-		var err error
-		if done, err = c.completeSendEvent(rdv); err != nil {
-			return err
+	p := c.proc
+	for !rdv.ready {
+		if p.failure != nil {
+			return p.failure
 		}
-	} else if wd := c.proc.world.wd; wd != nil {
-		select {
-		case done = <-rdv.done:
-		default:
-			runtime.Gosched()
-			wd.enterRdv(c.proc.rank, rdv)
-			select {
-			case done = <-rdv.done:
-				wd.exit(c.proc.rank)
-			case <-wd.failedCh:
-				// The stall verification saw this handshake unreported while
-				// every rank was parked, so the report can never arrive: the
-				// two channels are never both ready.
-				wd.exit(c.proc.rank)
-				return c.proc.parkFailure()
-			case <-c.proc.world.cancelChan:
-				// The run was canceled; the handshake is abandoned like a
-				// failed one (rdv.done is buffered, so a late report never
-				// blocks the receiver).
-				wd.exit(c.proc.rank)
-				return c.proc.parkFailure()
-			}
-		}
-	} else {
-		select {
-		case done = <-rdv.done:
-		default:
-			// The receiver has not reported yet; hand it the CPU once before
-			// parking on the channel (see mailbox.match). A nil cancelChan
-			// (unarmed world) never fires, leaving this the plain blocking
-			// receive it always was.
-			runtime.Gosched()
-			select {
-			case done = <-rdv.done:
-			case <-c.proc.world.cancelChan:
-				return c.proc.parkFailure()
-			}
-		}
+		p.ev.wait = waitRdv
+		p.park()
 	}
-	c.proc.clock.AdvanceTo(done)
-	// The receiver has read payload and senderReady before reporting done,
-	// so the handshake can be reused for the next large message.
-	c.proc.putRendezvous(rdv)
+	p.clock.AdvanceTo(rdv.val)
+	// The receiver has read payload and senderReady before reporting, so
+	// the handshake can be reused for the next large message.
+	p.putRendezvous(rdv)
 	return nil
 }
 
@@ -250,8 +188,8 @@ func (c *Comm) recvBytes(src, tag int, buf []byte, max int) (Status, error) {
 	p.spent = nil
 	e := mb.match(p, src, tag, c.ctx, spent)
 	if e == nil {
-		// The stall detector broke the wait: a rank this receive depended
-		// on is dead.
+		// The rank failed while parked: a rank this receive depended on is
+		// dead, or the run was canceled.
 		return Status{}, p.parkFailure()
 	}
 	return c.finishRecv(e, buf, max)
@@ -307,13 +245,9 @@ func (c *Comm) finishRecv(e *envelope, buf []byte, max int) (Status, error) {
 			copy(buf[:n], rdv.payload[:n])
 		}
 		e.rdv = nil
-		if o := rdv.owner; o.ev != nil {
-			if !o.ev.loop.drainDirect(o, rdv, done) {
-				rdv.val, rdv.ready = done, true
-				o.ev.loop.wakeRdv(o)
-			}
-		} else {
-			rdv.done <- done
+		if o := rdv.owner; !o.ev.loop.drainDirect(o, rdv, done) {
+			rdv.val, rdv.ready = done, true
+			o.ev.loop.wakeRdv(o)
 		}
 	}
 	p.clock.Advance(e.recvOver)

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"math/bits"
-
-	"repro/internal/vtime"
-)
+import "math/bits"
 
 // Size-class arithmetic shared by the mailbox payload pools and the
 // per-Proc scratch arena, plus the per-Proc rendezvous freelist.
@@ -28,11 +24,7 @@ func payloadClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// getRendezvous draws a handshake from the rank's freelist. The completion
-// channel is reused across transfers: each cycle sends and receives exactly
-// one value, so a recycled channel is always empty. Event-engine ranks skip
-// the channel entirely: completion is reported through (val, ready) plus a
-// loop wake, so no channel is ever allocated for them.
+// getRendezvous draws a handshake from the rank's freelist.
 func (p *Proc) getRendezvous() *rendezvous {
 	if n := len(p.rdvFree); n > 0 {
 		r := p.rdvFree[n-1]
@@ -40,15 +32,11 @@ func (p *Proc) getRendezvous() *rendezvous {
 		p.rdvFree = p.rdvFree[:n-1]
 		return r
 	}
-	r := &rendezvous{owner: p}
-	if p.ev == nil {
-		r.done = make(chan vtime.Micros, 1)
-	}
-	return r
+	return &rendezvous{owner: p}
 }
 
 // putRendezvous recycles a drained handshake. Only the sender calls this
-// (after reading done), at which point the receiver has long since copied
+// (after reading the completion report), at which point the receiver has long since copied
 // out of the borrowed payload and read senderReady.
 func (p *Proc) putRendezvous(r *rendezvous) {
 	r.payload = nil

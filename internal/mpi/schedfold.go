@@ -149,7 +149,7 @@ func (c *Comm) schedFoldDrive() error {
 	if s == nil {
 		return nil
 	}
-	return c.driveSchedEvent(s)
+	return c.driveSteps(s)
 }
 
 // materializePending compiles the per-rank schedule of a deferred

@@ -18,7 +18,7 @@ package mpi
 //
 // Safety: a recycled slab may serve any future World, so a release must
 // happen only after every pointer into the slab from longer-lived
-// structures is severed. runEvent's teardown clears mailbox owners and
+// structures is severed. Run's teardown clears mailbox owners and
 // harvests schedules (scrubSched drops s.c) before releasing the rank
 // slabs; World.Release drops the world's own mailbox references before
 // releasing that slab. The clear() on take makes stale *contents*

@@ -130,6 +130,102 @@ func TestTestallAndTestany(t *testing.T) {
 	}
 }
 
+// TestTestYieldsToRanksAhead pins where an incomplete poll requeues its
+// rank: behind every runnable rank, not at its unchanged clock. Rank 0
+// spins on Test at virtual time 0 and outranks rank 1 on every (time,
+// rank) tie, so requeued at its clock it would run again before rank 1
+// ever sends, and the loop would never end.
+func TestTestYieldsToRanksAhead(t *testing.T) {
+	w := testWorld(t, 2, 2)
+	const n = 64
+	err := w.Run(func(p *Proc) error {
+		c := p.CommWorld()
+		if p.Rank() == 1 {
+			p.AdvanceClock(50)
+			return c.Send(pattern(1, n), 0, 3)
+		}
+		buf := make([]byte, n)
+		r, err := c.Irecv(buf, 1, 3)
+		if err != nil {
+			return err
+		}
+		for {
+			done, _, err := r.Test()
+			if err != nil {
+				return err
+			}
+			if done {
+				break
+			}
+		}
+		if !bytes.Equal(buf, pattern(1, n)) {
+			return errors.New("payload corrupted")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPollDoesNotStarveBuriedRank pins where a yielded poller runs: only
+// in the outermost loop frame. Rank 1 finishes its sub-communicator
+// Allreduce inside a nested frame, and rank 2's world Allreduce then
+// blocks in a frame above it. Rank 0's Test waits on a message rank 1
+// sends only after its frame unwinds, so a nested frame that resumed the
+// poller instead of yielding would cycle it forever.
+func TestPollDoesNotStarveBuriedRank(t *testing.T) {
+	const n = 64
+	w := parityWorld(t, 3, 3, Config{CarryData: true, DisableFold: true})
+	err := w.Run(func(p *Proc) error {
+		c := p.CommWorld()
+		color := 1
+		if p.Rank() == 0 {
+			color = 0
+		}
+		sub, err := c.Split(color, p.Rank())
+		if err != nil {
+			return err
+		}
+		out := make([]byte, n)
+		switch p.Rank() {
+		case 0:
+			buf := make([]byte, n)
+			r, err := c.Irecv(buf, 1, 7)
+			if err != nil {
+				return err
+			}
+			for {
+				done, _, err := r.Test()
+				if err != nil {
+					return err
+				}
+				if done {
+					break
+				}
+			}
+			if !bytes.Equal(buf, pattern(1, n)) {
+				return errors.New("payload corrupted")
+			}
+		case 1:
+			if err := sub.Allreduce(pattern(1, n), out, Float32, OpSum); err != nil {
+				return err
+			}
+			if err := c.Send(pattern(1, n), 0, 7); err != nil {
+				return err
+			}
+		case 2:
+			if err := sub.Allreduce(pattern(2, n), out, Float32, OpSum); err != nil {
+				return err
+			}
+		}
+		return c.Allreduce(pattern(p.Rank(), n), out, Float32, OpSum)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWaitanyMixesP2PAndCollective drives a collective request and a p2p
 // receive through one Waitany loop.
 func TestWaitanyMixesP2PAndCollective(t *testing.T) {

@@ -176,7 +176,6 @@ func EncodeOptions(opts core.Options) ([]byte, error) {
 		Window:         opts.Window,
 		Pairs:          opts.Pairs,
 		TimingOnly:     opts.TimingOnly,
-		Engine:         opts.Engine,
 		NoFold:         opts.NoFold,
 		Sizes:          opts.Sizes,
 		Algorithms:     opts.Algorithms,

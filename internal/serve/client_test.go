@@ -69,7 +69,6 @@ func TestClientEncodeRoundTrip(t *testing.T) {
 			Warmup:     2,
 			Window:     32,
 			TimingOnly: true,
-			Engine:     "event",
 			Sizes:      []int{1024, 4096},
 			DType:      mpi.Float64,
 			Tuning:     mpi.Tuning{AllreduceRabenseifnerMin: 4096, AllgatherRDMaxTotal: -1},

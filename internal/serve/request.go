@@ -37,7 +37,6 @@ type sweepRequest struct {
 	Window         int               `json:"window,omitempty"`
 	Pairs          int               `json:"pairs,omitempty"`
 	TimingOnly     bool              `json:"timing_only,omitempty"`
-	Engine         string            `json:"engine,omitempty"`
 	NoFold         bool              `json:"no_fold,omitempty"`
 	Sizes          []int             `json:"sizes,omitempty"`
 	DType          string            `json:"dtype,omitempty"`
@@ -93,7 +92,6 @@ func (req sweepRequest) options() (core.Options, error) {
 		Window:         req.Window,
 		Pairs:          req.Pairs,
 		TimingOnly:     req.TimingOnly,
-		Engine:         req.Engine,
 		NoFold:         req.NoFold,
 		Sizes:          req.Sizes,
 		Algorithms:     req.Algorithms,

@@ -36,10 +36,10 @@ func fastSweep(iters int) string {
 }
 
 // slowSweep is a request body that takes long enough to still be in flight
-// when a test pokes at it (a cold 1024-rank event-engine sweep).
+// when a test pokes at it (a cold 1024-rank sweep).
 func slowSweep(iters int) string {
 	return fmt.Sprintf(`{"benchmark":"allreduce","mode":"c","ranks":1024,"ppn":64,"timing_only":true,`+
-		`"engine":"event","min_size":16384,"max_size":65536,"iters":%d,"warmup":2}`, iters)
+		`"min_size":16384,"max_size":65536,"iters":%d,"warmup":2}`, iters)
 }
 
 func post(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
@@ -245,6 +245,7 @@ func TestBadRequests(t *testing.T) {
 		"unknown_bench":   `{"benchmark":"nosuch"}`,
 		"invalid_options": `{"benchmark":"latency","ranks":7}`,
 		"retired_knob":    `{"benchmark":"latency","no_schedfold":true}`,
+		"engine_field":    `{"benchmark":"latency","engine":"event"}`,
 		"trailing_data":   `{"benchmark":"latency"} trailing garbage`,
 		// A reducing py-mode sweep moves float32 elements, which the
 		// default bytearray buffer cannot hold.

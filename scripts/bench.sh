@@ -11,11 +11,8 @@
 # the repo are generated with the defaults and carry the pre-change
 # baseline alongside.
 #
-# The large-world benchmark runs under BOTH execution engines (goroutine
-# and event); the JSON carries their ratio as engine_speedup_large_world,
-# the before/after delta of the PR 4 event executor. The huge-world rows
-# are event-engine only: the goroutine engine cannot reach those rank
-# counts in reasonable wall-clock time.
+# The large-world benchmark is one 256-rank row; the huge-world rows scale
+# the same event loop to 262144 ranks.
 #
 # The multi-pair rows (PR 5) run the registry-registered mbw_mr benchmark
 # at a sparse (16x1) and a folded (63x7) placement and carry the aggregate
@@ -128,8 +125,6 @@ END {
 	printf "  \"generated\": \"%s\",\n", date
 	printf "  \"go\": \"%s/%s\",\n", goos, goarch
 	printf "  \"cpu\": \"%s\",\n", cpu
-	if (("EngineLargeWorld/goroutine" in ns) && ("EngineLargeWorld/event" in ns))
-		printf "  \"engine_speedup_large_world\": %.2f,\n", ns["EngineLargeWorld/goroutine"] / ns["EngineLargeWorld/event"]
 	if (("EngineHugeWorldNoFold/4096" in ns) && ("EngineHugeWorld/4096" in ns))
 		printf "  \"fold_speedup_huge_world\": %.2f,\n", ns["EngineHugeWorldNoFold/4096"] / ns["EngineHugeWorld/4096"]
 	if (base_ns != "" && ("EngineHugeWorld/4096" in ns))

@@ -72,14 +72,16 @@ func main() {
 		return
 	}
 
+	// The other flags set the run's own options; the table is a default,
+	// looked up at each run's placement.
+	var d core.Defaults
 	if *tableFile != "" {
 		data, err := os.ReadFile(*tableFile)
 		check(err)
-		table, err := mpi.ParseTuningTable(data)
+		d.TuningTable, err = mpi.ParseTuningTable(data)
 		if err != nil {
 			check(fmt.Errorf("-tuning-table %s: %w", *tableFile, err))
 		}
-		core.SetDefaultTuningTable(table)
 	}
 
 	b, err := core.ParseBenchmark(*bench)
@@ -123,14 +125,14 @@ func main() {
 	}
 
 	if *algo == "all" {
-		runAlgorithmSweep(ctx, opts, *par, *asJSON, *plot)
+		runAlgorithmSweep(ctx, d, opts, *par, *asJSON, *plot)
 		return
 	}
 	if *algo != "" {
 		opts.Algorithms = parseAlgorithmFlag(*algo, b)
 	}
 
-	rep, err := core.RunContext(ctx, opts)
+	rep, err := core.RunContext(ctx, d.Apply(opts))
 	check(err)
 
 	switch {
@@ -175,10 +177,10 @@ func parseAlgorithmFlag(algo string, b core.Benchmark) map[string]string {
 // runAlgorithmSweep runs the benchmark once per registered algorithm of
 // its collective (skipping ones infeasible at this rank count) on the
 // parallel sweep engine and prints the aligned table.
-func runAlgorithmSweep(ctx context.Context, opts core.Options, workers int, asJSON, plot bool) {
+func runAlgorithmSweep(ctx context.Context, d core.Defaults, opts core.Options, workers int, asJSON, plot bool) {
 	variants, err := core.AlgorithmVariants(opts)
 	check(err)
-	res, err := core.Sweep{Base: opts, Variants: variants, Workers: workers}.RunContext(ctx)
+	res, err := core.Sweep{Base: opts, Variants: variants, Workers: workers, Defaults: d}.RunContext(ctx)
 	check(err)
 	switch {
 	case asJSON:

@@ -43,6 +43,12 @@ func main() {
 	flag.Parse()
 	plotCharts = *plot
 
+	d := core.Defaults{
+		NoFold:       !*fold,
+		Faults:       *faults,
+		Timeout:      *timeout,
+		SweepWorkers: *par,
+	}
 	if *tableFile != "" {
 		data, err := os.ReadFile(*tableFile)
 		if err != nil {
@@ -52,20 +58,15 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("-tuning-table %s: %w", *tableFile, err))
 		}
-		core.SetDefaultTuningTable(table)
+		d.TuningTable = table
 	}
-
 	if *algo != "" {
 		forced, err := core.ParseAlgorithmList(*algo)
 		if err != nil {
 			fatal(err)
 		}
-		core.SetDefaultAlgorithms(forced)
+		d.Algorithms = forced
 	}
-	core.SetDefaultSweepWorkers(*par)
-	core.SetDefaultFold(*fold)
-	core.SetDefaultFaults(*faults)
-	core.SetDefaultTimeout(*timeout)
 
 	switch {
 	case *list:
@@ -81,8 +82,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := runOne(e); err != nil {
-			fatal(err)
+		if err := runOne(e, d); err != nil {
+			fatal(fmt.Errorf("%s FAILED: %w", e.ID, err))
 		}
 	case *all:
 		failed := 0
@@ -91,7 +92,7 @@ func main() {
 				fmt.Printf("=== %s: %s === (skipped; pass -heavy)\n\n", e.ID, e.Title)
 				continue
 			}
-			if err := runOne(e); err != nil {
+			if err := runOne(e, d); err != nil {
 				fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.ID, err)
 				failed++
 			}
@@ -108,9 +109,9 @@ func main() {
 // plotCharts mirrors the -plot flag.
 var plotCharts bool
 
-func runOne(e experiments.Experiment) error {
+func runOne(e experiments.Experiment, d core.Defaults) error {
 	start := time.Now()
-	res, err := e.Run()
+	res, err := e.RunWith(d)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/mpi"
@@ -66,106 +67,142 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
+// MarshalText implements encoding.TextMarshaler with the String name.
+func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler through ParseMode; the
+// empty string is ModeC, the zero value, as an omitted mode is.
+func (m *Mode) UnmarshalText(text []byte) (err error) {
+	*m = ModeC
+	if len(text) > 0 {
+		*m, err = ParseMode(string(text))
+	}
+	return err
+}
+
 // Options configures one benchmark run. Zero values take OMB-style
-// defaults via withDefaults.
+// defaults via withDefaults. The JSON form is the POST /sweep wire form and
+// what CacheKey hashes.
 type Options struct {
-	Benchmark Benchmark
-	Cluster   string
-	Impl      netmodel.Impl
-	Mode      Mode
+	Benchmark Benchmark     `json:"benchmark"`
+	Cluster   string        `json:"cluster,omitempty"`
+	Impl      netmodel.Impl `json:"impl,omitempty"`
+	Mode      Mode          `json:"mode,omitempty"`
 	// Buffer is the Python buffer library (Py/Pickle modes).
-	Buffer pybuf.Library
+	Buffer pybuf.Library `json:"buffer,omitempty"`
 	// UseGPU binds ranks to GPUs and allocates device buffers.
-	UseGPU bool
+	UseGPU bool `json:"gpu,omitempty"`
 	// Ranks and PPN shape the job; pt2pt benchmarks need exactly 2 ranks
 	// (multi_lat: any even count).
-	Ranks, PPN int
+	Ranks int `json:"ranks,omitempty"`
+	PPN   int `json:"ppn,omitempty"`
 	// MinSize and MaxSize bound the message-size sweep (bytes, powers of
 	// two). Barrier ignores them.
-	MinSize, MaxSize int
+	MinSize int `json:"min_size,omitempty"`
+	MaxSize int `json:"max_size,omitempty"`
 	// Iters/Warmup are per-size loop counts; sizes at or above
 	// LargeThreshold use LargeIters/LargeWarmup, as OMB does.
-	Iters, Warmup           int
-	LargeThreshold          int
-	LargeIters, LargeWarmup int
+	Iters          int `json:"iters,omitempty"`
+	Warmup         int `json:"warmup,omitempty"`
+	LargeThreshold int `json:"large_threshold,omitempty"`
+	LargeIters     int `json:"large_iters,omitempty"`
+	LargeWarmup    int `json:"large_warmup,omitempty"`
 	// Window is the bandwidth-test window size.
-	Window int
+	Window int `json:"window,omitempty"`
 	// Pairs is the sender/receiver pair count of the multi-pair benchmarks
 	// (mbw_mr, multi_bw); 0 means Ranks/2, the OSU default. Benchmarks
 	// outside the multi-pair family ignore it.
-	Pairs int
+	Pairs int `json:"pairs,omitempty"`
 	// TimingOnly runs without payloads (huge-scale experiments).
-	TimingOnly bool
+	TimingOnly bool `json:"timing_only,omitempty"`
 	// NoFold disables the event loop's symmetry folding, forcing every
 	// rank to execute individually. Folding changes no reported number —
 	// the parity suite pins bit-identical virtual times either way — so
 	// this exists for A/B measurement (the fold-speedup benchmarks) and as
 	// an escape hatch.
-	NoFold bool
+	NoFold bool `json:"no_fold,omitempty"`
 	// Sizes, when non-empty, is the explicit message-size axis, replacing
 	// the MinSize/MaxSize power-of-two sweep — the crossover-scan
 	// experiments step linearly through the switch region. Sizes must be
 	// positive and strictly increasing.
-	Sizes []int
+	Sizes []int `json:"sizes,omitempty"`
 	// DType is the element type (defaults: uint8 pt2pt, float32 reductions).
-	DType mpi.DType
-	// Profiler, when set, records the binding layer's staging phases.
-	Profiler *mpi4py.Profiler
+	DType mpi.DType `json:"dtype,omitempty"`
+	// Profiler, when set, records the binding layer's staging phases. A
+	// hook has no wire form.
+	Profiler *mpi4py.Profiler `json:"-"`
 	// Tuning overrides the runtime's collective algorithm thresholds
 	// (zero fields keep defaults); used by the ablation benchmarks.
-	Tuning mpi.Tuning
+	Tuning mpi.Tuning `json:"tuning,omitzero"`
 	// Algorithms forces a named algorithm per collective, mirroring
 	// MVAPICH2's MV2_*_ALGORITHM knobs: keys are collective names
 	// ("bcast", "allreduce", "allgather", "alltoall", "reduce_scatter"),
 	// values are registered algorithm names or their aliases ("ring",
 	// "rd", "raben", ...). Names are canonicalised and validated; a nil
-	// map takes the process default set via SetDefaultAlgorithms.
-	Algorithms map[string]string
+	// map takes Defaults.Algorithms.
+	Algorithms map[string]string `json:"algorithms,omitempty"`
 	// Faults is a deterministic fault-injection spec (see internal/faults:
 	// "kill:rank=3,after=2:allreduce; noise:sigma=5us; jitter:link=0.1").
 	// A run whose world fails mid-benchmark reports the structured failure
 	// in Report.Failure instead of aborting; the empty string (after
-	// SetDefaultFaults) simulates a perfect machine at zero cost.
-	Faults string
+	// Defaults.Faults) simulates a perfect machine at zero cost.
+	Faults string `json:"faults,omitempty"`
 }
 
-// defaultNoFold is the process-wide fold default applied when
-// Options.NoFold is false; the CLIs' -fold=false flag sets it.
-var defaultNoFold bool
+// Defaults are the run-wide settings the CLIs build from their flags, one
+// field per flag. They fill only what a run's Options leave unset, and the
+// zero value changes nothing. Runs see them through Sweep.Defaults or
+// tune.Config.Defaults; core keeps no process-wide defaults.
+type Defaults struct {
+	// NoFold (-fold=false) turns symmetry folding off in every run.
+	NoFold bool
+	// Faults (-faults) is the plan of runs whose Options.Faults is empty.
+	Faults string
+	// Algorithms (-algorithm) forces algorithms in runs whose
+	// Options.Algorithms is nil, as MV2_*_ALGORITHM in a job's environment.
+	Algorithms map[string]string
+	// TuningTable (-tuning-table) is the weakest default: a run whose
+	// placement matches an entry takes its thresholds unless Options.Tuning
+	// sets any knob, and its forced algorithms unless Options.Algorithms or
+	// Defaults.Algorithms supplies a map.
+	TuningTable *mpi.TuningTable
+	// Timeout (-timeout) bounds each run's wall-clock time; expiry is a
+	// `timeout` Report.Failure. Zero means no budget.
+	Timeout time.Duration
+	// SweepWorkers (-parallel) is the worker count of sweeps whose Workers
+	// is zero; below 1 runs them serially.
+	SweepWorkers int
+}
 
-// SetDefaultFold installs the process-wide symmetry-folding default for
-// the event loop (true = fold, the normal setting). It is meant to be
-// called once at CLI startup, before any Run.
-func SetDefaultFold(fold bool) { defaultNoFold = !fold }
-
-// defaultFaults is the process-wide fault-plan default applied when
-// Options.Faults is empty; the CLIs' -faults flag sets it.
-var defaultFaults string
-
-// SetDefaultFaults installs the process-wide fault-injection spec. It is
-// meant to be called once at CLI startup, before any Run.
-func SetDefaultFaults(spec string) { defaultFaults = spec }
-
-// defaultAlgorithms is the process-wide forced-algorithm default applied
-// when Options.Algorithms is nil -- the CLIs' -algorithm flag sets it, the
-// analogue of exporting MV2_*_ALGORITHM into a job's environment.
-var defaultAlgorithms map[string]string
-
-// SetDefaultAlgorithms installs the process-wide forced-algorithm default.
-// It is meant to be called once at CLI startup, before any Run.
-func SetDefaultAlgorithms(m map[string]string) { defaultAlgorithms = m }
-
-// defaultTuningTable is the process-wide placement-indexed tuning table
-// (the artifact ombtune generates); the CLIs' -tuning-table flag sets it.
-var defaultTuningTable *mpi.TuningTable
-
-// SetDefaultTuningTable installs a generated tuning table as the weakest
-// process-wide default: a run whose placement matches an entry takes the
-// entry's thresholds (unless Options.Tuning overrides any knob) and its
-// forced algorithms (unless Options.Algorithms or SetDefaultAlgorithms
-// supplies a map). It is meant to be called once at CLI startup, before
-// any Run. Pass nil to clear.
-func SetDefaultTuningTable(t *mpi.TuningTable) { defaultTuningTable = t }
+// Apply returns o with d filled into the fields o leaves unset. The tuning
+// table is consulted at the placement the run will have, after
+// withDefaults.
+func (d Defaults) Apply(o Options) Options {
+	if o.Algorithms == nil {
+		o.Algorithms = d.Algorithms
+	}
+	if d.TuningTable != nil {
+		eff := o.withDefaults()
+		if pol, ok := d.TuningTable.Lookup(eff.Ranks, eff.PPN); ok {
+			if o.Tuning == (mpi.Tuning{}) {
+				o.Tuning = pol.Tuning
+			}
+			if o.Algorithms == nil && len(pol.Forced) > 0 {
+				o.Algorithms = make(map[string]string, len(pol.Forced))
+				for coll, name := range pol.Forced {
+					o.Algorithms[string(coll)] = name
+				}
+			}
+		}
+	}
+	if o.Faults == "" {
+		o.Faults = d.Faults
+	}
+	if d.NoFold {
+		o.NoFold = true
+	}
+	return o
+}
 
 // ParseAlgorithmList parses a comma-separated list of collective=algorithm
 // pairs ("allgather=ring,allreduce=rd") into an Options.Algorithms map,
@@ -198,7 +235,8 @@ func ParseAlgorithmList(s string) (map[string]string, error) {
 }
 
 // mpiAlgorithms canonicalises Options.Algorithms into the runtime's forced
-// map.
+// map. Two keys naming one collective ("bcast" and "broadcast") are an
+// error: which of them won would depend on map order.
 func (o Options) mpiAlgorithms() (map[mpi.Collective]string, error) {
 	if len(o.Algorithms) == 0 {
 		return nil, nil
@@ -216,14 +254,19 @@ func (o Options) mpiAlgorithms() (map[mpi.Collective]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		if _, dup := out[c]; dup {
+			return nil, fmt.Errorf("core: Algorithms forces collective %s twice", c)
+		}
 		out[c] = canon
 	}
 	return out, nil
 }
 
-// withDefaults fills OMB-style defaults and normalises sizes. The
-// benchmark name is canonicalised through the registry so aliases behave
-// exactly like the canonical spelling everywhere downstream.
+// withDefaults fills OMB-style defaults and normalises sizes. It reads
+// nothing but o. The benchmark and forced algorithm names are
+// canonicalised through the registries so aliases behave exactly like the
+// canonical spelling everywhere downstream; a forced map that does not
+// canonicalise is kept as given, for validate to reject.
 func (o Options) withDefaults() Options {
 	if spec, err := LookupBenchmark(string(o.Benchmark)); err == nil {
 		o.Benchmark = spec.Name
@@ -270,28 +313,11 @@ func (o Options) withDefaults() Options {
 	if es := o.DType.Size(); o.MinSize < es {
 		o.MinSize = es
 	}
-	if o.Algorithms == nil {
-		o.Algorithms = defaultAlgorithms
-	}
-	// The tuning table is the weakest default: explicit Options fields and
-	// the -algorithm process default both beat a matching table entry.
-	if pol, ok := defaultTuningTable.Lookup(o.Ranks, o.PPN); ok {
-		if o.Tuning == (mpi.Tuning{}) {
-			o.Tuning = pol.Tuning
+	if algos, err := o.mpiAlgorithms(); err == nil && len(o.Algorithms) > 0 {
+		o.Algorithms = make(map[string]string, len(algos))
+		for coll, name := range algos {
+			o.Algorithms[string(coll)] = name
 		}
-		if o.Algorithms == nil && len(pol.Forced) > 0 {
-			forced := make(map[string]string, len(pol.Forced))
-			for coll, name := range pol.Forced {
-				forced[string(coll)] = name
-			}
-			o.Algorithms = forced
-		}
-	}
-	if o.Faults == "" {
-		o.Faults = defaultFaults
-	}
-	if defaultNoFold {
-		o.NoFold = true
 	}
 	return o
 }

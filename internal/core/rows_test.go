@@ -127,36 +127,34 @@ func TestSizeSubsetRowsMatchFullSweep(t *testing.T) {
 	})
 }
 
-// TestSelectedAlgorithm pins what the helper resolves: the -algorithm and
-// -tuning-table process defaults count as they do in a run, and options
-// that select nothing, or fail to, return an error.
+// TestSelectedAlgorithm pins what the helper resolves: -algorithm and
+// -tuning-table Defaults count once applied, as they do in a run, and
+// options that select nothing, or fail to, return an error.
 func TestSelectedAlgorithm(t *testing.T) {
 	opts := Options{Benchmark: Allgather, Ranks: 16, TimingOnly: true}
-	selected := func() string {
+	selected := func(o Options) string {
 		t.Helper()
-		got, err := opts.SelectedAlgorithm(1024)
+		got, err := o.SelectedAlgorithm(1024)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
-	if got := selected(); got != "recursive_doubling" {
+	if got := selected(opts); got != "recursive_doubling" {
 		t.Errorf("allgather 1 KiB at 16 ranks selects %s, want recursive_doubling", got)
 	}
 	t.Run("algorithm default", func(t *testing.T) {
-		SetDefaultAlgorithms(map[string]string{"allgather": "ring"})
-		defer SetDefaultAlgorithms(nil)
-		if got := selected(); got != "ring" {
+		d := Defaults{Algorithms: map[string]string{"allgather": "ring"}}
+		if got := selected(d.Apply(opts)); got != "ring" {
 			t.Errorf("-algorithm allgather=ring: selected %s", got)
 		}
 	})
 	t.Run("tuning table", func(t *testing.T) {
-		SetDefaultTuningTable(&mpi.TuningTable{Entries: []mpi.TuningTableEntry{{
+		d := Defaults{TuningTable: &mpi.TuningTable{Entries: []mpi.TuningTableEntry{{
 			Ranks: 16, PPN: 1,
 			Policy: mpi.Policy{Forced: map[mpi.Collective]string{mpi.CollAllgather: "ring"}},
-		}}})
-		defer SetDefaultTuningTable(nil)
-		if got := selected(); got != "ring" {
+		}}}}
+		if got := selected(d.Apply(opts)); got != "ring" {
 			t.Errorf("-tuning-table forcing allgather=ring: selected %s", got)
 		}
 	})
@@ -189,10 +187,8 @@ func TestRowsIsolated(t *testing.T) {
 	if noisy.RowsIsolated() {
 		t.Error("a noise plan's draws run on across sizes")
 	}
-	SetDefaultFaults("jitter:link=0.2; seed:3")
-	defer SetDefaultFaults("")
-	if opts.RowsIsolated() {
-		t.Error("the -faults process default counts like an explicit plan")
+	if (Defaults{Faults: "jitter:link=0.2; seed:3"}).Apply(opts).RowsIsolated() {
+		t.Error("an applied -faults default counts like an explicit plan")
 	}
 	if (Options{Benchmark: Barrier, Ranks: 4}).RowsIsolated() {
 		t.Error("barrier's fixed size axis ignores Sizes")

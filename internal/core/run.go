@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/mpi"
@@ -81,22 +80,6 @@ func classifyFailure(err error) *Failure {
 	return nil
 }
 
-// defaultRunTimeout is the process-wide per-run deadline applied by
-// RunContext on top of whatever context the caller passes (the earliest
-// deadline wins); zero means no budget. The CLIs' -timeout flag sets it.
-var defaultRunTimeout time.Duration
-
-// SetDefaultTimeout installs the process-wide simulation time budget: every
-// Run (including the ones experiments issue internally) is canceled after d
-// and reports a `timeout` failure in Report.Failure instead of running on.
-// It is meant to be called once at CLI startup, before any Run.
-func SetDefaultTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	defaultRunTimeout = d
-}
-
 // Run executes one benchmark configuration and returns its per-size series.
 // The run is deterministic: identical options yield identical numbers.
 // The workload itself comes from the benchmark registry: the loop sizes the
@@ -110,15 +93,8 @@ func Run(opts Options) (*Report, error) {
 // the simulation stops promptly and the outcome is
 // classified in Report.Failure (code "canceled" or "timeout") exactly like
 // a fault-plan failure — the rows completed before the cancel stay in the
-// report, and the world's cross-run pools remain reusable. The process-wide
-// SetDefaultTimeout budget, when set, is layered on top of ctx (the
-// earliest deadline wins).
+// report, and the world's cross-run pools remain reusable.
 func RunContext(ctx context.Context, opts Options) (*Report, error) {
-	if defaultRunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, defaultRunTimeout)
-		defer cancel()
-	}
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -237,9 +213,9 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 
 // SelectedAlgorithm names the algorithm a run of o dispatches for its
 // benchmark's collective at one message size. It resolves and validates
-// the options as RunContext does (withDefaults, so the -algorithm and
-// -tuning-table process defaults count) and asks mpi.Policy.Select about
-// the Selection the dispatch site builds (mpi.NewSelection). A selection
+// the options as RunContext does (a caller running under Defaults applies
+// them first, as a sweep does) and asks mpi.Policy.Select about the
+// Selection the dispatch site builds (mpi.NewSelection). A selection
 // error, such as a forced algorithm infeasible at this communicator size,
 // is the error the run fails with. Benchmarks without an algorithm
 // registry select nothing, and neither does pickle mode, whose collectives
@@ -279,8 +255,8 @@ func (o Options) SelectedAlgorithm(size int) (string, error) {
 // RowsIsolated reports whether every row of a run of o depends only on the
 // options other than Sizes and on the row's own size, so that a run over a
 // subset of Sizes reports those rows bit for bit. RunContext rewinds every
-// clock between sizes, which makes this hold unless the effective options
-// carry an active fault plan (SetDefaultFaults included), whose draws keep
+// clock between sizes, which makes this hold unless the options carry an
+// active fault plan (Defaults.Faults counts once applied), whose draws keep
 // counting across sizes, or the benchmark has a fixed size axis that
 // replaces Sizes.
 func (o Options) RowsIsolated() bool {

@@ -24,23 +24,13 @@ type Sweep struct {
 	// Workers bounds how many variants run concurrently. Every variant
 	// owns an independent virtual world, so scheduling cannot change the
 	// numbers: results are bit-identical to serial execution and reported
-	// in declaration order. 0 takes the process default (serial unless
-	// SetDefaultSweepWorkers raised it); negative uses GOMAXPROCS.
+	// in declaration order. 0 takes Defaults.SweepWorkers (serial when
+	// that is below 1); negative uses GOMAXPROCS.
 	Workers int
-}
-
-// defaultSweepWorkers is the process-wide worker count applied when
-// Sweep.Workers is zero; the CLIs' -parallel flag raises it.
-var defaultSweepWorkers = 1
-
-// SetDefaultSweepWorkers installs the process-wide sweep parallelism
-// (values below 1 reset to serial). It is meant to be called once at CLI
-// startup.
-func SetDefaultSweepWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultSweepWorkers = n
+	// Defaults fill each variant's options after its Mutate, so a tuning
+	// table entry is looked up at the variant's own placement, and
+	// Defaults.Timeout bounds each variant's run.
+	Defaults Defaults
 }
 
 // Variant is one line of a figure.
@@ -80,7 +70,7 @@ func (s Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	}
 	workers := s.Workers
 	if workers == 0 {
-		workers = defaultSweepWorkers
+		workers = max(s.Defaults.SweepWorkers, 1)
 	}
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -151,14 +141,20 @@ func (s Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 }
 
 // runVariant derives and runs the i-th configuration under the sweep's
-// context.
+// context and Defaults; Defaults.Timeout, when set, bounds the run on top
+// of ctx (the earliest deadline wins).
 func (s Sweep) runVariant(ctx context.Context, i int) (*Report, error) {
 	v := s.Variants[i]
 	opts := s.Base
 	if v.Mutate != nil {
 		v.Mutate(&opts)
 	}
-	rep, err := RunContext(ctx, opts)
+	if s.Defaults.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.Defaults.Timeout)
+		defer cancel()
+	}
+	rep, err := RunContext(ctx, s.Defaults.Apply(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -204,21 +200,4 @@ func (r *SweepResult) Series() []*stats.Series {
 // Table renders the sweep as a size-by-variant table.
 func (r *SweepResult) Table(title, metric string) stats.Table {
 	return stats.Table{Title: title, Metric: metric, Series: r.Series()}
-}
-
-// BaselinePair is the most common sweep: the benchmark under ModeC (OMB)
-// and ModePy (OMB-Py), returning (baseline, py) series.
-func BaselinePair(base Options) (*stats.Series, *stats.Series, error) {
-	sw := Sweep{
-		Base: base,
-		Variants: []Variant{
-			{Name: "OMB", Mutate: func(o *Options) { o.Mode = ModeC }},
-			{Name: "OMB-Py", Mutate: func(o *Options) { o.Mode = ModePy }},
-		},
-	}
-	res, err := sw.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	return &res.Reports[0].Series, &res.Reports[1].Series, nil
 }

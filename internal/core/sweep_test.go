@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/pybuf"
-	"repro/internal/stats"
 )
 
 func TestSweepRunsVariantsInOrder(t *testing.T) {
@@ -165,18 +164,5 @@ func TestSweepErrors(t *testing.T) {
 	}
 	if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Errorf("variant error not surfaced: %v", err)
-	}
-}
-
-func TestBaselinePair(t *testing.T) {
-	omb, ombpy, err := BaselinePair(quickOpts(Latency, ModeC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if omb.Name != "OMB" || ombpy.Name != "OMB-Py" {
-		t.Errorf("names %q %q", omb.Name, ombpy.Name)
-	}
-	if over := stats.AvgOverheadUs(ombpy, omb); over <= 0 {
-		t.Errorf("overhead %v", over)
 	}
 }

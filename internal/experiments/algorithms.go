@@ -53,13 +53,13 @@ func init() {
 			ID: "algo_" + string(ac.coll),
 			Title: fmt.Sprintf("Algorithm ablation: %s on %d ranks (beyond paper)",
 				ac.coll, ranks),
-			Run: func() (*Result, error) { return ac.run(ranks) },
+			run: func(d core.Defaults) (*Result, error) { return ac.run(d, ranks) },
 		})
 	}
 }
 
 // run sweeps every registered algorithm of the collective.
-func (ac algoAblation) run(ranks int) (*Result, error) {
+func (ac algoAblation) run(d core.Defaults, ranks int) (*Result, error) {
 	base := core.Options{
 		Benchmark: ac.bench, Mode: core.ModeC, Ranks: ranks, PPN: 1,
 		MinSize: 4, MaxSize: 1 << 20, TimingOnly: true,
@@ -69,7 +69,7 @@ func (ac algoAblation) run(ranks int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := (core.Sweep{Base: base, Variants: variants}).Run()
+	res, err := runSweep(d, core.Sweep{Base: base, Variants: variants})
 	if err != nil {
 		return nil, err
 	}

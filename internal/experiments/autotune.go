@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/stats"
 	"repro/internal/tune"
@@ -25,19 +27,20 @@ func init() {
 	register(Experiment{
 		ID:    "algo_autotune",
 		Title: "ALNS auto-tuned selection policy vs shipped defaults (beyond paper)",
-		Run:   runAutotune,
+		run:   runAutotune,
 	})
 }
 
 // autotunePlacements are the two regimes the tuning tables must hold in.
 var autotunePlacements = []tune.Placement{{Ranks: 16, PPN: 1}, {Ranks: 224, PPN: 56}}
 
-func runAutotune() (*Result, error) {
+func runAutotune(d core.Defaults) (*Result, error) {
 	res, err := tune.Run(context.Background(), tune.Config{
 		Seed:       1,
 		Iterations: 160,
 		Placements: autotunePlacements,
 		Workers:    4,
+		Defaults:   d,
 	})
 	if err != nil {
 		return nil, err
@@ -133,14 +136,11 @@ func runAutotune() (*Result, error) {
 // describeDisagreement summarizes how one tuned context departs from the
 // shipped defaults, listing only the thresholds the search actually moved.
 func describeDisagreement(cr tune.ContextReport) string {
-	def := mpi.DefaultTuning()
-	shipped := map[string]int{
-		"bcast_scatter_ring_min":     def.BcastScatterRingMin,
-		"allreduce_rabenseifner_min": def.AllreduceRabenseifnerMin,
-		"allgather_rd_max_total":     def.AllgatherRDMaxTotal,
-		"allgather_bruck_max_total":  def.AllgatherBruckMaxTotal,
-		"alltoall_bruck_max_block":   def.AlltoallBruckMaxBlock,
-	}
+	// The thresholds are named by mpi.Tuning's JSON form; a Tuning always
+	// marshals to a JSON object of ints.
+	var shipped map[string]int
+	wire, _ := json.Marshal(mpi.DefaultTuning())
+	_ = json.Unmarshal(wire, &shipped)
 	var parts []string
 	names := make([]string, 0, len(cr.Thresholds))
 	for name := range cr.Thresholds {

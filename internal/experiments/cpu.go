@@ -28,16 +28,16 @@ func init() {
 		register(Experiment{
 			ID:    ic.figSmall,
 			Title: fmt.Sprintf("Intra-node CPU latency, small messages, %s (OMB vs OMB-Py)", ic.cluster),
-			Run: func() (*Result, error) {
-				return latencyOverhead(ic.figSmall, ic.cluster, 2, 2, SmallMin, SmallMax,
+			run: func(d core.Defaults) (*Result, error) {
+				return latencyOverhead(d, ic.figSmall, ic.cluster, 2, 2, SmallMin, SmallMax,
 					"avg OMB-Py overhead (small)", ic.paperSmall)
 			},
 		})
 		register(Experiment{
 			ID:    ic.figLarge,
 			Title: fmt.Sprintf("Intra-node CPU latency, large messages, %s (OMB vs OMB-Py)", ic.cluster),
-			Run: func() (*Result, error) {
-				return latencyOverhead(ic.figLarge, ic.cluster, 2, 2, LargeMin, LargeMax,
+			run: func(d core.Defaults) (*Result, error) {
+				return latencyOverhead(d, ic.figLarge, ic.cluster, 2, 2, LargeMin, LargeMax,
 					"avg OMB-Py overhead (large)", ic.paperLarge)
 			},
 		})
@@ -47,16 +47,16 @@ func init() {
 	register(Experiment{
 		ID:    "fig8",
 		Title: "Inter-node CPU latency, small messages, Frontera (OMB vs OMB-Py)",
-		Run: func() (*Result, error) {
-			return latencyOverhead("fig8", "frontera", 2, 1, SmallMin, SmallMax,
+		run: func(d core.Defaults) (*Result, error) {
+			return latencyOverhead(d, "fig8", "frontera", 2, 1, SmallMin, SmallMax,
 				"avg OMB-Py overhead (small)", 0.43)
 		},
 	})
 	register(Experiment{
 		ID:    "fig9",
 		Title: "Inter-node CPU latency, large messages, Frontera (OMB vs OMB-Py)",
-		Run: func() (*Result, error) {
-			return latencyOverhead("fig9", "frontera", 2, 1, LargeMin, LargeMax,
+		run: func(d core.Defaults) (*Result, error) {
+			return latencyOverhead(d, "fig9", "frontera", 2, 1, LargeMin, LargeMax,
 				"avg OMB-Py overhead (large)", 0.63)
 		},
 	})
@@ -65,16 +65,16 @@ func init() {
 	register(Experiment{
 		ID:    "fig10",
 		Title: "Inter-node CPU bandwidth, small messages, Frontera (OMB vs OMB-Py)",
-		Run: func() (*Result, error) {
-			return bandwidthGap("fig10", "frontera", SmallMin, SmallMax,
+		run: func(d core.Defaults) (*Result, error) {
+			return bandwidthGap(d, "fig10", "frontera", SmallMin, SmallMax,
 				"avg OMB-Py bandwidth deficit 512B-8KiB", 1.05*1024, 512)
 		},
 	})
 	register(Experiment{
 		ID:    "fig11",
 		Title: "Inter-node CPU bandwidth, large messages, Frontera (OMB vs OMB-Py)",
-		Run: func() (*Result, error) {
-			return bandwidthGap("fig11", "frontera", LargeMin, BWMax,
+		run: func(d core.Defaults) (*Result, error) {
+			return bandwidthGap(d, "fig11", "frontera", LargeMin, BWMax,
 				"avg OMB-Py bandwidth deficit (large)", 331, 0)
 		},
 	})
@@ -83,16 +83,16 @@ func init() {
 	register(Experiment{
 		ID:    "fig12",
 		Title: "Allreduce CPU latency, small, 16 nodes x 1 ppn, Frontera",
-		Run: func() (*Result, error) {
-			return collectiveOverhead("fig12", core.Allreduce, 16, 1, 4, SmallMax, false,
+		run: func(d core.Defaults) (*Result, error) {
+			return collectiveOverhead(d, "fig12", core.Allreduce, 16, 1, 4, SmallMax, false,
 				"avg OMB-Py overhead (small)", 0.93)
 		},
 	})
 	register(Experiment{
 		ID:    "fig13",
 		Title: "Allreduce CPU latency, large, 16 nodes x 1 ppn, Frontera",
-		Run: func() (*Result, error) {
-			return collectiveOverhead("fig13", core.Allreduce, 16, 1, LargeMin, LargeMax, false,
+		run: func(d core.Defaults) (*Result, error) {
+			return collectiveOverhead(d, "fig13", core.Allreduce, 16, 1, LargeMin, LargeMax, false,
 				"avg OMB-Py overhead (large)", 14.13)
 		},
 	})
@@ -100,8 +100,8 @@ func init() {
 		ID:    "fig14",
 		Title: "Allreduce CPU latency, small, 16 nodes x 56 ppn (full subscription), Frontera",
 		Heavy: true,
-		Run: func() (*Result, error) {
-			return collectiveOverhead("fig14", core.Allreduce, 896, 56, 4, SmallMax, true,
+		run: func(d core.Defaults) (*Result, error) {
+			return collectiveOverhead(d, "fig14", core.Allreduce, 896, 56, 4, SmallMax, true,
 				"avg OMB-Py overhead (small)", 4.21)
 		},
 	})
@@ -109,8 +109,8 @@ func init() {
 		ID:    "fig15",
 		Title: "Allreduce CPU latency, large, 16 nodes x 56 ppn (full subscription), Frontera",
 		Heavy: true,
-		Run: func() (*Result, error) {
-			res, err := collectiveOverhead("fig15", core.Allreduce, 896, 56, LargeMin, HugeLargeMax, true,
+		run: func(d core.Defaults) (*Result, error) {
+			res, err := collectiveOverhead(d, "fig15", core.Allreduce, 896, 56, LargeMin, HugeLargeMax, true,
 				"avg OMB-Py overhead (large)", 0)
 			if err != nil {
 				return nil, err
@@ -128,16 +128,16 @@ func init() {
 	register(Experiment{
 		ID:    "fig16",
 		Title: "Allgather CPU latency, small, 16 nodes x 1 ppn, Frontera",
-		Run: func() (*Result, error) {
-			return collectiveOverhead("fig16", core.Allgather, 16, 1, SmallMin, SmallMax, false,
+		run: func(d core.Defaults) (*Result, error) {
+			return collectiveOverhead(d, "fig16", core.Allgather, 16, 1, SmallMin, SmallMax, false,
 				"avg OMB-Py overhead (small)", 0.92)
 		},
 	})
 	register(Experiment{
 		ID:    "fig17",
 		Title: "Allgather CPU latency, large, 16 nodes x 1 ppn, Frontera",
-		Run: func() (*Result, error) {
-			return collectiveOverhead("fig17", core.Allgather, 16, 1, LargeMin, LargeMax, false,
+		run: func(d core.Defaults) (*Result, error) {
+			return collectiveOverhead(d, "fig17", core.Allgather, 16, 1, LargeMin, LargeMax, false,
 				"avg OMB-Py overhead (large)", 23.4)
 		},
 	})
@@ -145,21 +145,21 @@ func init() {
 		ID:    "fig18",
 		Title: "Allgather CPU latency, small, 16 nodes x 56 ppn (full subscription), Frontera",
 		Heavy: true,
-		Run:   fig18,
+		run:   fig18,
 	})
 	register(Experiment{
 		ID:    "fig19",
 		Title: "Allgather CPU latency, large, 16 nodes x 56 ppn (full subscription), Frontera",
 		Heavy: true,
-		Run:   fig19,
+		run:   fig19,
 	})
 }
 
 // latencyOverhead runs the latency pair and reports the average overhead.
-func latencyOverhead(id, cluster string, ranks, ppn, minS, maxS int, statName string, paper float64) (*Result, error) {
-	omb, ombpy, err := runPair(pairConfig{
-		bench: core.Latency, cluster: cluster, ranks: ranks, ppn: ppn,
-		minS: minS, maxS: maxS,
+func latencyOverhead(d core.Defaults, id, cluster string, ranks, ppn, minS, maxS int, statName string, paper float64) (*Result, error) {
+	omb, ombpy, err := runPair(d, core.Options{
+		Benchmark: core.Latency, Cluster: cluster, Ranks: ranks, PPN: ppn,
+		MinSize: minS, MaxSize: maxS,
 	})
 	if err != nil {
 		return nil, err
@@ -174,10 +174,10 @@ func latencyOverhead(id, cluster string, ranks, ppn, minS, maxS int, statName st
 
 // bandwidthGap runs the bandwidth pair and reports the average deficit over
 // sizes >= gapMin (0 = all sizes).
-func bandwidthGap(id, cluster string, minS, maxS int, statName string, paperMBps float64, gapMin int) (*Result, error) {
-	omb, ombpy, err := runPair(pairConfig{
-		bench: core.Bandwidth, cluster: cluster, ranks: 2, ppn: 1,
-		minS: minS, maxS: maxS,
+func bandwidthGap(d core.Defaults, id, cluster string, minS, maxS int, statName string, paperMBps float64, gapMin int) (*Result, error) {
+	omb, ombpy, err := runPair(d, core.Options{
+		Benchmark: core.Bandwidth, Cluster: cluster, Ranks: 2, PPN: 1,
+		MinSize: minS, MaxSize: maxS,
 	})
 	if err != nil {
 		return nil, err
@@ -203,16 +203,16 @@ func bandwidthGap(id, cluster string, minS, maxS int, statName string, paperMBps
 }
 
 // collectiveOverhead runs a collective pair and reports average overhead.
-func collectiveOverhead(id string, bench core.Benchmark, ranks, ppn, minS, maxS int, heavy bool, statName string, paper float64) (*Result, error) {
-	pc := pairConfig{
-		bench: bench, cluster: "frontera", ranks: ranks, ppn: ppn,
-		minS: minS, maxS: maxS,
+func collectiveOverhead(d core.Defaults, id string, bench core.Benchmark, ranks, ppn, minS, maxS int, heavy bool, statName string, paper float64) (*Result, error) {
+	base := core.Options{
+		Benchmark: bench, Cluster: "frontera", Ranks: ranks, PPN: ppn,
+		MinSize: minS, MaxSize: maxS,
 	}
 	if heavy {
-		pc.timingOnly = true
-		pc.iters, pc.warmup = 3, 1
+		base.TimingOnly = true
+		base.Iters, base.Warmup = 3, 1
 	}
-	omb, ombpy, err := runPair(pc)
+	omb, ombpy, err := runPair(d, base)
 	if err != nil {
 		return nil, err
 	}
@@ -229,10 +229,10 @@ func collectiveOverhead(id string, bench core.Benchmark, ranks, ppn, minS, maxS 
 
 // fig18: the paper reports overhead growing from ~8 us at 1 B to ~345 us at
 // 8 KiB under full subscription.
-func fig18() (*Result, error) {
-	omb, ombpy, err := runPair(pairConfig{
-		bench: core.Allgather, cluster: "frontera", ranks: 896, ppn: 56,
-		minS: SmallMin, maxS: SmallMax, timingOnly: true, iters: 3, warmup: 1,
+func fig18(d core.Defaults) (*Result, error) {
+	omb, ombpy, err := runPair(d, core.Options{
+		Benchmark: core.Allgather, Cluster: "frontera", Ranks: 896, PPN: 56,
+		MinSize: SmallMin, MaxSize: SmallMax, TimingOnly: true, Iters: 3, Warmup: 1,
 	})
 	if err != nil {
 		return nil, err
@@ -254,13 +254,13 @@ func fig18() (*Result, error) {
 }
 
 // fig19: overhead up to ~41 ms at 32 KiB, ~16 ms average over the range.
-func fig19() (*Result, error) {
+func fig19(d core.Defaults) (*Result, error) {
 	// The paper's Figure 19 reports 41 ms at 32 KiB and a 16 ms range
 	// average, which brackets its plotted range around 16-32 KiB; larger
 	// sizes at 896 ranks would dwarf those numbers on any model.
-	omb, ombpy, err := runPair(pairConfig{
-		bench: core.Allgather, cluster: "frontera", ranks: 896, ppn: 56,
-		minS: LargeMin, maxS: 32 * 1024, timingOnly: true, iters: 2, warmup: 1,
+	omb, ombpy, err := runPair(d, core.Options{
+		Benchmark: core.Allgather, Cluster: "frontera", Ranks: 896, PPN: 56,
+		MinSize: LargeMin, MaxSize: 32 * 1024, TimingOnly: true, Iters: 2, Warmup: 1,
 	})
 	if err != nil {
 		return nil, err

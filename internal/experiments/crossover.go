@@ -21,7 +21,7 @@ func init() {
 	register(Experiment{
 		ID:    "algo_crossover_scan",
 		Title: "Allreduce rd->rabenseifner crossover, 1 KiB scan (beyond paper)",
-		Run:   runCrossoverScan,
+		run:   runCrossoverScan,
 	})
 }
 
@@ -36,7 +36,7 @@ func crossoverSizes() []int {
 
 // scanPlacement sweeps rd and rabenseifner over the fine axis on one
 // placement and returns both series.
-func scanPlacement(ranks, ppn int) (rd, raben *stats.Series, err error) {
+func scanPlacement(d core.Defaults, ranks, ppn int) (rd, raben *stats.Series, err error) {
 	label := fmt.Sprintf("%dx%d", ranks, ppn)
 	base := core.Options{
 		Benchmark: core.Allreduce, Mode: core.ModeC,
@@ -44,28 +44,28 @@ func scanPlacement(ranks, ppn int) (rd, raben *stats.Series, err error) {
 		Sizes: crossoverSizes(), MinSize: 2 * 1024, MaxSize: 64 * 1024,
 		Iters: 20, Warmup: 2, LargeIters: 20, LargeWarmup: 2,
 	}
-	res, err := (core.Sweep{Base: base, Variants: []core.Variant{
+	res, err := runSweep(d, core.Sweep{Base: base, Variants: []core.Variant{
 		{Name: "rd/" + label, Mutate: func(o *core.Options) {
 			o.Algorithms = map[string]string{"allreduce": "recursive_doubling"}
 		}},
 		{Name: "raben/" + label, Mutate: func(o *core.Options) {
 			o.Algorithms = map[string]string{"allreduce": "rabenseifner"}
 		}},
-	}}).Run()
+	}})
 	if err != nil {
 		return nil, nil, err
 	}
 	return &res.Reports[0].Series, &res.Reports[1].Series, nil
 }
 
-func runCrossoverScan() (*Result, error) {
+func runCrossoverScan(d core.Defaults) (*Result, error) {
 	// The ROADMAP's 16x1 configuration, plus full subscription (56 ranks on
 	// one Frontera node x 4 nodes) where the tuning tables must also hold.
-	rd16, raben16, err := scanPlacement(16, 1)
+	rd16, raben16, err := scanPlacement(d, 16, 1)
 	if err != nil {
 		return nil, err
 	}
-	rdFull, rabenFull, err := scanPlacement(224, 56)
+	rdFull, rabenFull, err := scanPlacement(d, 224, 56)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/netmodel"
 	"repro/internal/pybuf"
 	"repro/internal/stats"
 )
@@ -76,8 +75,15 @@ type Experiment struct {
 	Title string
 	// Heavy marks the 896-rank full-subscription runs.
 	Heavy bool
-	Run   func() (*Result, error)
+	run   func(d core.Defaults) (*Result, error)
 }
+
+// Run runs the experiment under the zero Defaults.
+func (e Experiment) Run() (*Result, error) { return e.run(core.Defaults{}) }
+
+// RunWith runs the experiment with every run it issues under d, the
+// defaults ombrepro builds from its flags; a failed run fails it.
+func (e Experiment) RunWith(d core.Defaults) (*Result, error) { return e.run(d) }
 
 var registry = map[string]Experiment{}
 var order []string
@@ -116,63 +122,47 @@ func All() []Experiment {
 	return out
 }
 
-// latencyPair runs OMB (C) and OMB-Py (direct numpy unless overridden) for
-// one latency-style benchmark and returns both series.
-type pairConfig struct {
-	bench      core.Benchmark
-	cluster    string
-	impl       netmodel.Impl
-	ranks, ppn int
-	useGPU     bool
-	buffer     pybuf.Library
-	minS, maxS int
-	timingOnly bool
-	iters      int
-	warmup     int
-}
-
-func (pc pairConfig) options(mode core.Mode) core.Options {
-	buf := pc.buffer
-	if mode == core.ModeC {
-		buf = pybuf.Bytearray // ignored by the C path
+// runPair runs base under OMB (C) and OMB-Py (numpy buffers unless base
+// names a library) as a two-variant sweep, so ombrepro's -parallel flag
+// overlaps them on the sweep engine's worker pool.
+func runPair(d core.Defaults, base core.Options) (omb, ombpy *stats.Series, err error) {
+	lib := base.Buffer
+	if lib == pybuf.Bytearray && !base.UseGPU {
+		lib = pybuf.NumPy
 	}
-	impl := pc.impl
-	if impl == "" {
-		impl = netmodel.MVAPICH2
-	}
-	return core.Options{
-		Benchmark:  pc.bench,
-		Cluster:    pc.cluster,
-		Impl:       impl,
-		Mode:       mode,
-		Buffer:     buf,
-		UseGPU:     pc.useGPU,
-		Ranks:      pc.ranks,
-		PPN:        pc.ppn,
-		MinSize:    pc.minS,
-		MaxSize:    pc.maxS,
-		TimingOnly: pc.timingOnly,
-		Iters:      pc.iters,
-		Warmup:     pc.warmup,
-	}
-}
-
-// runPair executes both modes as a two-variant sweep, so ombrepro's
-// -parallel flag overlaps them on the sweep engine's worker pool.
-func runPair(pc pairConfig) (omb, ombpy *stats.Series, err error) {
-	if pc.buffer == 0 && !pc.useGPU {
-		pc.buffer = pybuf.NumPy
-	}
-	sw := core.Sweep{
-		Base: pc.options(core.ModeC),
-		Variants: []core.Variant{
-			{Name: "OMB"},
-			{Name: "OMB-Py", Mutate: func(o *core.Options) { *o = pc.options(core.ModePy) }},
-		},
-	}
-	res, err := sw.Run()
+	base.Buffer = pybuf.Bytearray // ignored by the C path
+	res, err := runSweep(d, core.Sweep{Base: base, Variants: []core.Variant{
+		{Name: "OMB"},
+		{Name: "OMB-Py", Mutate: func(o *core.Options) { o.Mode, o.Buffer = core.ModePy, lib }},
+	}})
 	if err != nil {
 		return nil, nil, err
 	}
 	return &res.Reports[0].Series, &res.Reports[1].Series, nil
+}
+
+// runSweep runs sw with every variant under d. Every experiment run takes
+// this path, and a run that failed is an error naming its failure code: no
+// figure can be drawn from it.
+func runSweep(d core.Defaults, sw core.Sweep) (*core.SweepResult, error) {
+	sw.Defaults = d
+	res, err := sw.Run()
+	if err != nil {
+		return nil, err
+	}
+	for _, rep := range res.Reports {
+		if f := rep.Failure; f != nil {
+			return nil, fmt.Errorf("experiments: %s run failed: %s: %s", rep.Options.Benchmark, f.Code, f.Message)
+		}
+	}
+	return res, nil
+}
+
+// runOptions runs one configuration under d, as a one-variant sweep.
+func runOptions(d core.Defaults, opts core.Options) (*core.Report, error) {
+	res, err := runSweep(d, core.Sweep{Base: opts, Variants: []core.Variant{{}}})
+	if err != nil {
+		return nil, err
+	}
+	return res.Reports[0], nil
 }

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 func TestRegistryCoversEveryFigureAndTable(t *testing.T) {
@@ -36,7 +39,7 @@ func TestByID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ID != "fig2" || e.Run == nil {
+	if e.ID != "fig2" || e.run == nil {
 		t.Errorf("ByID returned %+v", e)
 	}
 	if _, err := ByID("fig99"); err == nil {
@@ -127,5 +130,23 @@ func TestStatDev(t *testing.T) {
 	}
 	if (Stat{Paper: 0, Measured: 1}).Dev() != 0 {
 		t.Error("Dev with zero paper should be 0")
+	}
+}
+
+// TestFailedRunFailsExperiment pins that an experiment refuses to report
+// on a failed run: a kill plan or an expired budget in its Defaults is an
+// error naming the failure code, not a table of NaN statistics.
+func TestFailedRunFailsExperiment(t *testing.T) {
+	e, err := ByID("fig16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for code, d := range map[string]core.Defaults{
+		"MPI_ERR_PROC_FAILED": {Faults: "kill:rank=3,after=2:allgather"},
+		"timeout":             {Timeout: time.Nanosecond},
+	} {
+		if _, err := e.RunWith(d); err == nil || !strings.Contains(err.Error(), code) {
+			t.Errorf("%+v: experiment error %v, want one naming %s", d, err, code)
+		}
 	}
 }

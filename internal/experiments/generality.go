@@ -15,29 +15,29 @@ func init() {
 	register(Experiment{
 		ID:    "fig26",
 		Title: "Inter-node CPU latency, small, OMB-Py with MVAPICH2 vs Intel MPI, Frontera",
-		Run: func() (*Result, error) {
-			return implCompare("fig26", core.Latency, SmallMin, SmallMax, true, 0.36)
+		run: func(d core.Defaults) (*Result, error) {
+			return implCompare(d, "fig26", core.Latency, SmallMin, SmallMax, true, 0.36)
 		},
 	})
 	register(Experiment{
 		ID:    "fig27",
 		Title: "Inter-node CPU latency, large, OMB-Py with MVAPICH2 vs Intel MPI, Frontera",
-		Run: func() (*Result, error) {
-			return implCompare("fig27", core.Latency, LargeMin, LargeMax, true, 0.36)
+		run: func(d core.Defaults) (*Result, error) {
+			return implCompare(d, "fig27", core.Latency, LargeMin, LargeMax, true, 0.36)
 		},
 	})
 	register(Experiment{
 		ID:    "fig28",
 		Title: "Inter-node CPU bandwidth, small, OMB-Py with MVAPICH2 vs Intel MPI, Frontera",
-		Run: func() (*Result, error) {
-			return implCompare("fig28", core.Bandwidth, SmallMin, SmallMax, false, 856)
+		run: func(d core.Defaults) (*Result, error) {
+			return implCompare(d, "fig28", core.Bandwidth, SmallMin, SmallMax, false, 856)
 		},
 	})
 	register(Experiment{
 		ID:    "fig29",
 		Title: "Inter-node CPU bandwidth, large, OMB-Py with MVAPICH2 vs Intel MPI, Frontera",
-		Run: func() (*Result, error) {
-			return implCompare("fig29", core.Bandwidth, LargeMin, BWMax, false, 856)
+		run: func(d core.Defaults) (*Result, error) {
+			return implCompare(d, "fig29", core.Bandwidth, LargeMin, BWMax, false, 856)
 		},
 	})
 }
@@ -45,17 +45,16 @@ func init() {
 // implCompare runs OMB-Py under both MPI implementations across the FULL
 // size range -- the paper quotes one average over all message sizes (0.36
 // us latency, 856 MB/s bandwidth) -- and tables only the requested window.
-func implCompare(id string, bench core.Benchmark, minS, maxS int, latency bool, paper float64) (*Result, error) {
+func implCompare(d core.Defaults, id string, bench core.Benchmark, minS, maxS int, latency bool, paper float64) (*Result, error) {
 	fullMax := LargeMax
 	if !latency {
 		fullMax = BWMax
 	}
 	run := func(impl netmodel.Impl) (*stats.Series, error) {
-		pc := pairConfig{
-			bench: bench, cluster: "frontera", impl: impl,
-			ranks: 2, ppn: 1, minS: SmallMin, maxS: fullMax,
-		}
-		rep, err := core.Run(pc.options(core.ModePy))
+		rep, err := runOptions(d, core.Options{
+			Benchmark: bench, Cluster: "frontera", Impl: impl, Mode: core.ModePy,
+			Ranks: 2, PPN: 1, MinSize: SmallMin, MaxSize: fullMax,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", impl, err)
 		}

@@ -43,15 +43,15 @@ func init() {
 	}
 	for _, gc := range cases {
 		gc := gc
-		register(Experiment{ID: gc.id, Title: gc.title, Run: func() (*Result, error) {
-			return gpuBuffers(gc.id, gc.bench, gc.ranks, gc.ppn, gc.minS, gc.maxS, gc.paper)
+		register(Experiment{ID: gc.id, Title: gc.title, run: func(d core.Defaults) (*Result, error) {
+			return gpuBuffers(d, gc.id, gc.bench, gc.ranks, gc.ppn, gc.minS, gc.maxS, gc.paper)
 		}})
 	}
 
 	register(Experiment{
 		ID:    "fig34",
 		Title: "Allreduce GPU overhead breakdown (CuPy/PyCUDA/Numba staging phases), Bridges-2",
-		Run:   fig34,
+		run:   fig34,
 	})
 }
 
@@ -59,22 +59,20 @@ func init() {
 // sweep, so ombrepro's -parallel flag overlaps them on the sweep engine's
 // worker pool, and reports each library's average overhead against the
 // paper's number.
-func gpuBuffers(id string, bench core.Benchmark, ranks, ppn, minS, maxS int, paper map[pybuf.Library]float64) (*Result, error) {
-	base := pairConfig{
-		bench: bench, cluster: "bridges2", ranks: ranks, ppn: ppn,
-		useGPU: true, minS: minS, maxS: maxS,
+func gpuBuffers(d core.Defaults, id string, bench core.Benchmark, ranks, ppn, minS, maxS int, paper map[pybuf.Library]float64) (*Result, error) {
+	base := core.Options{
+		Benchmark: bench, Cluster: "bridges2", Ranks: ranks, PPN: ppn,
+		UseGPU: true, MinSize: minS, MaxSize: maxS,
 	}
 	libs := pybuf.GPULibraries()
 	variants := []core.Variant{{Name: "OMB"}}
 	for _, lib := range libs {
-		pc := base
-		pc.buffer = lib
 		variants = append(variants, core.Variant{
 			Name:   "OMB-Py/" + lib.String(),
-			Mutate: func(o *core.Options) { *o = pc.options(core.ModePy) },
+			Mutate: func(o *core.Options) { o.Mode, o.Buffer = core.ModePy, lib },
 		})
 	}
-	res, err := core.Sweep{Base: base.options(core.ModeC), Variants: variants}.Run()
+	res, err := runSweep(d, core.Sweep{Base: base, Variants: variants})
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +96,7 @@ func gpuBuffers(id string, bench core.Benchmark, ranks, ppn, minS, maxS int, pap
 // fig34 profiles the staging phases of the GPU Allreduce per buffer library
 // and reports the phase shares the paper quotes (recv-prep ~48-50%,
 // send-prep ~32-40%, misc ~10-20%; 80-90% of overhead is buffer staging).
-func fig34() (*Result, error) {
+func fig34(d core.Defaults) (*Result, error) {
 	var sts []Stat
 	paperShares := map[pybuf.Library][3]float64{ // misc, send, recv fractions
 		pybuf.CuPy:   {0.16, 0.35, 0.49},
@@ -114,7 +112,7 @@ func fig34() (*Result, error) {
 			MinSize: 4, MaxSize: 64 * 1024, Iters: 10, Warmup: 2,
 			Profiler: prof,
 		}
-		if _, err := core.Run(opts); err != nil {
+		if _, err := runOptions(d, opts); err != nil {
 			return nil, fmt.Errorf("profiled run %v: %w", lib, err)
 		}
 		// Aggregate phase means across sizes.

@@ -20,7 +20,7 @@ func init() {
 	register(Experiment{
 		ID:    "algo_noise",
 		Title: "Allreduce crossover under OS noise and link jitter (beyond paper)",
-		Run:   runNoiseScan,
+		run:   runNoiseScan,
 	})
 }
 
@@ -30,7 +30,7 @@ func init() {
 const noisePlan = "noise:sigma=2us; jitter:link=0.1; seed:7"
 
 // scanPlacementFaults is scanPlacement with a fault plan attached.
-func scanPlacementFaults(ranks, ppn int, faultSpec, tag string) (rd, raben *stats.Series, err error) {
+func scanPlacementFaults(d core.Defaults, ranks, ppn int, faultSpec, tag string) (rd, raben *stats.Series, err error) {
 	label := fmt.Sprintf("%dx%d%s", ranks, ppn, tag)
 	base := core.Options{
 		Benchmark: core.Allreduce, Mode: core.ModeC,
@@ -39,26 +39,26 @@ func scanPlacementFaults(ranks, ppn int, faultSpec, tag string) (rd, raben *stat
 		Iters: 20, Warmup: 2, LargeIters: 20, LargeWarmup: 2,
 		Faults: faultSpec,
 	}
-	res, err := (core.Sweep{Base: base, Variants: []core.Variant{
+	res, err := runSweep(d, core.Sweep{Base: base, Variants: []core.Variant{
 		{Name: "rd/" + label, Mutate: func(o *core.Options) {
 			o.Algorithms = map[string]string{"allreduce": "recursive_doubling"}
 		}},
 		{Name: "raben/" + label, Mutate: func(o *core.Options) {
 			o.Algorithms = map[string]string{"allreduce": "rabenseifner"}
 		}},
-	}}).Run()
+	}})
 	if err != nil {
 		return nil, nil, err
 	}
 	return &res.Reports[0].Series, &res.Reports[1].Series, nil
 }
 
-func runNoiseScan() (*Result, error) {
-	rdClean, rabenClean, err := scanPlacementFaults(16, 1, "", "/clean")
+func runNoiseScan(d core.Defaults) (*Result, error) {
+	rdClean, rabenClean, err := scanPlacementFaults(d, 16, 1, "", "/clean")
 	if err != nil {
 		return nil, err
 	}
-	rdNoisy, rabenNoisy, err := scanPlacementFaults(16, 1, noisePlan, "/noisy")
+	rdNoisy, rabenNoisy, err := scanPlacementFaults(d, 16, 1, noisePlan, "/noisy")
 	if err != nil {
 		return nil, err
 	}

@@ -27,11 +27,11 @@ func init() {
 	register(Experiment{
 		ID:    "algo_overlap",
 		Title: "Iallreduce overlap ablation: recursive doubling vs rabenseifner (beyond paper)",
-		Run:   runAlgoOverlap,
+		run:   runAlgoOverlap,
 	})
 }
 
-func runAlgoOverlap() (*Result, error) {
+func runAlgoOverlap(d core.Defaults) (*Result, error) {
 	const ranks = 16
 	base := core.Options{
 		Benchmark: core.IAllreduce, Mode: core.ModeC, Ranks: ranks, PPN: 1,
@@ -46,7 +46,7 @@ func runAlgoOverlap() (*Result, error) {
 			o.Algorithms = map[string]string{"allreduce": "rabenseifner"}
 		}},
 	}
-	res, err := (core.Sweep{Base: base, Variants: variants}).Run()
+	res, err := runSweep(d, core.Sweep{Base: base, Variants: variants})
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,8 @@ func init() {
 	register(Experiment{
 		ID:    "fig30",
 		Title: "Inter-node CPU latency, small, pickle vs direct buffer, Frontera",
-		Run: func() (*Result, error) {
-			pk, direct, err := pickleBench(core.Latency, SmallMin, SmallMax)
+		run: func(d core.Defaults) (*Result, error) {
+			pk, direct, err := pickleBench(d, core.Latency, SmallMin, SmallMax)
 			if err != nil {
 				return nil, err
 			}
@@ -30,8 +30,8 @@ func init() {
 	register(Experiment{
 		ID:    "fig31",
 		Title: "Inter-node CPU latency, large, pickle vs direct buffer, Frontera",
-		Run: func() (*Result, error) {
-			pk, direct, err := pickleBench(core.Latency, LargeMin, BWMax)
+		run: func(d core.Defaults) (*Result, error) {
+			pk, direct, err := pickleBench(d, core.Latency, LargeMin, BWMax)
 			if err != nil {
 				return nil, err
 			}
@@ -48,8 +48,8 @@ func init() {
 	register(Experiment{
 		ID:    "fig32",
 		Title: "Inter-node CPU bandwidth, small, pickle vs direct buffer, Frontera",
-		Run: func() (*Result, error) {
-			pk, direct, err := pickleBench(core.Bandwidth, SmallMin, SmallMax)
+		run: func(d core.Defaults) (*Result, error) {
+			pk, direct, err := pickleBench(d, core.Bandwidth, SmallMin, SmallMax)
 			if err != nil {
 				return nil, err
 			}
@@ -69,8 +69,8 @@ func init() {
 	register(Experiment{
 		ID:    "fig33",
 		Title: "Inter-node CPU bandwidth, large, pickle vs direct buffer, Frontera",
-		Run: func() (*Result, error) {
-			pk, direct, err := pickleBench(core.Bandwidth, LargeMin, BWMax)
+		run: func(d core.Defaults) (*Result, error) {
+			pk, direct, err := pickleBench(d, core.Bandwidth, LargeMin, BWMax)
 			if err != nil {
 				return nil, err
 			}
@@ -87,16 +87,18 @@ func init() {
 }
 
 // pickleBench runs a benchmark in Pickle and Py (direct) modes.
-func pickleBench(bench core.Benchmark, minS, maxS int) (pickleSeries, directSeries *stats.Series, err error) {
-	base := pairConfig{
-		bench: bench, cluster: "frontera", ranks: 2, ppn: 1, minS: minS, maxS: maxS,
+func pickleBench(d core.Defaults, bench core.Benchmark, minS, maxS int) (pickleSeries, directSeries *stats.Series, err error) {
+	base := core.Options{
+		Benchmark: bench, Cluster: "frontera", Mode: core.ModePy,
+		Ranks: 2, PPN: 1, MinSize: minS, MaxSize: maxS,
 	}
-	direct, err := core.Run(base.options(core.ModePy))
+	direct, err := runOptions(d, base)
 	if err != nil {
 		return nil, nil, fmt.Errorf("direct: %w", err)
 	}
 	direct.Series.Name = "direct-buffer"
-	pk, err := core.Run(base.options(core.ModePickle))
+	base.Mode = core.ModePickle
+	pk, err := runOptions(d, base)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pickle: %w", err)
 	}

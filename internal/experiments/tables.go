@@ -16,17 +16,17 @@ func init() {
 	register(Experiment{
 		ID:    "table1",
 		Title: "Feature matrix of the OMB-Py design (Table I)",
-		Run:   table1,
+		run:   table1,
 	})
 	register(Experiment{
 		ID:    "table2",
 		Title: "Benchmarks supported by OMB-Py (Table II)",
-		Run:   table2,
+		run:   table2,
 	})
 	register(Experiment{
 		ID:    "table3",
 		Title: "Average OMB-Py overhead summary: CPU latency/Allreduce, GPU buffers (Table III)",
-		Run:   table3,
+		run:   table3,
 	})
 }
 
@@ -34,7 +34,7 @@ func init() {
 // OMB-Py design: point-to-point, blocking collectives, vector variants,
 // Python-side buffers of all five libraries. Each claim is verified by
 // actually running a benchmark that depends on it.
-func table1() (*Result, error) {
+func table1(d core.Defaults) (*Result, error) {
 	var sb strings.Builder
 	type claim struct {
 		feature string
@@ -74,7 +74,7 @@ func table1() (*Result, error) {
 	}
 	passed := 0
 	for _, cl := range claims {
-		if _, err := core.Run(cl.opts); err != nil {
+		if _, err := runOptions(d, cl.opts); err != nil {
 			return nil, fmt.Errorf("table1: feature %q failed: %w", cl.feature, err)
 		}
 		passed++
@@ -96,7 +96,7 @@ func table1() (*Result, error) {
 // count, supported modes and (for the fault family) a fault plan, so new
 // workloads join the table by registering themselves. The paper statistic
 // counts only the Table II groups.
-func table2() (*Result, error) {
+func table2(d core.Defaults) (*Result, error) {
 	var sb strings.Builder
 	paper := 0
 	for _, b := range core.Benchmarks() {
@@ -110,7 +110,7 @@ func table2() (*Result, error) {
 			Ranks: ranks, PPN: 2, MinSize: 8, MaxSize: 1024,
 			Iters: 3, Warmup: 1, Faults: faults,
 		}
-		if _, err := core.Run(opts); err != nil {
+		if _, err := runOptions(d, opts); err != nil {
 			return nil, fmt.Errorf("table2: %s failed: %w", b, err)
 		}
 		if spec.InTableII() {
@@ -128,7 +128,7 @@ func table2() (*Result, error) {
 }
 
 // table3 reproduces the paper's overhead summary matrix.
-func table3() (*Result, error) {
+func table3(d core.Defaults) (*Result, error) {
 	row := func(name string, paper float64, f func() (float64, error)) (Stat, error) {
 		m, err := f()
 		if err != nil {
@@ -138,9 +138,9 @@ func table3() (*Result, error) {
 	}
 	latOver := func(ppn, minS, maxS int) func() (float64, error) {
 		return func() (float64, error) {
-			omb, ombpy, err := runPair(pairConfig{
-				bench: core.Latency, cluster: "frontera", ranks: 2, ppn: ppn,
-				minS: minS, maxS: maxS,
+			omb, ombpy, err := runPair(d, core.Options{
+				Benchmark: core.Latency, Cluster: "frontera", Ranks: 2, PPN: ppn,
+				MinSize: minS, MaxSize: maxS,
 			})
 			if err != nil {
 				return 0, err
@@ -150,9 +150,9 @@ func table3() (*Result, error) {
 	}
 	allreduceOver := func(minS, maxS int) func() (float64, error) {
 		return func() (float64, error) {
-			omb, ombpy, err := runPair(pairConfig{
-				bench: core.Allreduce, cluster: "frontera", ranks: 16, ppn: 1,
-				minS: minS, maxS: maxS,
+			omb, ombpy, err := runPair(d, core.Options{
+				Benchmark: core.Allreduce, Cluster: "frontera", Ranks: 16, PPN: 1,
+				MinSize: minS, MaxSize: maxS,
 			})
 			if err != nil {
 				return 0, err
@@ -162,16 +162,16 @@ func table3() (*Result, error) {
 	}
 	gpuOver := func(lib pybuf.Library, minS, maxS int) func() (float64, error) {
 		return func() (float64, error) {
-			base := pairConfig{
-				bench: core.Latency, cluster: "bridges2", ranks: 2, ppn: 1,
-				useGPU: true, minS: minS, maxS: maxS,
+			base := core.Options{
+				Benchmark: core.Latency, Cluster: "bridges2", Ranks: 2, PPN: 1,
+				UseGPU: true, MinSize: minS, MaxSize: maxS,
 			}
-			cRep, err := core.Run(base.options(core.ModeC))
+			cRep, err := runOptions(d, base)
 			if err != nil {
 				return 0, err
 			}
-			base.buffer = lib
-			pyRep, err := core.Run(base.options(core.ModePy))
+			base.Mode, base.Buffer = core.ModePy, lib
+			pyRep, err := runOptions(d, base)
 			if err != nil {
 				return 0, err
 			}

@@ -23,12 +23,12 @@
 // seeded compute delay, uniform on [0, 2*sigma) (mean sigma), at every
 // collective entry of every rank. jitter stretches every message's wire
 // time by a seeded factor uniform on [1, 1+F). Durations accept "us", "ms"
-// and "s" suffixes (microseconds when bare); every number must be finite.
+// and "s" suffixes (microseconds when bare); durations and jitter fractions
+// must lie in [0, MaxMagnitude].
 package faults
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,6 +106,15 @@ func (p *Plan) String() string {
 	}
 	return strings.Join(parts, "; ")
 }
+
+// MaxMagnitude bounds every duration (in microseconds) and jitter fraction
+// a spec may give. Clocks are float64 microseconds: noise adds up to twice
+// sigma per collective entry and jitter stretches each message by up to
+// 1+F, so values near the float64 range overflow a clock to +Inf and the
+// report to NaN, which no JSON can encode. 1e9 (a thousand virtual seconds,
+// a billion-fold stretch) is far past any benchmark's scale and far from
+// overflow.
+const MaxMagnitude = 1e9
 
 // defaultSeed keys plans whose spec carries no seed clause.
 const defaultSeed = 1
@@ -227,8 +236,9 @@ func (p *Plan) parseJitter(rest string) error {
 		return fmt.Errorf("jitter needs link=F, got %q", rest)
 	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-	if err != nil || !(f >= 0) || math.IsInf(f, 0) {
-		return fmt.Errorf("jitter fraction %q must be a finite non-negative number", val)
+	// !(f >= 0) also catches NaN.
+	if err != nil || !(f >= 0) || f > MaxMagnitude {
+		return fmt.Errorf("jitter fraction %q must be a number from 0 to %g", val, MaxMagnitude)
 	}
 	p.Jitter = f
 	return nil
@@ -247,10 +257,10 @@ func parseDuration(s string) (float64, error) {
 		s, mult = s[:len(s)-1], 1e6
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	// The product is checked, not v: a finite value in seconds can
-	// overflow once converted to microseconds. !(v >= 0) also catches NaN.
-	if v *= mult; err != nil || !(v >= 0) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("duration %q must be a finite non-negative number with an optional us/ms/s suffix", s)
+	// The product is checked, not v: the bound is in microseconds. !(v >= 0)
+	// also catches NaN.
+	if v *= mult; err != nil || !(v >= 0) || v > MaxMagnitude {
+		return 0, fmt.Errorf("duration %q must be a number from 0 to %g us, with an optional us/ms/s suffix", s, MaxMagnitude)
 	}
 	return v, nil
 }

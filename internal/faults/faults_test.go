@@ -92,9 +92,18 @@ func TestParseErrors(t *testing.T) {
 		"kill:rank=1,at=NaN",
 		"kill:rank=1,at=+Inf",
 		"kill:rank=1,after=3,at=5us", // after=N means nothing to an at=T kill
+		// Past MaxMagnitude: noise and jitter that large overflow a clock.
+		"noise:sigma=1e307",
+		"jitter:link=1e308",
+		"kill:rank=1,at=1001s",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
+		}
+	}
+	for _, spec := range []string{"noise:sigma=1000s", "jitter:link=1e9", "kill:rank=1,at=1e9us"} {
+		if _, err := Parse(spec); err != nil {
+			t.Errorf("Parse(%q) at MaxMagnitude: %v", spec, err)
 		}
 	}
 }

@@ -8,9 +8,10 @@ import (
 
 // FuzzParseFaults feeds arbitrary specs to Parse. An accepted spec must
 // render (String) to a spec that parses back to an equal plan, and every
-// number in the plan must be finite: a NaN or infinite duration runs to
-// NaN latencies, which no report can encode. The committed corpus
-// (testdata/fuzz/FuzzParseFaults) holds the non-finite specs.
+// number in the plan must lie within MaxMagnitude: a NaN, infinite or
+// huge duration or jitter runs to NaN latencies, which no report can
+// encode. The committed corpus (testdata/fuzz/FuzzParseFaults) holds the
+// non-finite and huge specs.
 func FuzzParseFaults(f *testing.F) {
 	for _, spec := range []string{
 		"kill:rank=3,after=2:allreduce; noise:sigma=5us; jitter:link=0.1; seed:42",
@@ -26,15 +27,15 @@ func FuzzParseFaults(f *testing.F) {
 		if err != nil || p == nil {
 			return
 		}
-		finite := func(what string, v float64) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("Parse(%q) accepted a non-finite %s: %v", spec, what, v)
+		bounded := func(what string, v float64) {
+			if !(math.Abs(v) <= MaxMagnitude) {
+				t.Fatalf("Parse(%q) accepted %s %v, beyond MaxMagnitude", spec, what, v)
 			}
 		}
-		finite("noise sigma", p.NoiseSigma)
-		finite("jitter", p.Jitter)
+		bounded("noise sigma", p.NoiseSigma)
+		bounded("jitter", p.Jitter)
 		for _, k := range p.Kills {
-			finite("kill time", k.At)
+			bounded("kill time", k.At)
 		}
 		q, err := Parse(p.String())
 		if err != nil {

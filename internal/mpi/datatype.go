@@ -69,6 +69,19 @@ func ParseDType(s string) (DType, error) {
 	}
 }
 
+// MarshalText implements encoding.TextMarshaler with the String name.
+func (d DType) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler through ParseDType; the
+// empty string is Uint8, the zero value, as an omitted dtype is.
+func (d *DType) UnmarshalText(text []byte) (err error) {
+	*d = Uint8
+	if len(text) > 0 {
+		*d, err = ParseDType(string(text))
+	}
+	return err
+}
+
 // Op identifies a reduction operation.
 type Op int
 

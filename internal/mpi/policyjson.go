@@ -16,36 +16,18 @@ import (
 // means "default" only in the in-memory struct, never on the wire) and
 // forced algorithm names are canonicalized and validated on both ends.
 
-// tuningWire is the explicit JSON form of Tuning. Field names mirror the
-// Go names; values are the effective thresholds (defaults filled in).
-type tuningWire struct {
-	BcastScatterRingMin      int `json:"bcast_scatter_ring_min"`
-	AllreduceRabenseifnerMin int `json:"allreduce_rabenseifner_min"`
-	AllgatherRDMaxTotal      int `json:"allgather_rd_max_total"`
-	AllgatherBruckMaxTotal   int `json:"allgather_bruck_max_total"`
-	AlltoallBruckMaxBlock    int `json:"alltoall_bruck_max_block"`
-}
-
 // policyWire is the JSON form of Policy.
 type policyWire struct {
-	Tuning tuningWire        `json:"tuning"`
+	Tuning Tuning            `json:"tuning"`
 	Forced map[string]string `json:"forced,omitempty"`
 }
 
 // MarshalJSON encodes the policy with every threshold at its effective
 // value, so the decoded policy makes identical selection decisions even
-// if the shipped defaults change between versions.
+// if the shipped defaults change between versions. Effective thresholds
+// are never zero, so Tuning's omitempty tags drop none of them.
 func (p Policy) MarshalJSON() ([]byte, error) {
-	t := p.Tuning.withDefaults()
-	w := policyWire{
-		Tuning: tuningWire{
-			BcastScatterRingMin:      t.BcastScatterRingMin,
-			AllreduceRabenseifnerMin: t.AllreduceRabenseifnerMin,
-			AllgatherRDMaxTotal:      t.AllgatherRDMaxTotal,
-			AllgatherBruckMaxTotal:   t.AllgatherBruckMaxTotal,
-			AlltoallBruckMaxBlock:    t.AlltoallBruckMaxBlock,
-		},
-	}
+	w := policyWire{Tuning: p.Tuning.withDefaults()}
 	if len(p.Forced) > 0 {
 		w.Forced = make(map[string]string, len(p.Forced))
 		for coll, name := range p.Forced {
@@ -68,13 +50,7 @@ func (p *Policy) UnmarshalJSON(data []byte) error {
 	if err := dec.Decode(&w); err != nil {
 		return fmt.Errorf("mpi: decoding policy: %w", err)
 	}
-	out := Policy{Tuning: Tuning{
-		BcastScatterRingMin:      w.Tuning.BcastScatterRingMin,
-		AllreduceRabenseifnerMin: w.Tuning.AllreduceRabenseifnerMin,
-		AllgatherRDMaxTotal:      w.Tuning.AllgatherRDMaxTotal,
-		AllgatherBruckMaxTotal:   w.Tuning.AllgatherBruckMaxTotal,
-		AlltoallBruckMaxBlock:    w.Tuning.AlltoallBruckMaxBlock,
-	}}
+	out := Policy{Tuning: w.Tuning}
 	if len(w.Forced) > 0 {
 		out.Forced = make(map[Collective]string, len(w.Forced))
 		for collName, algoName := range w.Forced {
@@ -104,7 +80,7 @@ type TuningTableEntry struct {
 }
 
 // TuningTable is a placement-indexed set of selection policies -- the
-// artifact the auto-tuner emits and core.SetDefaultTuningTable consumes.
+// artifact the auto-tuner emits and core.Defaults.TuningTable consumes.
 // Entries match on exact (Ranks, PPN); placements not listed keep the
 // shipped defaults.
 type TuningTable struct {

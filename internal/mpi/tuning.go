@@ -15,17 +15,17 @@ package mpi
 type Tuning struct {
 	// BcastScatterRingMin is the message size at which Bcast switches from
 	// the binomial tree to scatter + ring allgather.
-	BcastScatterRingMin int
+	BcastScatterRingMin int `json:"bcast_scatter_ring_min,omitempty"`
 	// AllreduceRabenseifnerMin is the size at which Allreduce switches
 	// from recursive doubling to Rabenseifner.
-	AllreduceRabenseifnerMin int
+	AllreduceRabenseifnerMin int `json:"allreduce_rabenseifner_min,omitempty"`
 	// AllgatherRDMaxTotal bounds recursive-doubling allgather (power-of-two
 	// groups) by total payload.
-	AllgatherRDMaxTotal int
+	AllgatherRDMaxTotal int `json:"allgather_rd_max_total,omitempty"`
 	// AllgatherBruckMaxTotal bounds Bruck allgather by total payload.
-	AllgatherBruckMaxTotal int
+	AllgatherBruckMaxTotal int `json:"allgather_bruck_max_total,omitempty"`
 	// AlltoallBruckMaxBlock bounds Bruck alltoall by per-block size.
-	AlltoallBruckMaxBlock int
+	AlltoallBruckMaxBlock int `json:"alltoall_bruck_max_block,omitempty"`
 }
 
 // DefaultTuning returns the shipped thresholds.

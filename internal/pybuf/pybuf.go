@@ -64,6 +64,19 @@ func ParseLibrary(s string) (Library, error) {
 	}
 }
 
+// MarshalText implements encoding.TextMarshaler with the String name.
+func (l Library) MarshalText() ([]byte, error) { return []byte(l.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler through ParseLibrary;
+// the empty string is Bytearray, the zero value, as an omitted buffer is.
+func (l *Library) UnmarshalText(text []byte) (err error) {
+	*l = Bytearray
+	if len(text) > 0 {
+		*l, err = ParseLibrary(string(text))
+	}
+	return err
+}
+
 // OnGPU reports whether the library holds device memory.
 func (l Library) OnGPU() bool { return l == CuPy || l == PyCUDA || l == Numba }
 

@@ -147,11 +147,9 @@ func serviceError(data []byte) string {
 	return string(bytes.TrimSpace(data))
 }
 
-// EncodeOptions renders core.Options as a POST /sweep body — the exact
-// inverse of decodeOptions: fields at their zero value are omitted (the
-// decoder leaves omissions zero), enumerations are spelled with the same
-// names their parsers accept. Options carrying a Profiler hook cannot
-// travel and are rejected.
+// EncodeOptions renders core.Options as a POST /sweep body: their JSON
+// form, the exact inverse of decodeOptions. Options carrying a Profiler
+// hook cannot travel and are rejected.
 func EncodeOptions(opts core.Options) ([]byte, error) {
 	if opts.Profiler != nil {
 		return nil, fmt.Errorf("serve: options with a Profiler hook cannot be sent over HTTP")
@@ -159,43 +157,5 @@ func EncodeOptions(opts core.Options) ([]byte, error) {
 	if opts.Benchmark == "" {
 		return nil, fmt.Errorf("serve: options need a benchmark")
 	}
-	req := sweepRequest{
-		Benchmark:      string(opts.Benchmark),
-		Cluster:        opts.Cluster,
-		Impl:           string(opts.Impl),
-		GPU:            opts.UseGPU,
-		Ranks:          opts.Ranks,
-		PPN:            opts.PPN,
-		MinSize:        opts.MinSize,
-		MaxSize:        opts.MaxSize,
-		Iters:          opts.Iters,
-		Warmup:         opts.Warmup,
-		LargeThreshold: opts.LargeThreshold,
-		LargeIters:     opts.LargeIters,
-		LargeWarmup:    opts.LargeWarmup,
-		Window:         opts.Window,
-		Pairs:          opts.Pairs,
-		TimingOnly:     opts.TimingOnly,
-		NoFold:         opts.NoFold,
-		Sizes:          opts.Sizes,
-		Algorithms:     opts.Algorithms,
-		Faults:         opts.Faults,
-		Tuning: tuningJSON{
-			BcastScatterRingMin:      opts.Tuning.BcastScatterRingMin,
-			AllreduceRabenseifnerMin: opts.Tuning.AllreduceRabenseifnerMin,
-			AllgatherRDMaxTotal:      opts.Tuning.AllgatherRDMaxTotal,
-			AllgatherBruckMaxTotal:   opts.Tuning.AllgatherBruckMaxTotal,
-			AlltoallBruckMaxBlock:    opts.Tuning.AlltoallBruckMaxBlock,
-		},
-	}
-	if opts.Mode != core.ModeC {
-		req.Mode = opts.Mode.String()
-	}
-	if opts.Buffer != 0 {
-		req.Buffer = opts.Buffer.String()
-	}
-	if opts.DType != 0 {
-		req.DType = opts.DType.String()
-	}
-	return json.Marshal(req)
+	return json.Marshal(opts)
 }

@@ -7,12 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mpi"
+	"repro/internal/netmodel"
+	"repro/internal/pybuf"
 	"repro/internal/stats"
 )
 
@@ -253,6 +257,12 @@ func TestBadRequests(t *testing.T) {
 		// An infinite noise sigma is refused by the fault-spec parser;
 		// run, it would reach NaN latencies that fail JSON encoding.
 		"noise_inf": `{"benchmark":"latency","faults":"noise:sigma=inf"}`,
+		// Huge finite magnitudes overflow a clock the same way; the parser
+		// bounds them.
+		"noise_huge":  `{"benchmark":"latency","faults":"noise:sigma=1e307"}`,
+		"jitter_huge": `{"benchmark":"latency","faults":"jitter:link=1e308"}`,
+		// Enumerations are strings on the wire, never their numbers.
+		"mode_number": `{"benchmark":"latency","mode":1}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := post(t, s.Handler(), body)
@@ -285,6 +295,40 @@ func TestBadRequests(t *testing.T) {
 	}
 	if rec := post(t, s.Handler(), `{"benchmark":"latency","faults":"noise:sigma=inf"}`); !strings.Contains(rec.Body.String(), "-faults") {
 		t.Errorf("infinite noise sweep answered %s, want the validation error naming -faults", rec.Body)
+	}
+}
+
+// TestDecodeWireForm pins the POST /sweep wire form: each body decodes to
+// the same options it always has. Enumerations take every spelling their
+// CLI parsers accept, and an empty enumeration string is the zero value,
+// like an omitted field.
+func TestDecodeWireForm(t *testing.T) {
+	for body, want := range map[string]core.Options{
+		`{"benchmark":"latency","mode":"c"}`:                       {Benchmark: "latency"},
+		`{"benchmark":"latency","mode":"omb-py","buffer":"numpy"}`: {Benchmark: "latency", Mode: core.ModePy, Buffer: pybuf.NumPy},
+		`{"benchmark":"allreduce","mode":"pickle","buffer":"cupy","gpu":true,"dtype":"f64"}`: {
+			Benchmark: "allreduce", Mode: core.ModePickle, Buffer: pybuf.CuPy, UseGPU: true, DType: mpi.Float64},
+		`{"benchmark":"latency","mode":"","buffer":"","dtype":"","sizes":null,"tuning":null,"algorithms":null}`: {
+			Benchmark: "latency"},
+		`{"benchmark":"allreduce","cluster":"ri2","impl":"intelmpi","mode":"py","buffer":"numpy","ranks":16,` +
+			`"ppn":2,"min_size":4,"max_size":64,"iters":3,"warmup":1,"large_threshold":16,"large_iters":2,` +
+			`"large_warmup":1,"window":8,"pairs":4,"timing_only":true,"no_fold":true,"sizes":[4,8],"dtype":"float32",` +
+			`"tuning":{"bcast_scatter_ring_min":1,"allreduce_rabenseifner_min":2,"allgather_rd_max_total":3,` +
+			`"allgather_bruck_max_total":4,"alltoall_bruck_max_block":5},"algorithms":{"allreduce":"raben"},` +
+			`"faults":"noise:sigma=2us; seed:7"}`: {
+			Benchmark: "allreduce", Cluster: "ri2", Impl: netmodel.IntelMPI, Mode: core.ModePy,
+			Buffer: pybuf.NumPy, Ranks: 16, PPN: 2, MinSize: 4, MaxSize: 64, Iters: 3, Warmup: 1,
+			LargeThreshold: 16, LargeIters: 2, LargeWarmup: 1, Window: 8, Pairs: 4, TimingOnly: true,
+			NoFold: true, Sizes: []int{4, 8}, DType: mpi.Float32,
+			Tuning: mpi.Tuning{BcastScatterRingMin: 1, AllreduceRabenseifnerMin: 2,
+				AllgatherRDMaxTotal: 3, AllgatherBruckMaxTotal: 4, AlltoallBruckMaxBlock: 5},
+			Algorithms: map[string]string{"allreduce": "raben"},
+			Faults:     "noise:sigma=2us; seed:7",
+		},
+	} {
+		if got, err := decodeOptions(strings.NewReader(body)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s decodes to\n%+v, %v; want\n%+v", body, got, err, want)
+		}
 	}
 }
 

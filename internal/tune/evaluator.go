@@ -64,7 +64,7 @@ func (s *search) evalBatch(ctx context.Context, probes []core.Options) ([]EvalRe
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = s.eval.Evaluate(ctx, probes[i])
+			results[i], errs[i] = s.evaluate(ctx, probes[i])
 		}(i)
 	}
 	wg.Wait()
@@ -81,6 +81,16 @@ func (s *search) evalBatch(ctx context.Context, probes []core.Options) ([]EvalRe
 		}
 	}
 	return results, nil
+}
+
+// evaluate answers one probe, within Defaults.Timeout when it is set.
+func (s *search) evaluate(ctx context.Context, probe core.Options) (EvalResult, error) {
+	if s.cfg.Defaults.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.Defaults.Timeout)
+		defer cancel()
+	}
+	return s.eval.Evaluate(ctx, probe)
 }
 
 // CoreEvaluator runs probes in process on the event engine. It answers
@@ -211,17 +221,10 @@ func rowKeys(opts core.Options) []rowKey {
 // policyFreeKey is the content address of a probe with the measured
 // collective's policy taken out: Sizes, coll's own Tuning knobs and its
 // Algorithms entry are cleared, and every other field stays, other
-// collectives' knobs included (a sub-collective may consult them). The
-// knobs are reset to the shipped defaults rather than zeroed, and a
-// non-nil Algorithms map stays non-nil, because withDefaults replaces a
-// zero Tuning and a nil map with the process defaults: clearing must not
-// turn the probe into one that runs under other thresholds or forces.
+// collectives' knobs included (a sub-collective may consult them).
 func policyFreeKey(opts core.Options, coll mpi.Collective) string {
-	if opts.Tuning != (mpi.Tuning{}) {
-		def := mpi.DefaultTuning()
-		for _, k := range knobsFor(coll) {
-			*k.get(&opts.Tuning) = *k.get(&def)
-		}
+	for _, k := range knobsFor(coll) {
+		*k.get(&opts.Tuning) = 0
 	}
 	if opts.Algorithms != nil {
 		algos := make(map[string]string, len(opts.Algorithms))

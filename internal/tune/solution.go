@@ -189,9 +189,11 @@ func (c *searchContext) tuning(g gene) mpi.Tuning {
 
 // probeOptions builds the objective probe for one gene: a timing-only
 // sweep of this context's collective benchmark at its placement, carrying
-// only this collective's policy fields. Keeping the probe minimal is what
-// makes the evaluator cache effective: the content address depends on
-// nothing another context mutates.
+// only this collective's policy fields, under cfg.Defaults. Keeping the
+// probe minimal is what makes the evaluator cache effective: the content
+// address depends on nothing another context mutates. Applying the
+// Defaults here means the run, the selected algorithm, the row store's
+// keys and the content address all see the same options.
 func (c *searchContext) probeOptions(cfg Config, g gene) core.Options {
 	opts := core.Options{
 		Benchmark:  c.bench,
@@ -208,7 +210,7 @@ func (c *searchContext) probeOptions(cfg Config, g gene) core.Options {
 	if g.forced != "" {
 		opts.Algorithms = map[string]string{string(c.coll): g.forced}
 	}
-	return opts
+	return cfg.Defaults.Apply(opts)
 }
 
 // algorithmFor names the algorithm the gene's policy picks for one cell:

@@ -65,6 +65,10 @@ type Config struct {
 	// Evaluator answers probes (default: a fresh in-process
 	// CoreEvaluator). Use ServeEvaluator to drive an ombserve instance.
 	Evaluator Evaluator
+	// Defaults are the CLI defaults every probe runs under: probeOptions
+	// applies them to the probe's options, and Defaults.Timeout bounds
+	// each probe's evaluation.
+	Defaults core.Defaults
 }
 
 func (cfg Config) withDefaults() Config {
@@ -243,7 +247,7 @@ func (s *search) anneal(ctx context.Context) {
 			b.update(arm, rewardRejected, false, false)
 			continue
 		}
-		res, evalErr := s.eval.Evaluate(ctx, s.contexts[ci].probeOptions(s.cfg, cand))
+		res, evalErr := s.evaluate(ctx, s.contexts[ci].probeOptions(s.cfg, cand))
 		if evalErr != nil {
 			// Probes are pure functions of valid options; an error here is
 			// environmental (service down, ctx canceled). Stop searching

@@ -221,6 +221,11 @@ func TestProbeIsolation(t *testing.T) {
 		if opts.Algorithms != nil {
 			t.Errorf("unforced probe should not set Algorithms: %+v", opts.Algorithms)
 		}
+		withDefaults := cfg
+		withDefaults.Defaults = core.Defaults{Faults: "seed:3", NoFold: true}
+		if p := c.probeOptions(withDefaults, g); p.Faults != "seed:3" || !p.NoFold {
+			t.Errorf("probe ignores Config.Defaults: faults %q, no_fold %v", p.Faults, p.NoFold)
+		}
 	}
 }
 
@@ -247,7 +252,8 @@ func TestBanditPrefersRewardingArm(t *testing.T) {
 // too coarsely would answer some of them with another probe's rows. It runs
 // under a -faults default, whose draws make a row depend on the sizes
 // before it, and under a -tuning-table default whose forced algorithm an
-// unforced probe runs.
+// unforced probe runs; both are applied to the probes as probeOptions
+// applies Config.Defaults.
 func TestRowStoreMatchesWholeProbes(t *testing.T) {
 	sizes := []int{1024, 4096, 16384, 65536}
 	var probes []core.Options
@@ -266,12 +272,13 @@ func TestRowStoreMatchesWholeProbes(t *testing.T) {
 			}
 		}
 	}
-	check := func(t *testing.T) {
+	check := func(t *testing.T, d core.Defaults) {
 		ctx := context.Background()
 		ev := NewCoreEvaluator()
 		seen := map[string]bool{}
 		for pass := 0; pass < 2; pass++ {
 			for i, opts := range probes {
+				opts = d.Apply(opts)
 				got, err := ev.Evaluate(ctx, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -298,20 +305,16 @@ func TestRowStoreMatchesWholeProbes(t *testing.T) {
 		}
 	}
 	t.Run("faults default", func(t *testing.T) {
-		core.SetDefaultFaults("noise:sigma=5us; seed:3")
-		defer core.SetDefaultFaults("")
-		check(t)
+		check(t, core.Defaults{Faults: "noise:sigma=5us; seed:3"})
 	})
 	t.Run("tuning table", func(t *testing.T) {
-		core.SetDefaultTuningTable(&mpi.TuningTable{Entries: []mpi.TuningTableEntry{{
+		check(t, core.Defaults{TuningTable: &mpi.TuningTable{Entries: []mpi.TuningTableEntry{{
 			Ranks: 16, PPN: 1,
 			Policy: mpi.Policy{
 				Tuning: mpi.Tuning{AllreduceRabenseifnerMin: 4096},
 				Forced: map[mpi.Collective]string{mpi.CollAllreduce: "rabenseifner"},
 			},
-		}}})
-		defer core.SetDefaultTuningTable(nil)
-		check(t)
+		}}}})
 	})
 }
 

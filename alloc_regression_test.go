@@ -11,11 +11,12 @@ import (
 
 // Steady-state allocation ceilings for the huge-world timing-only sweep.
 // The PR5 baseline sat at ~437k allocations per 4096-rank run; the
-// symmetry-folded engine plus the cross-world schedule/step caches brought
-// a warm run to ~96k (and ~25k at 1024 ranks). The ceilings pin those
-// numbers with headroom for runtime jitter, so a regression that reverts
-// any single pooling layer (schedule store, step cache, arena seeds,
-// per-rank slabs) trips the test long before the sweep gets slow.
+// symmetry-folded engine plus the cross-world schedule and fold structure
+// caches brought a warm run to ~96k (and ~25k at 1024 ranks). The ceilings
+// pin those numbers with headroom for runtime jitter, so a regression that
+// reverts any single pooling layer (schedule store, fold structure cache,
+// arena seeds, per-rank slabs) trips the test long before the sweep gets
+// slow.
 var allocCeilings = []struct {
 	ranks   int
 	ceiling uint64
@@ -40,8 +41,8 @@ func hugeWorldRun(t *testing.T, ranks int) {
 
 // TestHugeWorldAllocRegression measures the malloc count of one warm
 // huge-world run against the pinned ceilings. Two untimed runs first warm
-// the process-wide caches (compiled step lists, recycled schedules), which
-// is exactly the steady state a parameter sweep lives in.
+// the process-wide caches (analyzed fold structures, recycled schedules),
+// which is exactly the steady state a parameter sweep lives in.
 func TestHugeWorldAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under the race detector")

@@ -327,27 +327,6 @@ func BenchmarkTable2AllBenchmarks(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiPairMessageRate runs the registry-registered mbw_mr family
-// at the placements BENCH_PR5.json records (16x1 sparse, 63x7 folded) and
-// reports the aggregate message rate at 8 bytes as a custom metric.
-func BenchmarkMultiPairMessageRate(b *testing.B) {
-	for _, shape := range [][2]int{{16, 1}, {63, 7}} {
-		ranks, ppn := shape[0], shape[1]
-		b.Run(fmt.Sprintf("%dx%d", ranks, ppn), func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				s := runOrFatal(b, core.Options{
-					Benchmark: core.MultiBWMR, Mode: core.ModeC,
-					Ranks: ranks, PPN: ppn, TimingOnly: true,
-					MinSize: 8, MaxSize: 8,
-				})
-				rate = s.Rows[0].MsgRate
-			}
-			b.ReportMetric(rate, "msgs/s")
-		})
-	}
-}
-
 // BenchmarkTable3OverheadMatrix reproduces the summary matrix rows.
 func BenchmarkTable3OverheadMatrix(b *testing.B) {
 	b.Run("intra_small", func(b *testing.B) { benchIntra(b, "frontera", benchSmallMin, benchSmallMax) })

@@ -169,7 +169,10 @@ func borrowCases() map[string]borrowCase {
 
 // TestBorrowedBufferCollectivesMatchReference runs every algorithm of every
 // collective on CarryData worlds at 5x1, 8x4 and 13x7 and requires the
-// reference bytes on every rank.
+// reference bytes on every rank. A last case alternates the two
+// partitioning algorithms on one world, so ranks building schedules on the
+// world communicator and on Split halves of different sizes keep moving the
+// world's one block-partition slot between keys.
 func TestBorrowedBufferCollectivesMatchReference(t *testing.T) {
 	for _, world := range [][2]int{{5, 1}, {8, 4}, {13, 7}} {
 		p, ppn := world[0], world[1]
@@ -199,6 +202,41 @@ func TestBorrowedBufferCollectivesMatchReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+
+	cases := borrowCases()
+	interleaved := func(ref bool) func(c *Comm, _ int) ([]byte, error) {
+		return func(c *Comm, _ int) ([]byte, error) {
+			half, err := c.Split(c.Rank()%2, c.Rank())
+			if err != nil {
+				return nil, err
+			}
+			var out []byte
+			for _, comm := range []*Comm{c, half} {
+				for _, n := range []int{24 << 10, 40 << 10} {
+					for _, name := range []string{"allreduce", "bcast"} {
+						run := cases[name].run
+						if ref {
+							run = cases[name].ref
+						}
+						b, err := run(comm, n)
+						if err != nil {
+							return nil, err
+						}
+						out = append(out, b...)
+					}
+				}
+			}
+			return out, nil
+		}
+	}
+	forced := map[Collective]string{CollAllreduce: "rabenseifner", CollBcast: "scatter_ring"}
+	want, _ := collRun(t, 13, 7, nil, interleaved(true))
+	got, _ := collRun(t, 13, 7, forced, interleaved(false))
+	for r := range got {
+		if !bytes.Equal(got[r], want[r]) {
+			t.Fatalf("13x7 interleaved rabenseifner/scatter_ring: rank %d differs from the linear reference", r)
 		}
 	}
 }

@@ -180,9 +180,9 @@ func (p *Proc) cancelEnter(coll Collective) error {
 // twin of failStalled: every parked rank is failed — schedule handoffs
 // through schedErr, coroutine parks through Proc.failure — and re-queued so
 // the loop unwinds them through the normal error path (which is what keeps
-// the slab pools, coroutine workers and stepCache reusable). Runnable ranks
-// are left alone: they reach cancelEnter or a park-site failure check on
-// their own. Reports whether anything was woken.
+// the slab pools, coroutine workers and schedule store reusable). Runnable
+// ranks are left alone: they reach cancelEnter or a park-site failure check
+// on their own. Reports whether anything was woken.
 func (l *eventLoop) failCanceled() bool {
 	w := l.w
 	if !w.cancelRequested() {

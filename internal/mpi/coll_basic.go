@@ -34,7 +34,8 @@ func (c *Comm) Ibarrier() (*Request, error) {
 
 // collBarrier is the barrier's identity in the event engine's replay
 // cache; it is not a registry Collective (no selectable algorithms), so
-// barrierAlg stands in for the algorithm pointer in the step cache.
+// barrierAlg stands in for the algorithm pointer in the fold structure
+// cache.
 const collBarrier Collective = "barrier"
 
 // Labels for the directly built (non-registry) collectives, used by the
@@ -75,7 +76,6 @@ func (c *Comm) barrierStart() *collSched {
 // compileBarrierSched is the barrier's per-rank compile/replay — the
 // schedule-fold fallback and the whole path when folding is off.
 func (c *Comm) compileBarrierSched() *collSched {
-	p := len(c.group)
 	build := func(s *collSched) error { return buildBarrierDiss(c, collCall{}, s) }
 	key := replayKey{ctx: c.ctx, coll: collBarrier}
 	s, known := c.replaySched(key)
@@ -84,8 +84,7 @@ func (c *Comm) compileBarrierSched() *collSched {
 		return s
 	}
 	if !known {
-		s, _ = c.compileCachedSched(key,
-			stepKey{alg: barrierAlg, rank: c.rank, commSize: p}, 0, 0, build)
+		s, _ = c.compileCachedSched(key, 0, 0, build)
 		if s != nil {
 			s.coll = collBarrier
 		}
@@ -424,20 +423,15 @@ func sliceOrNil(buf []byte, lo, hi int) []byte {
 }
 
 // blockBounds partitions n bytes into parts contiguous blocks whose
-// boundaries are aligned to align bytes; it returns parts+1 offsets.
+// boundaries are aligned to align bytes; it returns parts+1 offsets. The
+// offsets are (elems*i/parts)*align, computed with a carry accumulator
+// instead of a division per entry — the division loop was visible in the
+// large-world profile.
 func blockBounds(n, parts, align int) []int {
-	return blockBoundsInto(make([]int, parts+1), n, parts, align)
-}
-
-// blockBoundsInto is blockBounds writing into a caller-supplied slice of
-// length parts+1 (typically drawn from the rank arena). The offsets are
-// (elems*i/parts)*align, computed with a carry accumulator instead of a
-// division per entry — bounds are rebuilt once per (rank, size) and the
-// division loop was visible in the large-world profile.
-func blockBoundsInto(bounds []int, n, parts, align int) []int {
 	if align <= 0 {
 		align = 1
 	}
+	bounds := make([]int, parts+1)
 	elems := n / align
 	q, r := elems/parts, elems%parts
 	off, t := 0, 0

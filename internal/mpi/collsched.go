@@ -120,13 +120,6 @@ type collSched struct {
 	cached, inUse bool
 	prices        []stepPrice
 	postIdx       int
-	// shared marks steps as borrowed from the process-wide stepCache:
-	// immutable, never appended to, dropped (not recycled) on scrub. own
-	// parks the schedule's owned step storage while steps is borrowed, so
-	// the capacity survives the borrow and a later build on the recycled
-	// schedule does not regrow the array from nil.
-	shared bool
-	own    []collStep
 
 	// bufs and ints are arena staging allocations released by finish.
 	bufs [][]byte
@@ -134,32 +127,17 @@ type collSched struct {
 }
 
 // getSched draws a pooled schedule, stamps it with the communicator's next
-// per-invocation collective tag, and resets its cursor and freelists.
-// Builders use getSched; replay shells that will borrow stepCache arrays
-// use getSchedLight, which prefers the store's step-less class so owned
-// step capacity is not parked where it cannot be used.
-func (c *Comm) getSched() *collSched { return c.getSchedClass(false) }
-
-// getSchedLight is getSched preferring a schedule without owned steps.
-func (c *Comm) getSchedLight() *collSched { return c.getSchedClass(true) }
-
-func (c *Comm) getSchedClass(light bool) *collSched {
+// per-invocation collective tag, and resets its cursor and freelists. A
+// fresh schedule starts empty and grows its steps by append.
+func (c *Comm) getSched() *collSched {
 	p := c.proc
 	var s *collSched
 	if n := len(p.schedFree); n > 0 {
 		s = p.schedFree[n-1]
 		p.schedFree[n-1] = nil
 		p.schedFree = p.schedFree[:n-1]
-	} else if s = getPooledSched(light); s == nil {
-		if light {
-			s = &collSched{}
-		} else {
-			// Start fresh builder schedules with room for a typical
-			// large-world collective, so builders do not churn the garbage
-			// collector with doubling reallocations on their way to ~64
-			// steps.
-			s = &collSched{steps: make([]collStep, 0, 64)}
-		}
+	} else if s = getPooledSched(); s == nil {
+		s = &collSched{}
 	}
 	s.c = c
 	s.tag = c.nextCollTag()
@@ -171,7 +149,6 @@ func (c *Comm) getSchedClass(light bool) *collSched {
 	s.owner = nil
 	s.cached, s.inUse = false, false
 	s.prices, s.postIdx = s.prices[:0], 0
-	s.shared = false
 	s.coll, s.faultEntered = "", false
 	return s
 }
@@ -575,10 +552,7 @@ func (c *Comm) compileReplayColl(coll Collective, sel Selection, call collCall) 
 		}
 		return s, err
 	}
-	s, err = c.compileCachedSched(key,
-		stepKey{alg: alg, rank: c.rank, commSize: len(c.group),
-			n: call.n, root: call.root, dt: call.dt, op: call.op},
-		call.dt, call.op, build)
+	s, err = c.compileCachedSched(key, call.dt, call.op, build)
 	if s != nil {
 		s.coll = coll
 	}

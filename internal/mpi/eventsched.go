@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Schedule replay. In a timing-only world the benchmark collectives pass
 // nil buffers, so the schedule an algorithm compiles for a given
@@ -71,94 +68,6 @@ func (c *Comm) replaySched(key replayKey) (s *collSched, known bool) {
 	return s, true
 }
 
-// stepKey identifies a compiled step list independently of any world: the
-// selected algorithm (a stable registry pointer — it also captures the
-// collective and, transitively, the tuning decision), the rank's position,
-// and the invocation shape. Step lists built from nil buffers contain no
-// world state at all, so identical keys compile to identical steps.
-type stepKey struct {
-	alg      *Algorithm
-	rank     int
-	commSize int
-	n        int
-	root     int
-	dt       DType
-	op       Op
-}
-
-// stepCache shares compiled step lists across worlds (sync.Map: sweeps run
-// worlds in parallel). Benchmarks and sweeps rebuild the same world shape
-// over and over; compiling each rank's schedule once per process instead
-// of once per world takes schedule building off the steady-state profile
-// entirely. Entries are immutable once stored.
-var stepCache sync.Map
-
-// stepCacheBytes bounds the cache: pathological sweeps (thousands of
-// distinct shapes, or pairwise alltoall at thousands of ranks) stop
-// inserting rather than grow without limit; per-world replay still works.
-var stepCacheBytes atomic.Int64
-
-const stepCacheMaxSteps = 512
-
-// stepCacheMaxBytes is the shared step-list budget. It starts sized for
-// few-thousand-rank worlds and is widened by growEventCaches when a larger
-// event world is constructed: the cache only helps when it can hold every
-// rank's compiled steps, and a 64Ki-rank sweep that overflows it pays a
-// full per-rank rebuild each run — measurably slower than the retained
-// memory is expensive. The ceiling still exists (growEventCaches clamps),
-// so pathological shape sweeps cannot grow the cache without bound.
-var stepCacheMaxBytes atomic.Int64
-
-func init() {
-	stepCacheMaxBytes.Store(128 << 20)
-	schedStore.max = 128 << 20
-}
-
-// loadSharedSteps returns the process-wide compiled step list for key.
-func loadSharedSteps(key stepKey) ([]collStep, bool) {
-	v, ok := stepCache.Load(key)
-	if !ok {
-		return nil, false
-	}
-	return v.([]collStep), true
-}
-
-// storeSharedSteps publishes a freshly compiled step list, within budget.
-// It reports whether the caller's slice became the shared entry.
-//
-// The order matters: reserve budget, then LoadOrStore, and refund through
-// exactly one exit path. An earlier version charged the budget and had two
-// independent refund sites; a race between them could refund the same
-// reservation twice, leaking negative bytes into the accounting until the
-// budget check stopped meaning anything.
-func storeSharedSteps(key stepKey, steps []collStep) bool {
-	n := len(steps)
-	if n > stepCacheMaxSteps {
-		return false
-	}
-	if _, exists := stepCache.Load(key); exists {
-		// Lost the publish race (or a replay raced a rebuild): nothing was
-		// reserved, nothing to refund.
-		return false
-	}
-	bytes := int64(n) * int64(96) // ~unsafe.Sizeof(collStep{})
-	if stepCacheBytes.Add(bytes) <= stepCacheMaxBytes.Load() {
-		if _, raced := stepCache.LoadOrStore(key, steps[:n:n]); !raced {
-			return true
-		}
-		// A parallel world published this key between the Load and here:
-		// refund the one reservation.
-		stepCacheBytes.Add(-bytes)
-		return false
-	}
-	stepCacheBytes.Add(-bytes)
-	// Budget overflow: this shape will be recompiled per world from now on.
-	// Count it — silent reuse degradation looks exactly like a perf
-	// regression (see CacheOverflowCount; bench.sh fails loudly on it).
-	cacheOverflows.Add(1)
-	return false
-}
-
 // buildSched compiles a one-off schedule through the normal pool
 // lifecycle.
 func (c *Comm) buildSched(dt DType, op Op, build func(*collSched) error) (*collSched, error) {
@@ -173,27 +82,14 @@ func (c *Comm) buildSched(dt DType, op Op, build func(*collSched) error) (*collS
 
 // compileCachedSched is the miss path of the replay-cache protocol shared
 // by every cacheable collective start (the caller has already tried
-// replaySched and owns the key's single cache slot): borrow the
-// process-wide compiled steps if another world published them, else build
-// and publish, retaining the schedule for this world's replays either way.
-func (c *Comm) compileCachedSched(key replayKey, skey stepKey, dt DType, op Op, build func(*collSched) error) (*collSched, error) {
-	if steps, ok := loadSharedSteps(skey); ok {
-		s := c.getSchedLight()
-		s.dt, s.op = dt, op
-		s.own = s.steps[:0] // park owned capacity for the borrow's duration
-		s.steps = steps
-		s.shared = true
-		c.retainSched(key, s)
-		return s, nil
-	}
+// replaySched and owns the key's single cache slot): build the schedule and
+// retain it for this rank's replays.
+func (c *Comm) compileCachedSched(key replayKey, dt DType, op Op, build func(*collSched) error) (*collSched, error) {
 	s, err := c.buildSched(dt, op, build)
 	if err != nil {
 		return nil, err
 	}
 	c.retainSched(key, s)
-	if s.cached && storeSharedSteps(skey, s.steps) {
-		s.shared = true
-	}
 	return s, nil
 }
 
@@ -206,35 +102,26 @@ func (c *Comm) compileCachedSched(key replayKey, skey stepKey, dt DType, op Op, 
 // sync.Pool drained that often recycles nothing between runs. The byte cap
 // bounds retained memory instead; schedules beyond it are dropped to the
 // GC. Run's teardown feeds the store (it sees every rank's pools at once).
-// The store keeps two classes: light schedules own no step storage (replay
-// shells whose steps are borrowed from the stepCache) and cost ~3KB of
-// retained price capacity, while heavy schedules carry an owned step array
-// for builders. Handing a heavy schedule to a borrow parks kilobytes of
-// step capacity where they are never appended to, and handing a light one
-// to a builder regrows the step array through every doubling — so each
-// path asks for its own class and falls back to the other only when empty.
-var schedStore schedStoreState
+// A recycled schedule keeps the step capacity it grew.
+var schedStore = schedStoreState{max: 128 << 20}
 
 type schedStoreState struct {
 	mu    sync.Mutex
-	light []*collSched
-	heavy []*collSched
+	free  []*collSched
 	bytes int64
-	// max is the retention budget; see growEventCaches.
+	// max is the retention budget. It starts sized to cover the full
+	// working set of a few-thousand-rank world (each rank retains a handful
+	// of schedules at ~1-6KB apiece) and is widened by growEventCaches for
+	// larger worlds.
 	max int64
 }
 
-// keep scrubs s and retains it in its class, within budget. The caller
-// holds st.mu.
+// keep scrubs s and retains it, within budget. The caller holds st.mu.
 func (st *schedStoreState) keep(s *collSched) {
 	scrubSched(s)
 	if fp := schedFootprint(s); st.bytes+fp <= st.max {
 		st.bytes += fp
-		if cap(s.steps) == 0 {
-			st.light = append(st.light, s)
-		} else {
-			st.heavy = append(st.heavy, s)
-		}
+		st.free = append(st.free, s)
 		return
 	}
 	// Budget overflow: the schedule is dropped to the GC and the next world
@@ -242,23 +129,17 @@ func (st *schedStoreState) keep(s *collSched) {
 	cacheOverflows.Add(1)
 }
 
-// schedStore.max starts sized to cover the full working set of a
-// few-thousand-rank world (each rank retains a handful of schedules at
-// ~1-6KB apiece) and is widened by growEventCaches for larger worlds.
-
-// growEventCaches widens the cross-world schedule and step-list budgets to
-// cover one world of the given rank count, clamped to a hard ceiling. The
-// budgets are ceilings, not preallocations: memory is only retained when a
-// world of that scale actually runs, and then it is exactly the working
-// set the next run of the same sweep wants back. Budgets never shrink —
-// a sweep mixing sizes keeps the largest world's set.
+// growEventCaches widens the cross-world schedule budget to cover one world
+// of the given rank count, clamped to a hard ceiling. The budget is a
+// ceiling, not a preallocation: memory is only retained when a world of
+// that scale actually runs, and then it is exactly the working set the next
+// run of the same sweep wants back. It never shrinks — a sweep mixing sizes
+// keeps the largest world's set.
 func growEventCaches(ranks int) {
 	// Per rank and world: ~6 retained schedules (a replay entry per
-	// collective shape plus builder spares) at ~4KB of scrubbed capacity,
-	// and ~4 shared step lists at ~3KB.
+	// collective shape plus builder spares) at ~4KB of scrubbed capacity.
 	const (
 		schedPerRank = 24 << 10
-		stepsPerRank = 16 << 10
 		hardMax      = int64(2) << 30
 	)
 	want := min(int64(ranks)*schedPerRank, hardMax)
@@ -266,13 +147,6 @@ func growEventCaches(ranks int) {
 	st.mu.Lock()
 	st.max = max(st.max, want)
 	st.mu.Unlock()
-	want = min(int64(ranks)*stepsPerRank, hardMax/2)
-	for {
-		cur := stepCacheMaxBytes.Load()
-		if want <= cur || stepCacheMaxBytes.CompareAndSwap(cur, want) {
-			break
-		}
-	}
 }
 
 // schedFootprint estimates the retained bytes of a scrubbed schedule.
@@ -281,27 +155,19 @@ func schedFootprint(s *collSched) int64 {
 		int64(cap(s.bufs))*24 + int64(cap(s.ints))*24
 }
 
-// getPooledSched draws a scrubbed schedule from the cross-world store,
-// preferring the requested class.
-func getPooledSched(light bool) *collSched {
+// getPooledSched draws a scrubbed schedule from the cross-world store, or
+// returns nil when it is empty.
+func getPooledSched() *collSched {
 	st := &schedStore
 	st.mu.Lock()
-	pref, alt := &st.light, &st.heavy
-	if !light {
-		pref, alt = alt, pref
-	}
-	list := pref
-	if len(*list) == 0 {
-		list = alt
-	}
-	n := len(*list)
+	n := len(st.free)
 	if n == 0 {
 		st.mu.Unlock()
 		return nil
 	}
-	s := (*list)[n-1]
-	(*list)[n-1] = nil
-	*list = (*list)[:n-1]
+	s := st.free[n-1]
+	st.free[n-1] = nil
+	st.free = st.free[:n-1]
 	st.bytes -= schedFootprint(s)
 	st.mu.Unlock()
 	return s
@@ -330,19 +196,10 @@ func (p *Proc) harvestScheds() {
 // scrubSched strips a schedule of everything world-specific so it can be
 // reused by any future world: buffer references, pricing, its communicator.
 func scrubSched(s *collSched) {
-	if s.shared {
-		// Borrowed from (or published to) the stepCache: drop the reference
-		// — the array must never be appended to or scrubbed — and restore
-		// the owned storage parked during the borrow.
-		s.steps = s.own[:0]
-		s.own = nil
-		s.shared = false
-	} else {
-		for i := range s.steps {
-			s.steps[i].dst, s.steps[i].src = nil, nil
-		}
-		s.steps = s.steps[:0]
+	for i := range s.steps {
+		s.steps[i].dst, s.steps[i].src = nil, nil
 	}
+	s.steps = s.steps[:0]
 	clear(s.bufs[:cap(s.bufs)])
 	s.bufs = s.bufs[:0]
 	s.ints = s.ints[:0]

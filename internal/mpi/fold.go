@@ -42,6 +42,7 @@ package mpi
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/topology"
 	"repro/internal/vtime"
@@ -57,6 +58,14 @@ type FoldStats struct {
 	// Released counts partial gathers released by the deadlock safety
 	// valve because some rank never joined.
 	Released int64
+	// ClassesCompiled counts equivalence classes compiled by probe shape
+	// analysis (process-wide structure-cache misses attributed to this
+	// world).
+	ClassesCompiled int64
+	// StructHits counts shape lookups served by the process-wide structure
+	// cache: the world re-priced a cached structure instead of compiling
+	// any schedule.
+	StructHits int64
 }
 
 // FoldStats returns the world's symmetry-folding counters. They are advisory
@@ -637,12 +646,22 @@ func (w *World) foldCostsFor(sh *foldShape) [][]foldCost {
 // refinePartition refines cls by every exchange step's send and recv peer
 // classes until stable: members of a class agree on the class of each
 // peer. The key includes the current class, so refinement only splits and
-// terminates; labels stay in first-seen rank order.
+// terminates; labels stay in first-seen rank order. A delta that split
+// nothing cannot split the same partition later, so it is skipped until
+// the next split: ring allgather repeats +1 and -1 on all p-1 steps.
 func (sh *foldShape) refinePartition(cls []int32, ncls int) int {
 	p := len(cls)
 	next := make([]int32, p)
 	var dense []int32
+	// stable remembers up to 8 deltas that split nothing since the last
+	// split; further ones are refined again. A fixed array keeps the
+	// per-entry partitions of a warm run allocation-free.
+	var stable [8]int32
+	nstable := 0
 	refineBy := func(delta int32) {
+		if slices.Contains(stable[:nstable], delta) {
+			return
+		}
 		n := 0
 		if ncls <= foldDenseRefine {
 			need := ncls * ncls
@@ -681,6 +700,10 @@ func (sh *foldShape) refinePartition(cls []int32, ncls int) int {
 		if n != ncls {
 			ncls = n
 			copy(cls, next)
+			nstable = 0
+		} else if nstable < len(stable) {
+			stable[nstable] = delta
+			nstable++
 		}
 	}
 	for {

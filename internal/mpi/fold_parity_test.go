@@ -18,8 +18,8 @@ import (
 // fall back" regression cannot pass as parity.
 
 // runFoldParity runs body on an event-engine world and returns every
-// rank's final clock plus the world's fold counters (both levels).
-func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats, SchedFoldStats) {
+// rank's final clock plus the world's fold counters.
+func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats) {
 	t.Helper()
 	place, err := topology.NewPlacement(&topology.Frontera, ranks, ppn, topology.Block, false)
 	if err != nil {
@@ -46,18 +46,18 @@ func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms ma
 	if err != nil {
 		t.Fatalf("fold=%v: %v", !disableFold, err)
 	}
-	return end, w.FoldStats(), w.SchedFoldStats()
+	return end, w.FoldStats()
 }
 
 // assertFoldParity runs body two ways — per-rank execution and folded —
 // and fails on any clock divergence; it returns the folded run's counters
-// at both levels for the caller to pin.
-func assertFoldParity(t *testing.T, ranks, ppn int, algorithms map[Collective]string, body func(p *Proc) error) (FoldStats, SchedFoldStats) {
+// for the caller to pin.
+func assertFoldParity(t *testing.T, ranks, ppn int, algorithms map[Collective]string, body func(p *Proc) error) FoldStats {
 	t.Helper()
-	want, offStats, offSF := runFoldParity(t, ranks, ppn, true, algorithms, body)
-	got, stats, sf := runFoldParity(t, ranks, ppn, false, algorithms, body)
-	if offStats != (FoldStats{}) || offSF != (SchedFoldStats{}) {
-		t.Errorf("DisableFold world still reached the fold gather: %+v %+v", offStats, offSF)
+	want, offStats := runFoldParity(t, ranks, ppn, true, algorithms, body)
+	got, stats := runFoldParity(t, ranks, ppn, false, algorithms, body)
+	if offStats != (FoldStats{}) {
+		t.Errorf("DisableFold world still reached the fold gather: %+v", offStats)
 	}
 	for r := 0; r < ranks; r++ {
 		if got[r] != want[r] {
@@ -65,7 +65,7 @@ func assertFoldParity(t *testing.T, ranks, ppn int, algorithms map[Collective]st
 				r, want[r], got[r])
 		}
 	}
-	return stats, sf
+	return stats
 }
 
 // TestFoldParitySymmetric pins the happy path: a fully symmetric world-comm
@@ -75,7 +75,7 @@ func TestFoldParitySymmetric(t *testing.T) {
 	for _, shape := range [][2]int{{16, 1}, {8, 4}, {64, 8}} {
 		ranks, ppn := shape[0], shape[1]
 		t.Run(fmt.Sprintf("%dx%d", ranks, ppn), func(t *testing.T) {
-			stats, sf := assertFoldParity(t, ranks, ppn, nil, func(p *Proc) error {
+			stats := assertFoldParity(t, ranks, ppn, nil, func(p *Proc) error {
 				c := p.CommWorld()
 				for i := 0; i < 3; i++ {
 					if err := c.AllreduceN(nil, nil, 16*1024, Float32, OpSum); err != nil {
@@ -84,19 +84,16 @@ func TestFoldParitySymmetric(t *testing.T) {
 				}
 				return c.Barrier()
 			})
-			if stats.Folded == 0 {
-				t.Errorf("symmetric workload never folded: %+v", stats)
-			}
 			// A fully symmetric world-comm workload must resolve every
 			// invocation at class level — no per-rank schedule may have been
 			// compiled, replayed or fallen back to.
-			if sf.GatherHits == 0 || sf.Fallbacks != 0 {
-				t.Errorf("symmetric workload not fully schedule-folded: %+v", sf)
+			if stats.Folded == 0 || stats.Fallback+stats.Released != 0 {
+				t.Errorf("symmetric workload not fully folded: %+v", stats)
 			}
 			// Shapes come from a probe compile on first sight or from the
 			// process-wide structure cache afterwards; both count.
-			if sf.ClassesCompiled+sf.StructHits == 0 {
-				t.Errorf("schedule-folded run resolved no shape: %+v", sf)
+			if stats.ClassesCompiled+stats.StructHits == 0 {
+				t.Errorf("folded run resolved no shape: %+v", stats)
 			}
 		})
 	}
@@ -107,7 +104,7 @@ func TestFoldParitySymmetric(t *testing.T) {
 // communicators taking turns. The engine may fold whatever symmetry
 // survives, but the clocks must match per-rank execution exactly.
 func TestFoldParitySplitHalves(t *testing.T) {
-	stats, _ := assertFoldParity(t, 63, 7, nil, func(p *Proc) error {
+	stats := assertFoldParity(t, 63, 7, nil, func(p *Proc) error {
 		c := p.CommWorld()
 		half, err := c.Split(c.Rank()%2, c.Rank())
 		if err != nil {
@@ -137,7 +134,7 @@ func TestFoldParityForcedMix(t *testing.T) {
 		CollAllreduce: "recursive_doubling",
 		CollAllgather: "ring",
 	}
-	stats, sf := assertFoldParity(t, 48, 8, algorithms, func(p *Proc) error {
+	stats := assertFoldParity(t, 48, 8, algorithms, func(p *Proc) error {
 		c := p.CommWorld()
 		for i := 0; i < 2; i++ {
 			if err := c.AllreduceN(nil, nil, 16*1024, Float32, OpSum); err != nil {
@@ -152,9 +149,6 @@ func TestFoldParityForcedMix(t *testing.T) {
 	if stats.Folded == 0 {
 		t.Errorf("forced algorithm mix never folded: %+v", stats)
 	}
-	if sf.GatherHits == 0 {
-		t.Errorf("forced algorithm mix never resolved a key gather: %+v", sf)
-	}
 }
 
 // TestFoldParityStraggler charges one rank private compute before each
@@ -162,7 +156,7 @@ func TestFoldParityForcedMix(t *testing.T) {
 // The fold must either split that rank into its own class or fall back —
 // and either way reproduce per-rank clocks exactly.
 func TestFoldParityStraggler(t *testing.T) {
-	stats, sf := assertFoldParity(t, 32, 8, nil, func(p *Proc) error {
+	stats := assertFoldParity(t, 32, 8, nil, func(p *Proc) error {
 		c := p.CommWorld()
 		for i := 0; i < 2; i++ {
 			if c.Rank() == 13 {
@@ -176,9 +170,6 @@ func TestFoldParityStraggler(t *testing.T) {
 	})
 	if stats.Folded+stats.Fallback == 0 {
 		t.Errorf("straggler workload never reached the fold gather: %+v", stats)
-	}
-	if sf.GatherHits+sf.Fallbacks == 0 {
-		t.Errorf("straggler workload never reached the key gather: %+v", sf)
 	}
 }
 
@@ -200,7 +191,7 @@ func TestFoldParityRootedFallback(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s-%dx%d", tc.coll, tc.ranks, tc.ppn), func(t *testing.T) {
-			stats, _ := assertFoldParity(t, tc.ranks, tc.ppn, nil, func(p *Proc) error {
+			stats := assertFoldParity(t, tc.ranks, tc.ppn, nil, func(p *Proc) error {
 				c := p.CommWorld()
 				row := make([]byte, 48)
 				for _, n := range []int{1024, 64 * 1024} {
@@ -245,7 +236,7 @@ func TestFoldParityRootedFallback(t *testing.T) {
 // forever on a gather it never joins.
 func TestFoldParityPollingRank(t *testing.T) {
 	const ranks, n = 8, 1024
-	stats, _ := assertFoldParity(t, ranks, 4, nil, func(p *Proc) error {
+	stats := assertFoldParity(t, ranks, 4, nil, func(p *Proc) error {
 		c := p.CommWorld()
 		if p.Rank() == 0 {
 			r, err := c.IrecvN(nil, n, 1, 7)

@@ -116,15 +116,20 @@ type World struct {
 
 	nextCtx int
 
+	// bounds is the world's one block-partition slot (sched.go): the last
+	// partition any rank asked for, keyed by (boundsN, boundsParts,
+	// boundsAlign). A handed-out slice is never mutated.
+	boundsN, boundsParts, boundsAlign int
+	bounds                            []int
+
 	// Symmetry-folding state (single-threaded; fold.go and schedfold.go). foldShapes caches the analyzed shape of a
 	// collective invocation keyed by its value shape (collective, bytes,
 	// root, dtype, op); foldNo records shapes proven unfoldable so later
 	// invocations skip the gather entirely. Value keys survive Run
 	// teardowns: shapes outlive any schedule object.
-	foldShapes     map[shapeKey]*foldShape
-	foldNo         map[shapeKey]struct{}
-	foldStats      FoldStats
-	schedFoldStats SchedFoldStats
+	foldShapes map[shapeKey]*foldShape
+	foldNo     map[shapeKey]struct{}
+	foldStats  FoldStats
 	// schedFoldOK pre-ands every per-world fold precondition (fold knob,
 	// fault plan, trace, size bounds) so the per-invocation eligibility
 	// check on the collective hot path is one load.

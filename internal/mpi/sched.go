@@ -1,21 +1,15 @@
 package mpi
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/collective"
-)
+import "repro/internal/collective"
 
 // schedCache memoises the communication schedules a rank replays on every
 // collective invocation. Benchmark loops call the same collective with the
-// same communicator shape thousands of times; the schedules (and block
-// partitions) depend only on (communicator rank, size, root), so one slot
-// per schedule kind turns the per-invocation allocations of
-// internal/collective into cache hits. The cache lives on the Proc and is
-// keyed by the communicator rank too, so sub-communicators (Split, Dup)
-// stay correct. Cached slices are read-only by convention: the collectives
-// only iterate them.
+// same communicator shape thousands of times; the schedules depend only on
+// (communicator rank, size, root), so one slot per schedule kind turns the
+// per-invocation allocations of internal/collective into cache hits. The
+// cache lives on the Proc and is keyed by the communicator rank too, so
+// sub-communicators (Split, Dup) stay correct. Cached slices are read-only
+// by convention: the collectives only iterate them.
 type schedCache struct {
 	dissRank, dissP    int
 	dissSend, dissRecv []int
@@ -35,10 +29,6 @@ type schedCache struct {
 
 	bruckRank, bruckP int
 	bruck             []collective.BruckStep
-
-	boundsN, boundsParts, boundsAlign int
-	bounds                            []int
-	boundsShared                      bool
 }
 
 // dissPeers returns the cached dissemination-barrier peer lists.
@@ -101,56 +91,19 @@ func (c *Comm) bruckSchedule(p int) []collective.BruckStep {
 	return sc.bruck
 }
 
-// blockBoundsKey identifies one aligned block partition: the bounds depend
-// on nothing else, so one computed slice serves every rank of every world.
-type blockBoundsKey struct{ n, parts, align int }
-
-// blockBoundsCache shares computed partitions process-wide. A huge world
-// computing the same 4096-block partition once per rank allocates O(size^2)
-// aggregate ints per run; sharing collapses that to one slice per shape.
-// Entries are immutable once stored. The byte budget uses the same
-// reserve-then-publish protocol as storeSharedSteps.
-var blockBoundsCache sync.Map
-var blockBoundsBytes atomic.Int64
-
-const blockBoundsMaxBytes = 16 << 20
-
-// blockBoundsFor returns the cached aligned block partition of n bytes:
-// first the rank's own slot (repeat invocations at one size), then the
-// process-wide cache, falling back to the rank's arena only when the shared
-// budget is exhausted. The bounds are consumed at schedule-build time only
-// (their values are baked into the compiled steps). Cached slices are
-// read-only by convention.
+// blockBoundsFor returns the aligned block partition of n bytes through
+// the world's one partition slot: the bounds depend on nothing else, so
+// every rank of the world shares one slice (a huge world computing the same
+// 4096-block partition once per rank would allocate O(size^2) aggregate
+// ints per run). A world's ranks run on one goroutine, so the slot needs no
+// lock. The bounds are consumed at schedule-build time only (their values
+// are baked into the compiled steps), and a slice is never mutated once
+// handed out, so it stays valid after the slot moves on to another key.
 func (c *Comm) blockBoundsFor(n, parts, align int) []int {
-	sc := &c.proc.sched
-	if sc.bounds != nil && sc.boundsN == n && sc.boundsParts == parts && sc.boundsAlign == align {
-		return sc.bounds
+	w := c.proc.world
+	if w.bounds == nil || w.boundsN != n || w.boundsParts != parts || w.boundsAlign != align {
+		w.bounds = blockBounds(n, parts, align)
+		w.boundsN, w.boundsParts, w.boundsAlign = n, parts, align
 	}
-	if !sc.boundsShared {
-		c.proc.arena.putInts(sc.bounds)
-	}
-	sc.bounds, sc.boundsShared = c.sharedBlockBounds(n, parts, align)
-	sc.boundsN, sc.boundsParts, sc.boundsAlign = n, parts, align
-	return sc.bounds
-}
-
-// sharedBlockBounds resolves one partition through the process-wide cache,
-// reporting whether the returned slice is shared (and must not go back to
-// any arena).
-func (c *Comm) sharedBlockBounds(n, parts, align int) ([]int, bool) {
-	key := blockBoundsKey{n, parts, align}
-	if v, ok := blockBoundsCache.Load(key); ok {
-		return v.([]int), true
-	}
-	bytes := int64(parts+1) * 8
-	if blockBoundsBytes.Add(bytes) <= blockBoundsMaxBytes {
-		b := blockBoundsInto(make([]int, parts+1), n, parts, align)
-		if v, raced := blockBoundsCache.LoadOrStore(key, b); raced {
-			blockBoundsBytes.Add(-bytes)
-			return v.([]int), true
-		}
-		return b, true
-	}
-	blockBoundsBytes.Add(-bytes)
-	return blockBoundsInto(c.proc.arena.getInts(parts+1), n, parts, align), false
+	return w.bounds
 }

@@ -68,46 +68,42 @@ type foldPending struct {
 // routes it to schedFoldDrive; collRequest materializes it.
 var schedFoldPending = new(collSched)
 
-// SchedFoldStats counts the fold entry's outcomes on a world's event
-// engine, alongside the simulation-level FoldStats.
+// SchedFoldStats is the fold entry's view of FoldStats.
+//
+// Deprecated: read World.FoldStats, which carries every fold counter.
 type SchedFoldStats struct {
-	// GatherHits counts collective invocations resolved entirely at class
-	// level: no rank compiled, replayed or scrubbed a schedule object.
+	// GatherHits is FoldStats.Folded.
 	GatherHits int64
-	// Fallbacks counts key gathers that fell back to per-rank schedules
-	// (mismatched keys, unfoldable shape, raced-in traffic, or a stalled
-	// partial gather released by the safety valve).
+	// Fallbacks is FoldStats.Fallback plus FoldStats.Released.
 	Fallbacks int64
-	// ClassesCompiled counts equivalence classes compiled by probe shape
-	// analysis (process-wide structure-cache misses attributed to this
-	// world).
+	// ClassesCompiled is FoldStats.ClassesCompiled.
 	ClassesCompiled int64
-	// StructHits counts shape lookups served by the process-wide structure
-	// cache: the world re-priced a cached structure instead of compiling
-	// any schedule.
+	// StructHits is FoldStats.StructHits.
 	StructHits int64
 }
 
-// SchedFoldStats returns the world's fold-entry counters. Every gather is
-// a key gather, so GatherHits and Fallbacks are the FoldStats outcomes seen
-// from this layer. Advisory: folding is bit-identical to per-rank
-// execution.
+// SchedFoldStats returns the world's fold counters in the SchedFoldStats
+// shape.
+//
+// Deprecated: read World.FoldStats.
 func (w *World) SchedFoldStats() SchedFoldStats {
-	s := w.schedFoldStats
-	s.GatherHits = w.foldStats.Folded
-	s.Fallbacks = w.foldStats.Fallback + w.foldStats.Released
-	return s
+	f := w.foldStats
+	return SchedFoldStats{
+		GatherHits:      f.Folded,
+		Fallbacks:       f.Fallback + f.Released,
+		ClassesCompiled: f.ClassesCompiled,
+		StructHits:      f.StructHits,
+	}
 }
 
 // cacheOverflows counts, process-wide, every time a bounded cross-world
-// cache (the schedStore freelist, the shared stepCache, or the fold
-// structure cache) refused an insert because its byte budget was full.
-// A nonzero count over a huge-world sweep means reuse silently reverted to
-// per-run rebuilds; scripts/bench.sh fails loudly on it.
+// cache (the schedStore freelist or the fold structure cache) refused an
+// insert because its byte budget was full. A nonzero count over a
+// huge-world sweep means reuse silently reverted to per-run rebuilds.
 var cacheOverflows atomic.Int64
 
 // CacheOverflowCount returns the process-wide count of cross-world cache
-// budget overflows (schedule store, step cache, fold structure cache).
+// budget overflows (schedule store, fold structure cache).
 func CacheOverflowCount() int64 { return cacheOverflows.Load() }
 
 // schedFoldEligible is the cheap per-rank pre-check run at collective entry:
@@ -183,12 +179,31 @@ type foldStructKey struct {
 // probes an unfoldable shape once per process, not once per world.
 var foldStructCache sync.Map
 
-// foldStructBytes bounds the structure cache the way stepCacheBytes bounds
-// the step cache; overflowing inserts are skipped (and counted), the
-// per-world shape cache still works.
+// foldStructBytes bounds the structure cache; overflowing inserts are
+// skipped (and counted), the per-world shape cache still works.
 var foldStructBytes atomic.Int64
 
 const foldStructMaxBytes = 256 << 20
+
+// publishFoldStruct stores an analyzed structure within budget and reports
+// whether it became the cached entry. It reserves the budget before
+// LoadOrStore and refunds the reservation when the key was already there (a
+// parallel world won the publish race, or a signature collision holds the
+// slot), so only stored bytes stay charged; a leaked charge would
+// accumulate until the budget refused every insert.
+func publishFoldStruct(key foldStructKey, tmpl *foldShape) bool {
+	fp := foldStructFootprint(tmpl)
+	if foldStructBytes.Add(fp) > foldStructMaxBytes {
+		foldStructBytes.Add(-fp)
+		cacheOverflows.Add(1)
+		return false
+	}
+	if _, loaded := foldStructCache.LoadOrStore(key, tmpl); loaded {
+		foldStructBytes.Add(-fp)
+		return false
+	}
+	return true
+}
 
 // foldStructFootprint estimates the retained bytes of a cached structure.
 func foldStructFootprint(sh *foldShape) int64 {
@@ -226,7 +241,7 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 	if v, ok := foldStructCache.Load(key); ok {
 		tmpl := v.(*foldShape)
 		if foldI32Equal(tmpl.dom, w.dom) && foldLinksEqual(tmpl.domLink, w.domLink) {
-			w.schedFoldStats.StructHits++
+			w.foldStats.StructHits++
 			if !tmpl.ok {
 				return tmpl
 			}
@@ -239,16 +254,11 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 		// world without fighting over the cache slot.
 	}
 	sh := l.probeAndAnalyze(alg, pend.call)
-	w.schedFoldStats.ClassesCompiled += int64(sh.nclass)
+	w.foldStats.ClassesCompiled += int64(sh.nclass)
 	tmpl := *sh
 	tmpl.costs, tmpl.parts = nil, nil
 	tmpl.dom, tmpl.domLink = w.dom, w.domLink
-	if fp := foldStructFootprint(&tmpl); foldStructBytes.Add(fp) <= foldStructMaxBytes {
-		foldStructCache.LoadOrStore(key, &tmpl)
-	} else {
-		foldStructBytes.Add(-fp)
-		cacheOverflows.Add(1)
-	}
+	publishFoldStruct(key, &tmpl)
 	return sh
 }
 

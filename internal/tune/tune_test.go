@@ -62,6 +62,9 @@ func TestSearchDeterministicSameSeed(t *testing.T) {
 	if a.Provenance.Evaluations == 0 {
 		t.Error("search made no evaluations")
 	}
+	if len(a.Provenance.Trajectory) == 0 {
+		t.Error("search recorded no objective trajectory")
+	}
 	if a.Provenance.CacheHits == 0 {
 		t.Error("a 48-iteration search should revisit at least one configuration (finalize re-probes the best)")
 	}

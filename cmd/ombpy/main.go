@@ -49,7 +49,7 @@ func main() {
 		warmup    = flag.Int("warmup", 10, "warm-up iterations per size")
 		window    = flag.Int("window", 64, "window size for bandwidth tests")
 		pairs     = flag.Int("pairs", 0, "pair count for the multi-pair benchmarks (0 = ranks/2)")
-		timing    = flag.Bool("timing-only", false, "skip payloads (huge-scale runs)")
+		timing    = flag.Bool("timing-only", false, "move sizes, not payloads, through the data run's calls: nil slices in -mode c, storage-less buffers in -mode py; -mode pickle refuses it (huge-scale runs)")
 		fold      = flag.Bool("fold", true, "let the event loop fold symmetric ranks (false forces every rank to execute; reported numbers are identical either way)")
 		algo      = flag.String("algorithm", "", "force collective algorithms: a name for this benchmark's collective, coll=name pairs, \"all\" to sweep every algorithm, \"list\" to show the registry")
 		faults    = flag.String("faults", "", "deterministic fault plan, e.g. \"kill:rank=3,after=2:allreduce; noise:sigma=5us; jitter:link=0.1; seed:42\"")

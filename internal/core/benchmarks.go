@@ -117,7 +117,7 @@ func init() {
 		Name: BiBandwidth, Aliases: []string{"bibandwidth", "osu_bibw"},
 		Kind: KindPtPt, Group: groupPtPt,
 		Summary:  "windowed bidirectional bandwidth (osu_bibw)",
-		MinRanks: 2, Validate: exactRanks(2), Columns: ColumnsBandwidth,
+		MinRanks: 2, Modes: cAndPy, Validate: exactRanks(2), Columns: ColumnsBandwidth,
 		Body: runBiBandwidth,
 	})
 	RegisterBenchmark(BenchmarkSpec{

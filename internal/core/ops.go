@@ -14,8 +14,9 @@ import (
 // ops adapts one rank's benchmark body to the mode under test: ModeC calls
 // the native runtime with raw slices (that is what OMB's C code does),
 // ModePy goes through the binding layer with library buffers, ModePickle
-// through the object-serialization API. Timing-only runs use the
-// size-carrying nil-payload paths of each layer.
+// through the object-serialization API. A timing-only run makes the same
+// calls as a data run; only setup differs, leaving ModeC's slices nil and
+// giving ModePy buffers without storage.
 type ops struct {
 	opts Options
 	c    *mpi.Comm
@@ -23,9 +24,10 @@ type ops struct {
 	gpu  *device.GPU
 
 	n int // current message size in bytes
-	// sraw and rraw are ModeC's raw buffers. In ModePickle rraw is the
-	// frame recv lands each message in: nothing reads a receive buffer
-	// object there, since the received object aliases the frame.
+	// sraw and rraw are ModeC's raw buffers, nil in timing-only runs. In
+	// ModePickle rraw is the frame recv lands each message in: nothing
+	// reads a receive buffer object there, since the received object
+	// aliases the frame.
 	sraw, rraw []byte
 	sbuf, rbuf pybuf.Buffer
 
@@ -62,19 +64,17 @@ func newOps(o *ops, opts Options, raw *mpi.Comm) error {
 	return nil
 }
 
-// spec returns the timing-only descriptor of the current size.
-func (o *ops) spec() mpi4py.Spec { return mpi4py.Spec{Lib: o.opts.Buffer, N: o.n} }
-
-// setup allocates (or sizes) the buffers for one message size. sendFactor
-// and recvFactor scale the buffers for rooted/unrooted collectives that
-// move p blocks (scatter sends p*n, gather receives p*n, and so on).
+// setup allocates the buffers for one message size, or in a timing-only
+// run only sizes them. sendFactor and recvFactor scale the buffers for
+// rooted/unrooted collectives that move p blocks (scatter sends p*n,
+// gather receives p*n, and so on). Py-mode buffers hold whole elements.
 func (o *ops) setup(size, sendFactor, recvFactor int) error {
 	o.teardown()
 	o.n = size
-	if o.opts.TimingOnly {
-		return nil
-	}
 	if o.opts.Mode == ModeC {
+		if o.opts.TimingOnly {
+			return nil
+		}
 		o.sraw = make([]byte, size*sendFactor)
 		o.rraw = make([]byte, size*recvFactor)
 		for i := range o.sraw {
@@ -83,6 +83,12 @@ func (o *ops) setup(size, sendFactor, recvFactor int) error {
 		return nil
 	}
 	count := size / o.opts.DType.Size()
+	if o.opts.TimingOnly {
+		// Options.validate refuses timing-only pickle runs.
+		o.sbuf = pybuf.Sized(o.opts.Buffer, o.opts.DType, count*sendFactor)
+		o.rbuf = pybuf.Sized(o.opts.Buffer, o.opts.DType, count*recvFactor)
+		return nil
+	}
 	sb, err := pybuf.New(o.opts.Buffer, o.gpu, o.opts.DType, count*sendFactor)
 	if err != nil {
 		return err
@@ -133,19 +139,10 @@ func (o *ops) dropObject(obj pybuf.Buffer) error {
 func (o *ops) send(dst, tag int) error {
 	switch o.opts.Mode {
 	case ModeC:
-		if o.opts.TimingOnly {
-			return o.c.SendN(nil, o.n, dst, tag)
-		}
-		return o.c.Send(o.sraw, dst, tag)
+		return o.c.SendN(o.sraw, o.n, dst, tag)
 	case ModePy:
-		if o.opts.TimingOnly {
-			return o.py.SendSpec(o.spec(), dst, tag)
-		}
 		return o.py.Send(o.sbuf, dst, tag)
 	default: // ModePickle
-		if o.opts.TimingOnly {
-			return o.py.SendObjectSpec(o.spec(), dst, tag)
-		}
 		return o.py.SendObject(o.sbuf, dst, tag)
 	}
 }
@@ -153,24 +150,12 @@ func (o *ops) send(dst, tag int) error {
 func (o *ops) recv(src, tag int) error {
 	switch o.opts.Mode {
 	case ModeC:
-		if o.opts.TimingOnly {
-			_, err := o.c.RecvN(nil, o.n, src, tag)
-			return err
-		}
-		_, err := o.c.Recv(o.rraw[:o.n], src, tag)
+		_, err := o.c.RecvN(o.rraw, o.n, src, tag)
 		return err
 	case ModePy:
-		if o.opts.TimingOnly {
-			_, err := o.py.RecvSpec(o.spec(), src, tag)
-			return err
-		}
 		_, err := o.py.Recv(o.rbuf, src, tag)
 		return err
 	default: // ModePickle
-		if o.opts.TimingOnly {
-			_, err := o.py.RecvObjectSpec(o.spec(), src, tag)
-			return err
-		}
 		obj, _, err := o.py.RecvObject(o.rraw, src, tag, o.gpu)
 		if err != nil {
 			return err
@@ -179,32 +164,16 @@ func (o *ops) recv(src, tag int) error {
 	}
 }
 
-// exchange is the bidirectional transfer of the bibw test.
+// exchange is the bidirectional transfer of the bibw test, which runs in
+// ModeC and ModePy.
 func (o *ops) exchange(peer int) error {
-	switch o.opts.Mode {
-	case ModeC:
-		if o.opts.TimingOnly {
-			_, err := o.c.SendrecvN(nil, o.n, peer, 4, nil, o.n, peer, 4)
-			return err
-		}
-		_, err := o.c.Sendrecv(o.sraw, peer, 4, o.rraw[:o.n], peer, 4)
-		return err
-	case ModePy:
-		if o.opts.TimingOnly {
-			if err := o.py.SendSpec(o.spec(), peer, 4); err != nil {
-				return err
-			}
-			_, err := o.py.RecvSpec(o.spec(), peer, 4)
-			return err
-		}
-		_, err := o.py.Sendrecv(o.sbuf, peer, 4, o.rbuf, peer, 4)
-		return err
-	default:
-		if err := o.send(peer, 4); err != nil {
-			return err
-		}
-		return o.recv(peer, 4)
+	var err error
+	if o.opts.Mode == ModeC {
+		_, err = o.c.SendrecvN(o.sraw, o.n, peer, 4, o.rraw, o.n, peer, 4)
+	} else {
+		_, err = o.py.Sendrecv(o.sbuf, peer, 4, o.rbuf, peer, 4)
 	}
+	return err
 }
 
 // ack moves the 4-byte completion message of the bandwidth tests; it always
@@ -228,9 +197,6 @@ func (o *ops) collective(b Benchmark) error {
 	case ModeC:
 		return o.collectiveC(b)
 	case ModePy:
-		if o.opts.TimingOnly {
-			return o.collectivePySpec(b)
-		}
 		return o.collectivePy(b)
 	default:
 		return o.collectivePickle(b)
@@ -239,10 +205,7 @@ func (o *ops) collective(b Benchmark) error {
 
 func (o *ops) collectiveC(b Benchmark) error {
 	p := o.c.Size()
-	var s, r []byte
-	if !o.opts.TimingOnly {
-		s, r = o.sraw, o.rraw
-	}
+	s, r := o.sraw, o.rraw
 	switch b {
 	case Barrier:
 		return o.c.Barrier()
@@ -263,18 +226,9 @@ func (o *ops) collectiveC(b Benchmark) error {
 	case ReduceScatter:
 		return o.c.ReduceScatterBlockN(s, r, o.n, o.opts.DType, mpi.OpSum)
 	case Gatherv:
-		if o.opts.TimingOnly {
-			return o.c.GathervN(o.n, nil, uniform(p, o.n), nil, 0)
-		}
-		if o.c.Rank() == 0 {
-			return o.c.Gatherv(s[:o.n], r, uniform(p, o.n), nil, 0)
-		}
-		return o.c.Gatherv(s[:o.n], nil, nil, nil, 0)
+		return o.c.Gatherv(s, o.n, r, uniform(p, o.n), nil, 0)
 	case Scatterv:
-		if o.opts.TimingOnly {
-			return o.c.ScattervN(uniform(p, o.n), o.n, 0)
-		}
-		return o.c.Scatterv(s, uniform(p, o.n), nil, r, 0)
+		return o.c.Scatterv(s, uniform(p, o.n), nil, r, o.n, 0)
 	case Allgatherv:
 		return o.c.Allgatherv(s, r, uniform(p, o.n), nil)
 	case Alltoallv:
@@ -317,40 +271,6 @@ func (o *ops) collectivePy(b Benchmark) error {
 	}
 }
 
-func (o *ops) collectivePySpec(b Benchmark) error {
-	s := o.spec()
-	switch b {
-	case Barrier:
-		return o.py.BarrierSpec()
-	case Bcast:
-		return o.py.BcastSpec(s, 0)
-	case Reduce:
-		return o.py.ReduceSpec(s, o.opts.DType, mpi.OpSum, 0)
-	case Allreduce:
-		return o.py.AllreduceSpec(s, o.opts.DType, mpi.OpSum)
-	case Gather:
-		return o.py.GatherSpec(s, 0)
-	case Scatter:
-		return o.py.ScatterSpec(s, 0)
-	case Allgather:
-		return o.py.AllgatherSpec(s)
-	case Alltoall:
-		return o.py.AlltoallSpec(s)
-	case ReduceScatter:
-		return o.py.ReduceScatterBlockSpec(s, o.opts.DType, mpi.OpSum)
-	case Gatherv:
-		return o.py.GathervSpec(s, 0)
-	case Scatterv:
-		return o.py.ScattervSpec(s, 0)
-	case Allgatherv:
-		return o.py.AllgathervSpec(s)
-	case Alltoallv:
-		return o.py.AlltoallvSpec(s)
-	default:
-		return fmt.Errorf("core: %s is not a collective", b)
-	}
-}
-
 func (o *ops) collectivePickle(b Benchmark) error {
 	switch b {
 	case Bcast:
@@ -374,10 +294,7 @@ func (o *ops) collectivePickle(b Benchmark) error {
 // returns its request. Overlap benchmarks run in C mode only, so the post
 // always goes through the raw runtime.
 func (o *ops) icollective(b Benchmark) (*mpi.Request, error) {
-	var s, r []byte
-	if !o.opts.TimingOnly {
-		s, r = o.sraw, o.rraw
-	}
+	s, r := o.sraw, o.rraw
 	switch b {
 	case IAllreduce:
 		return o.c.IallreduceN(s, r, o.n, o.opts.DType, mpi.OpSum)

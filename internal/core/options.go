@@ -113,7 +113,10 @@ type Options struct {
 	// (mbw_mr, multi_bw); 0 means Ranks/2, the OSU default. Benchmarks
 	// outside the multi-pair family ignore it.
 	Pairs int `json:"pairs,omitempty"`
-	// TimingOnly runs without payloads (huge-scale experiments).
+	// TimingOnly runs without payloads (huge-scale experiments): C mode
+	// passes nil slices and Py mode storage-less buffers through the same
+	// calls as a data run. Pickle mode serializes real objects and refuses
+	// it.
 	TimingOnly bool `json:"timing_only,omitempty"`
 	// NoFold disables the event loop's symmetry folding, forcing every
 	// rank to execute individually. Folding changes no reported number —
@@ -352,6 +355,9 @@ func (o Options) validate() error {
 	}
 	if !o.UseGPU && o.Buffer.OnGPU() {
 		return fmt.Errorf("core: buffer library %v needs UseGPU", o.Buffer)
+	}
+	if o.Mode == ModePickle && o.TimingOnly {
+		return fmt.Errorf("core: pickle mode serializes real objects and cannot run timing-only; use -mode py")
 	}
 	if o.Mode != ModeC && !o.TimingOnly && o.Buffer == pybuf.Bytearray && o.DType != mpi.Uint8 {
 		return fmt.Errorf("core: %s moves %v elements, but bytearray buffers hold uint8; use -buffer numpy",

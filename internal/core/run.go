@@ -235,7 +235,7 @@ func (o Options) SelectedAlgorithm(size int) (string, error) {
 		return "", err
 	}
 	bytes := size
-	if o.Mode == ModePy && !o.TimingOnly {
+	if o.Mode == ModePy {
 		// Py-mode buffers hold whole elements (ops.setup).
 		bytes -= size % o.DType.Size()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -171,25 +172,63 @@ func TestAllCollectivesRunBothModes(t *testing.T) {
 	}
 }
 
+// TestTimingOnlyMatchesData pins that a timing-only run reports the data
+// run's rows: every registered benchmark in C and Py mode where it runs
+// them (at its inventory placement and fault plan), Py mode over a GPU
+// library, and a Py allreduce over sizes that are not whole float32
+// elements.
 func TestTimingOnlyMatchesData(t *testing.T) {
-	for _, b := range []Benchmark{Latency, Allreduce, Allgather} {
-		opts := quickOpts(b, ModePy)
-		if b != Latency {
-			opts.Ranks, opts.PPN = 8, 4
+	var cases []Options
+	for _, b := range Benchmarks() {
+		spec, err := LookupBenchmark(string(b))
+		if err != nil {
+			t.Fatal(err)
 		}
-		opts.MaxSize = 128 * 1024
+		ranks, _, faults := spec.InventoryConfig()
+		for _, mode := range []Mode{ModeC, ModePy} {
+			if !spec.SupportsMode(mode) {
+				continue
+			}
+			opts := quickOpts(b, mode)
+			opts.Ranks, opts.PPN, opts.Faults = ranks, 2, faults
+			opts.MinSize, opts.MaxSize = 1, 128*1024
+			opts.Iters, opts.Warmup = 3, 1
+			cases = append(cases, opts)
+		}
+	}
+	for _, b := range []Benchmark{Latency, Allreduce} {
+		opts := quickOpts(b, ModePy)
+		opts.Cluster, opts.UseGPU, opts.Buffer = "bridges2", true, pybuf.CuPy
+		opts.Ranks, opts.PPN = 2, 1
+		if b != Latency {
+			opts.Ranks, opts.PPN = 4, 2
+		}
+		opts.MinSize, opts.MaxSize = 1, 1<<20
+		cases = append(cases, opts)
+	}
+	ragged := quickOpts(Allreduce, ModePy)
+	ragged.Ranks, ragged.Sizes = 4, []int{5, 6, 4097, 40001}
+	cases = append(cases, ragged)
+
+	for _, opts := range cases {
+		name := fmt.Sprintf("%s %s %s on %d ranks", opts.Benchmark, opts.Mode, opts.Buffer, opts.Ranks)
 		withData, err := Run(opts)
 		if err != nil {
-			t.Fatalf("%s data: %v", b, err)
+			t.Errorf("%s, data: %v", name, err)
+			continue
 		}
 		opts.TimingOnly = true
 		timing, err := Run(opts)
 		if err != nil {
-			t.Fatalf("%s timing-only: %v", b, err)
+			t.Errorf("%s, timing-only: %v", name, err)
+			continue
+		}
+		if len(withData.Series.Rows) == 0 || withData.Failure != nil {
+			t.Errorf("%s: data run reported %d rows, failure %v", name, len(withData.Series.Rows), withData.Failure)
 		}
 		if !reflect.DeepEqual(withData.Series.Rows, timing.Series.Rows) {
-			t.Errorf("%s: timing-only diverges from data run\n data: %+v\n spec: %+v",
-				b, withData.Series.Rows, timing.Series.Rows)
+			t.Errorf("%s: timing-only diverges from data run\n data:   %+v\n timing: %+v",
+				name, withData.Series.Rows, timing.Series.Rows)
 		}
 	}
 }
@@ -233,11 +272,24 @@ func TestOptionValidation(t *testing.T) {
 		{Benchmark: Gather, Mode: ModePickle, Ranks: 4},           // pickle unsupported
 		{Benchmark: Latency, Mode: ModePy, Buffer: pybuf.CuPy},    // GPU lib without GPU
 		{Benchmark: Latency, Ranks: 2, MinSize: 1024, MaxSize: 8}, // inverted sizes
+		// Pickle mode serializes real objects, so never timing-only.
+		{Benchmark: Allreduce, Mode: ModePickle, Ranks: 4, TimingOnly: true},
+		{Benchmark: Bcast, Mode: ModePickle, Ranks: 4, TimingOnly: true},
+		{Benchmark: Latency, Mode: ModePickle, Cluster: "bridges2", UseGPU: true, Buffer: pybuf.CuPy, TimingOnly: true},
+		{Benchmark: BiBandwidth, Mode: ModePickle}, // the pickled exchange deadlocks
 	}
 	for i, o := range cases {
+		// Each is refused by validation, before any rank runs.
+		if err := o.withDefaults().validate(); err == nil || !strings.HasPrefix(err.Error(), "core: ") {
+			t.Errorf("case %d (%+v): validate = %v, want a core: error", i, o, err)
+		}
 		if _, err := Run(o); err == nil {
 			t.Errorf("case %d (%+v): expected error", i, o)
 		}
+	}
+	o := Options{Benchmark: Allreduce, Mode: ModePickle, Ranks: 4, TimingOnly: true}
+	if err := o.withDefaults().validate(); err == nil || !strings.Contains(err.Error(), "-mode py") {
+		t.Errorf("timing-only pickle: validate = %v, want an error naming -mode py", err)
 	}
 }
 

@@ -357,7 +357,7 @@ func TestVectorCollectives(t *testing.T) {
 				gathered = make([]byte, total)
 			}
 			if pr.Rank() == 0 {
-				if err := c.Gatherv(mine, gathered, counts, nil, 0); err != nil {
+				if err := c.Gatherv(mine, len(mine), gathered, counts, nil, 0); err != nil {
 					return err
 				}
 				off := 0
@@ -368,7 +368,7 @@ func TestVectorCollectives(t *testing.T) {
 					off += counts[r]
 				}
 			} else {
-				if err := c.Gatherv(mine, nil, nil, nil, 0); err != nil {
+				if err := c.Gatherv(mine, len(mine), nil, nil, nil, 0); err != nil {
 					return err
 				}
 			}
@@ -376,11 +376,11 @@ func TestVectorCollectives(t *testing.T) {
 			// Scatterv back.
 			back := make([]byte, counts[pr.Rank()])
 			if pr.Rank() == 0 {
-				if err := c.Scatterv(gathered, counts, nil, back, 0); err != nil {
+				if err := c.Scatterv(gathered, counts, nil, back, len(back), 0); err != nil {
 					return err
 				}
 			} else {
-				if err := c.Scatterv(nil, counts, nil, back, 0); err != nil {
+				if err := c.Scatterv(nil, counts, nil, back, len(back), 0); err != nil {
 					return err
 				}
 			}

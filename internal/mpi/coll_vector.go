@@ -36,16 +36,17 @@ func contiguousDispls(counts []int) []int {
 }
 
 // Gatherv gathers counts[r] bytes from rank r into rbuf at displs[r] on
-// root. Non-root ranks may pass nil rbuf/counts only if they also pass their
-// send size via sbuf. displs == nil means packed layout.
-func (c *Comm) Gatherv(sbuf []byte, rbuf []byte, counts, displs []int, root int) error {
+// root; each rank sends the first scount bytes of sbuf, as MPI_Gatherv's
+// sendcount. rbuf, counts and displs are read only at root, and displs ==
+// nil means packed layout.
+func (c *Comm) Gatherv(sbuf []byte, scount int, rbuf []byte, counts, displs []int, root int) error {
 	if err := c.checkRank(root, "Gatherv root"); err != nil {
 		return err
 	}
 	p := len(c.group)
 	s := c.getSched()
 	if c.rank != root {
-		s.send(root, sbuf, len(sbuf))
+		s.send(root, sbuf, scount)
 		return c.driveSched(s)
 	}
 	if err := checkVector(counts, displs, p, "Gatherv"); err != nil {
@@ -70,44 +71,18 @@ func (c *Comm) Gatherv(sbuf []byte, rbuf []byte, counts, displs []int, root int)
 	return nil
 }
 
-// GathervN is Gatherv for timing-only worlds: the non-root send size is
-// explicit so sbuf may be nil.
-func (c *Comm) GathervN(n int, rbuf []byte, counts, displs []int, root int) error {
-	if err := c.checkRank(root, "Gatherv root"); err != nil {
-		return err
-	}
-	p := len(c.group)
-	s := c.getSched()
-	if c.rank != root {
-		s.send(root, nil, n)
-		return c.driveSched(s)
-	}
-	if err := checkVector(counts, displs, p, "Gatherv"); err != nil {
-		s.finish()
-		return err
-	}
-	for r := 0; r < p; r++ {
-		if r == root {
-			continue
-		}
-		s.recv(r, nil, counts[r])
-	}
-	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Gatherv: %w", err)
-	}
-	return nil
-}
-
-// Scatterv scatters counts[r] bytes at displs[r] of sbuf on root to rank r's
-// rbuf. displs == nil means packed layout.
-func (c *Comm) Scatterv(sbuf []byte, counts, displs []int, rbuf []byte, root int) error {
+// Scatterv scatters counts[r] bytes at displs[r] of sbuf on root to rank
+// r, which receives at most rcount bytes into rbuf, as MPI_Scatterv's
+// recvcount. sbuf, counts and displs are read only at root, and displs ==
+// nil means packed layout.
+func (c *Comm) Scatterv(sbuf []byte, counts, displs []int, rbuf []byte, rcount, root int) error {
 	if err := c.checkRank(root, "Scatterv root"); err != nil {
 		return err
 	}
 	p := len(c.group)
 	s := c.getSched()
 	if c.rank != root {
-		s.recv(root, rbuf, len(rbuf))
+		s.recv(root, rbuf, rcount)
 		if err := c.driveSched(s); err != nil {
 			return fmt.Errorf("mpi: Scatterv: %w", err)
 		}
@@ -128,37 +103,6 @@ func (c *Comm) Scatterv(sbuf []byte, counts, displs []int, rbuf []byte, root int
 	}
 	if sbuf != nil && rbuf != nil {
 		s.copyStep(rbuf[:counts[root]], sbuf[displs[root]:displs[root]+counts[root]], counts[root])
-	}
-	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Scatterv: %w", err)
-	}
-	return nil
-}
-
-// ScattervN is Scatterv for timing-only worlds: the root sends counts[r]
-// bytes to each rank and non-roots receive n bytes, all without payloads.
-func (c *Comm) ScattervN(counts []int, n, root int) error {
-	if err := c.checkRank(root, "Scatterv root"); err != nil {
-		return err
-	}
-	p := len(c.group)
-	s := c.getSched()
-	if c.rank != root {
-		s.recv(root, nil, n)
-		if err := c.driveSched(s); err != nil {
-			return fmt.Errorf("mpi: Scatterv: %w", err)
-		}
-		return nil
-	}
-	if err := checkVector(counts, nil, p, "Scatterv"); err != nil {
-		s.finish()
-		return err
-	}
-	for r := 0; r < p; r++ {
-		if r == root {
-			continue
-		}
-		s.send(r, nil, counts[r])
 	}
 	if err := c.driveSched(s); err != nil {
 		return fmt.Errorf("mpi: Scatterv: %w", err)

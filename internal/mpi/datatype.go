@@ -187,7 +187,9 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // float32 sum computed in float64 and rounded once equals the natively
 // rounded float32 sum, because double rounding is innocuous for + when
 // 53 >= 2*24+2 (Figueroa, 1995). The one difference is which NaN payload
-// wins when both operands are NaN.
+// wins when both operands are NaN. The loop is unrolled by four so that
+// its speed does not depend on where the linker places it; each element is
+// still one +=.
 func sumTyped[T float32 | float64](dst, src []byte) bool {
 	es := int(unsafe.Sizeof(T(0)))
 	if !hostLittleEndian || len(dst) == 0 || len(src) != len(dst) ||
@@ -197,6 +199,13 @@ func sumTyped[T float32 | float64](dst, src []byte) bool {
 	}
 	d := unsafe.Slice((*T)(unsafe.Pointer(&dst[0])), len(dst)/es)
 	s := unsafe.Slice((*T)(unsafe.Pointer(&src[0])), len(d))
+	for len(d) >= 4 && len(s) >= 4 {
+		d[0] += s[0]
+		d[1] += s[1]
+		d[2] += s[2]
+		d[3] += s[3]
+		d, s = d[4:], s[4:]
+	}
 	for i := range d {
 		d[i] += s[i]
 	}

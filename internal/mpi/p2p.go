@@ -267,30 +267,12 @@ func (c *Comm) finishRecv(e *envelope, buf []byte, max int) (Status, error) {
 
 // Send performs a blocking standard-mode send of buf to communicator rank
 // dst with the given tag.
-func (c *Comm) Send(buf []byte, dst, tag int) error {
-	if err := c.checkRank(dst, "Send dst"); err != nil {
-		return err
-	}
-	if err := checkTag(tag); err != nil {
-		return err
-	}
-	return c.completeSend(c.postSend(dst, tag, buf, len(buf)))
-}
+func (c *Comm) Send(buf []byte, dst, tag int) error { return c.SendN(buf, len(buf), dst, tag) }
 
 // Recv performs a blocking receive into buf from communicator rank src
 // (or AnySource) with the given tag (or AnyTag).
 func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
-	if src != AnySource {
-		if err := c.checkRank(src, "Recv src"); err != nil {
-			return Status{}, err
-		}
-	}
-	if tag != AnyTag {
-		if err := checkTag(tag); err != nil {
-			return Status{}, err
-		}
-	}
-	return c.recvBytes(src, tag, buf, len(buf))
+	return c.RecvN(buf, len(buf), src, tag)
 }
 
 // SendN is Send with an explicit byte count; buf may be nil in timing-only
@@ -353,28 +335,7 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 // satisfied, and only then does the call wait for the send to drain -- so
 // two ranks exchanging large messages both make progress.
 func (c *Comm) Sendrecv(sbuf []byte, dst, stag int, rbuf []byte, src, rtag int) (Status, error) {
-	if err := c.checkRank(dst, "Sendrecv dst"); err != nil {
-		return Status{}, err
-	}
-	if src != AnySource {
-		if err := c.checkRank(src, "Sendrecv src"); err != nil {
-			return Status{}, err
-		}
-	}
-	if err := checkTag(stag); err != nil {
-		return Status{}, err
-	}
-	if rtag != AnyTag {
-		if err := checkTag(rtag); err != nil {
-			return Status{}, err
-		}
-	}
-	rdv := c.postSend(dst, stag, sbuf, len(sbuf))
-	st, err := c.recvBytes(src, rtag, rbuf, len(rbuf))
-	if serr := c.completeSend(rdv); err == nil {
-		err = serr
-	}
-	return st, err
+	return c.SendrecvN(sbuf, len(sbuf), dst, stag, rbuf, len(rbuf), src, rtag)
 }
 
 // SendrecvN is Sendrecv with explicit byte counts; buffers may be nil in

@@ -4,7 +4,7 @@ package mpi
 // class. It backs two pools: the per-rank staging arena the collectives
 // draw their accumulator, temporary and packing buffers from (a Proc is
 // single-threaded, so no locking), and the byte half doubles as each
-// mailbox's payload pool (there the mailbox mutex guards it).
+// mailbox's payload pool.
 //
 // get and getInts return zeroed memory, exactly like the make calls they
 // replace: receive windows are normally filled by exact-size receives, but

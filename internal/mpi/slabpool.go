@@ -66,7 +66,7 @@ var mailboxSlabPool struct {
 }
 
 // takeMailboxSlab returns a zeroed mailbox slab of length n; the caller
-// re-runs its construction loop (condvar binding, size) over it.
+// sets each mailbox's size over it.
 func takeMailboxSlab(n int) []mailbox {
 	mailboxSlabPool.mu.Lock()
 	mbs := mailboxSlabPool.mbs

@@ -131,7 +131,7 @@ func (c *Comm) Send(buf pybuf.Buffer, dst, tag int) error {
 	if err != nil {
 		return err
 	}
-	return c.raw.Send(raw, dst, tag)
+	return c.raw.SendN(raw, buf.NBytes(), dst, tag)
 }
 
 // Recv receives into a buffer from communicator rank src.
@@ -141,7 +141,7 @@ func (c *Comm) Recv(buf pybuf.Buffer, src, tag int) (mpi.Status, error) {
 	if err != nil {
 		return mpi.Status{}, err
 	}
-	return c.raw.Recv(raw, src, tag)
+	return c.raw.RecvN(raw, buf.NBytes(), src, tag)
 }
 
 // Sendrecv exchanges buffers with peers without deadlock.
@@ -155,7 +155,7 @@ func (c *Comm) Sendrecv(sbuf pybuf.Buffer, dst, stag int, rbuf pybuf.Buffer, src
 	if err != nil {
 		return mpi.Status{}, err
 	}
-	return c.raw.Sendrecv(sraw, dst, stag, rraw, src, rtag)
+	return c.raw.SendrecvN(sraw, sbuf.NBytes(), dst, stag, rraw, rbuf.NBytes(), src, rtag)
 }
 
 // --- Direct-buffer collectives (mpi4py's upper-case family) ---
@@ -180,7 +180,7 @@ func (c *Comm) Bcast(buf pybuf.Buffer, root int) error {
 	if err != nil {
 		return err
 	}
-	return c.raw.Bcast(raw, root)
+	return c.raw.BcastN(raw, buf.NBytes(), root)
 }
 
 // Reduce combines sbuf into rbuf at root.
@@ -194,7 +194,7 @@ func (c *Comm) Reduce(sbuf, rbuf pybuf.Buffer, op mpi.Op, root int) error {
 	if err != nil {
 		return err
 	}
-	return c.raw.Reduce(sraw, rraw, sbuf.DType(), op, root)
+	return c.raw.ReduceN(sraw, rraw, sbuf.NBytes(), sbuf.DType(), op, root)
 }
 
 // Allreduce combines sbuf into rbuf on every rank.
@@ -208,7 +208,7 @@ func (c *Comm) Allreduce(sbuf, rbuf pybuf.Buffer, op mpi.Op) error {
 	if err != nil {
 		return err
 	}
-	return c.raw.Allreduce(sraw, rraw, sbuf.DType(), op)
+	return c.raw.AllreduceN(sraw, rraw, sbuf.NBytes(), sbuf.DType(), op)
 }
 
 // Gather collects equal-sized buffers at root.
@@ -258,8 +258,13 @@ func (c *Comm) Allgather(sbuf, rbuf pybuf.Buffer) error {
 	return c.raw.AllgatherN(sraw, sbuf.NBytes(), rraw)
 }
 
-// Alltoall exchanges per-destination blocks between all ranks.
+// Alltoall exchanges per-destination blocks between all ranks; sbuf holds
+// one equal block per rank.
 func (c *Comm) Alltoall(sbuf, rbuf pybuf.Buffer) error {
+	p := c.raw.Size()
+	if sbuf.NBytes()%p != 0 {
+		return fmt.Errorf("mpi4py: Alltoall send buffer %d not divisible by %d ranks", sbuf.NBytes(), p)
+	}
 	c.stageOne(sbuf.Library(), sbuf.NBytes(), PhaseMisc, Collective)
 	sraw, err := c.stageSend(sbuf, Collective)
 	if err != nil {
@@ -269,7 +274,7 @@ func (c *Comm) Alltoall(sbuf, rbuf pybuf.Buffer) error {
 	if err != nil {
 		return err
 	}
-	return c.raw.Alltoall(sraw, rraw)
+	return c.raw.AlltoallN(sraw, sbuf.NBytes()/p, rraw)
 }
 
 // ReduceScatterBlock reduces and scatters equal blocks.
@@ -297,7 +302,7 @@ func (c *Comm) Scan(sbuf, rbuf pybuf.Buffer, op mpi.Op) error {
 	if err != nil {
 		return err
 	}
-	return c.raw.Scan(sraw, rraw, sbuf.DType(), op)
+	return c.raw.ScanN(sraw, rraw, sbuf.NBytes(), sbuf.DType(), op)
 }
 
 // Exscan computes the exclusive prefix reduction into rbuf.
@@ -311,7 +316,7 @@ func (c *Comm) Exscan(sbuf, rbuf pybuf.Buffer, op mpi.Op) error {
 	if err != nil {
 		return err
 	}
-	return c.raw.Exscan(sraw, rraw, sbuf.DType(), op)
+	return c.raw.ExscanN(sraw, rraw, sbuf.NBytes(), sbuf.DType(), op)
 }
 
 // --- Vector variants (Allgatherv, Alltoallv, Gatherv, Scatterv) ---
@@ -329,7 +334,7 @@ func (c *Comm) Gatherv(sbuf, rbuf pybuf.Buffer, counts []int, root int) error {
 			return err
 		}
 	}
-	return c.raw.Gatherv(sraw, rraw, counts, nil, root)
+	return c.raw.Gatherv(sraw, sbuf.NBytes(), rraw, counts, nil, root)
 }
 
 // Scatterv distributes variable-sized blocks from root (counts in bytes).
@@ -346,7 +351,7 @@ func (c *Comm) Scatterv(sbuf pybuf.Buffer, counts []int, rbuf pybuf.Buffer, root
 	if err != nil {
 		return err
 	}
-	return c.raw.Scatterv(sraw, counts, nil, rraw, root)
+	return c.raw.Scatterv(sraw, counts, nil, rraw, rbuf.NBytes(), root)
 }
 
 // Allgatherv collects variable-sized buffers on every rank.

@@ -3,6 +3,7 @@ package mpi4py
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -311,9 +312,9 @@ func TestAllreduceObject(t *testing.T) {
 }
 
 func TestSpecMatchesBufferTiming(t *testing.T) {
-	// A Spec-driven allreduce must cost exactly what the buffer-driven one
-	// does (same staging, same schedule).
-	measure := func(useSpec bool) vtime.Micros {
+	// An allreduce over storage-less pybuf.Sized buffers must cost exactly
+	// what the one over real buffers does (same staging, same schedule).
+	measure := func(sized bool) vtime.Micros {
 		w := pyWorld(t, 4, 4)
 		var elapsed vtime.Micros
 		err := w.Run(func(p *mpi.Proc) error {
@@ -325,16 +326,12 @@ func TestSpecMatchesBufferTiming(t *testing.T) {
 				return err
 			}
 			start := p.Wtime()
-			if useSpec {
-				if err := c.AllreduceSpec(Spec{Lib: pybuf.NumPy, N: 1024}, mpi.Float64, mpi.OpSum); err != nil {
-					return err
-				}
-			} else {
-				s := pybuf.NewNumPy(mpi.Float64, 128)
-				r := pybuf.NewNumPy(mpi.Float64, 128)
-				if err := c.Allreduce(s, r, mpi.OpSum); err != nil {
-					return err
-				}
+			s, r := pybuf.NewNumPy(mpi.Float64, 128), pybuf.NewNumPy(mpi.Float64, 128)
+			if sized {
+				s, r = pybuf.Sized(pybuf.NumPy, mpi.Float64, 128), pybuf.Sized(pybuf.NumPy, mpi.Float64, 128)
+			}
+			if err := c.Allreduce(s, r, mpi.OpSum); err != nil {
+				return err
 			}
 			if p.Rank() == 0 {
 				elapsed = p.Wtime() - start
@@ -346,8 +343,36 @@ func TestSpecMatchesBufferTiming(t *testing.T) {
 		}
 		return elapsed
 	}
-	if buf, spec := measure(false), measure(true); buf != spec {
-		t.Fatalf("spec timing %v != buffer timing %v", spec, buf)
+	if buf, sized := measure(false), measure(true); buf != sized {
+		t.Fatalf("sized timing %v != buffer timing %v", sized, buf)
+	}
+}
+
+// TestAlltoallNeedsEqualBlocks pins that Alltoall refuses a send buffer
+// that does not split into one equal block per rank, real or sized, since
+// it passes the runtime an explicit block size.
+func TestAlltoallNeedsEqualBlocks(t *testing.T) {
+	const p = 4
+	for _, sized := range []bool{false, true} {
+		w := pyWorld(t, p, p)
+		err := w.Run(func(pr *mpi.Proc) error {
+			c, err := Wrap(pr.CommWorld())
+			if err != nil {
+				return err
+			}
+			s, r := pybuf.NewNumPy(mpi.Uint8, 4*p+2), pybuf.NewNumPy(mpi.Uint8, 4*p+2)
+			if sized {
+				s, r = pybuf.Sized(pybuf.NumPy, mpi.Uint8, 4*p+2), pybuf.Sized(pybuf.NumPy, mpi.Uint8, 4*p+2)
+			}
+			err = c.Alltoall(s, r)
+			if err == nil || !strings.Contains(err.Error(), "not divisible by 4 ranks") {
+				return fmt.Errorf("rank %d: Alltoall of %d bytes = %v, want a divisibility error", pr.Rank(), s.NBytes(), err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("sized=%v: %v", sized, err)
+		}
 	}
 }
 

@@ -71,24 +71,6 @@ func (c *Comm) RecvObject(buf []byte, src, tag int, gpu *device.GPU) (pybuf.Buff
 	return obj, st, nil
 }
 
-// SendObjectSpec / RecvObjectSpec are the timing-only forms: they charge
-// serialization costs and move a frame-sized message without materialising
-// payloads.
-func (c *Comm) SendObjectSpec(s Spec, dst, tag int) error {
-	c.raw.Proc().AdvanceClock(pickle.DumpsCost(s.N, c.pickleCosts))
-	return c.raw.SendN(nil, pickle.FrameSize(s.N), dst, tag)
-}
-
-// RecvObjectSpec is the timing-only receive of a pickled buffer.
-func (c *Comm) RecvObjectSpec(s Spec, src, tag int) (mpi.Status, error) {
-	st, err := c.raw.RecvN(nil, pickle.FrameSize(s.N), src, tag)
-	if err != nil {
-		return st, err
-	}
-	c.raw.Proc().AdvanceClock(pickle.LoadsCost(s.N, c.pickleCosts))
-	return st, nil
-}
-
 // BcastObject broadcasts a pickled buffer from root (mpi4py's comm.bcast):
 // the frame length travels first, then the frame, then non-roots unpickle.
 // Non-root ranks pass nil buf; the received object is returned everywhere.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/pybuf"
+	"repro/internal/vtime"
 )
 
 func TestScanThroughBinding(t *testing.T) {
@@ -109,34 +110,53 @@ func TestSendrecvThroughBinding(t *testing.T) {
 }
 
 func TestVectorSpecsRun(t *testing.T) {
-	// The timing-only Spec forms of every vector collective must run and
-	// advance the clock.
-	w := pyWorld(t, 4, 4)
-	err := w.Run(func(pr *mpi.Proc) error {
-		c, err := Wrap(pr.CommWorld())
+	// Every vector collective must run over storage-less pybuf.Sized
+	// buffers, advance the clock, and cost what it costs over real
+	// buffers.
+	const p, n = 4, 512
+	measure := func(sized bool) vtime.Micros {
+		w := pyWorld(t, p, p)
+		var elapsed vtime.Micros
+		err := w.Run(func(pr *mpi.Proc) error {
+			c, err := Wrap(pr.CommWorld())
+			if err != nil {
+				return err
+			}
+			buf := func(count int) pybuf.Buffer {
+				if sized {
+					return pybuf.Sized(pybuf.NumPy, mpi.Uint8, count)
+				}
+				return pybuf.NewNumPy(mpi.Uint8, count)
+			}
+			one, all := buf(n), buf(p*n)
+			counts := []int{n, n, n, n}
+			before := pr.Wtime()
+			if err := c.Gatherv(one, all, counts, 0); err != nil {
+				return err
+			}
+			if err := c.Scatterv(all, counts, one, 0); err != nil {
+				return err
+			}
+			if err := c.Allgatherv(one, all, counts); err != nil {
+				return err
+			}
+			if err := c.Alltoallv(all, counts, buf(p*n), counts); err != nil {
+				return err
+			}
+			if pr.Wtime() <= before {
+				return fmt.Errorf("vector collectives advanced no time")
+			}
+			if pr.Rank() == 0 {
+				elapsed = pr.Wtime() - before
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		spec := Spec{Lib: pybuf.NumPy, N: 512}
-		before := pr.Wtime()
-		if err := c.GathervSpec(spec, 0); err != nil {
-			return err
-		}
-		if err := c.ScattervSpec(spec, 0); err != nil {
-			return err
-		}
-		if err := c.AllgathervSpec(spec); err != nil {
-			return err
-		}
-		if err := c.AlltoallvSpec(spec); err != nil {
-			return err
-		}
-		if pr.Wtime() <= before {
-			return fmt.Errorf("vector specs advanced no time")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		return elapsed
+	}
+	if buf, sized := measure(false), measure(true); buf != sized {
+		t.Fatalf("sized timing %v != buffer timing %v", sized, buf)
 	}
 }

@@ -50,6 +50,8 @@ func DefaultCosts() Costs {
 	}
 }
 
+// call prices one Dumps or Loads of n payload bytes, before any device
+// copy.
 func (c Costs) call(n int) vtime.Micros {
 	t := c.PerCall + vtime.Micros(float64(n)*c.PerByte)
 	if n > c.CliffBytes {
@@ -137,13 +139,6 @@ func FrameSize(n int) int { return headerLen + n }
 
 // PayloadSize inverts FrameSize for a received frame length.
 func PayloadSize(frameLen int) int { return frameLen - headerLen }
-
-// DumpsCost prices Dumps without materialising a frame; used on the
-// timing-only paths of the huge-scale experiments.
-func DumpsCost(n int, costs Costs) vtime.Micros { return costs.call(n) }
-
-// LoadsCost prices Loads without materialising a buffer.
-func LoadsCost(n int, costs Costs) vtime.Micros { return costs.call(n) }
 
 func parseHeader(frame []byte) (pybuf.Library, mpi.DType, int, error) {
 	if len(frame) < headerLen {

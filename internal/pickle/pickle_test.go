@@ -86,10 +86,9 @@ func TestGPURoundTripIncludesCopies(t *testing.T) {
 
 func TestCostCliff(t *testing.T) {
 	costs := DefaultCosts()
-	below := DumpsCost(costs.CliffBytes, costs)
-	above := DumpsCost(2*costs.CliffBytes, costs)
-	linear := DumpsCost(costs.CliffBytes, costs) + // what pure linearity would give
-		(DumpsCost(costs.CliffBytes, costs) - DumpsCost(0, costs))
+	below := costs.call(costs.CliffBytes)
+	above := costs.call(2 * costs.CliffBytes)
+	linear := below + (below - costs.call(0)) // what pure linearity would give
 	if above <= linear {
 		t.Errorf("cost past the cliff (%v) should exceed the linear projection (%v, below=%v)",
 			above, linear, below)
@@ -103,8 +102,7 @@ func TestCostMonotoneProperty(t *testing.T) {
 		if na > nb {
 			na, nb = nb, na
 		}
-		return DumpsCost(na, costs) <= DumpsCost(nb, costs) &&
-			LoadsCost(na, costs) <= LoadsCost(nb, costs)
+		return costs.call(na) <= costs.call(nb)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

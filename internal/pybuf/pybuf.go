@@ -4,7 +4,8 @@
 // expose device memory through the CUDA Array Interface. Buffers are real:
 // host buffers are byte slices, GPU buffers own simulated device
 // allocations, and the binding layer extracts raw storage exactly the way
-// mpi4py's Cython staging phase does.
+// mpi4py's Cython staging phase does. The one exception is Sized, a buffer
+// of a given size without storage, for timing-only runs.
 package pybuf
 
 import (
@@ -150,7 +151,8 @@ func DTypeFromTypestr(ts string) (mpi.DType, error) {
 	}
 }
 
-// hostBuffer backs Bytearray and NumPy.
+// hostBuffer backs Bytearray and NumPy, and the storage-less buffers of
+// every library that Sized returns.
 type hostBuffer struct {
 	lib   Library
 	dt    mpi.DType
@@ -171,8 +173,16 @@ func NewNumPy(dt mpi.DType, count int) Buffer {
 func (h *hostBuffer) Library() Library { return h.lib }
 func (h *hostBuffer) DType() mpi.DType { return h.dt }
 func (h *hostBuffer) Count() int       { return h.count }
-func (h *hostBuffer) NBytes() int      { return len(h.data) }
+func (h *hostBuffer) NBytes() int      { return h.count * h.dt.Size() }
 func (h *hostBuffer) Raw() []byte      { return h.data }
+
+// Sized returns a buffer of count elements of dt from lib that has no
+// storage: Raw is nil, and NBytes is count*dt.Size(). Timing-only runs
+// hand these to the binding layer, which stages and sends them through
+// the same calls as real buffers while the runtime moves sizes only.
+func Sized(lib Library, dt mpi.DType, count int) Buffer {
+	return &hostBuffer{lib: lib, dt: dt, count: count}
+}
 
 // gpuBuffer backs CuPy, PyCUDA and Numba arrays.
 type gpuBuffer struct {

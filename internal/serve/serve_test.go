@@ -263,6 +263,12 @@ func TestBadRequests(t *testing.T) {
 		"jitter_huge": `{"benchmark":"latency","faults":"jitter:link=1e308"}`,
 		// Enumerations are strings on the wire, never their numbers.
 		"mode_number": `{"benchmark":"latency","mode":1}`,
+		// Pickle mode serializes real objects, so it refuses timing-only
+		// runs; run, the object path has no storage to pickle.
+		"pickle_timing_only": `{"benchmark":"allreduce","mode":"pickle","ranks":4,"timing_only":true}`,
+		// A pickled bibw exchange sends before it receives and deadlocks
+		// at the first rendezvous size.
+		"bibw_pickle": `{"benchmark":"bibw","mode":"pickle"}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := post(t, s.Handler(), body)
@@ -295,6 +301,9 @@ func TestBadRequests(t *testing.T) {
 	}
 	if rec := post(t, s.Handler(), `{"benchmark":"latency","faults":"noise:sigma=inf"}`); !strings.Contains(rec.Body.String(), "-faults") {
 		t.Errorf("infinite noise sweep answered %s, want the validation error naming -faults", rec.Body)
+	}
+	if rec := post(t, s.Handler(), `{"benchmark":"bcast","mode":"pickle","ranks":4,"timing_only":true}`); !strings.Contains(rec.Body.String(), "-mode py") {
+		t.Errorf("timing-only pickle sweep answered %s, want the validation error naming -mode py", rec.Body)
 	}
 }
 

@@ -42,13 +42,6 @@ import (
 	"repro/internal/vtime"
 )
 
-// DebugCounters, when non-nil, accumulates event-loop statistics for
-// performance investigations ([0]=cut-through deliveries, [1]=mailbox
-// deliveries, [3]=heap pushes, [4]=slot handoffs, [5]=heap pops,
-// [6]=coroutine resumes, [7]=loop-side schedule replays). Not for
-// production use.
-var DebugCounters *[8]int64
-
 // rankState tracks where a rank is in the event loop's lifecycle.
 type rankState uint8
 
@@ -224,9 +217,6 @@ func evBefore(a, b *eventRank) bool {
 
 // push queues a runnable rank on the heap.
 func (l *eventLoop) push(er *eventRank) {
-	if DebugCounters != nil {
-		DebugCounters[3]++
-	}
 	er.key = er.proc.clock.Now()
 	l.heap = append(l.heap, er)
 	i := len(l.heap) - 1
@@ -390,9 +380,6 @@ func (l *eventLoop) take() *eventRank {
 		l.nslots--
 		er := l.slots[l.nslots]
 		l.slots[l.nslots] = nil
-		if DebugCounters != nil {
-			DebugCounters[4]++
-		}
 		return er
 	}
 	if l.foldWakeHead < len(l.foldWake) {
@@ -406,9 +393,6 @@ func (l *eventLoop) take() *eventRank {
 		return er
 	}
 	if len(l.heap) != 0 {
-		if DebugCounters != nil {
-			DebugCounters[5]++
-		}
 		return l.pop()
 	}
 	return nil
@@ -456,6 +440,12 @@ func (p *Proc) yieldPoll() {
 // chain of such frames unwinds in call order; a buried rank whose schedule
 // completed (driving, sched nil) is never resumed from here — control
 // reaches its frame when its caller's next() returns.
+//
+// A stall is handled by frame depth. A nested frame that finds nothing
+// runnable yields and unwinds: the rank that must run next may be buried
+// below it. Only the outermost frame, where nothing is buried, sees a
+// stall of the whole world; it releases a partial fold gather first and
+// then serves yielded pollers.
 func (l *eventLoop) driveUntil(target *eventRank) {
 	for target == nil || target.sched != nil {
 		if l.w.cancelOn {
@@ -468,33 +458,36 @@ func (l *eventLoop) driveUntil(target *eventRank) {
 		}
 		er := l.take()
 		if er == nil {
-			// Before declaring nothing runnable, release a stalled partial
-			// fold gather: its parked joiners fall back to normal execution,
-			// so folding can never introduce a deadlock that the unfolded
-			// engine would not have. A poller waiting on a gathered rank is
-			// such a case, so the release comes before any poller runs.
-			if l.releaseFoldStalled() {
-				continue
-			}
 			if target == nil {
-				// Only yielded pollers are left. They run here, in the
-				// outermost frame, where no rank is buried below: whatever a
-				// poller waits on is parked or runnable, never stuck under a
-				// frame that keeps resuming the poller instead of unwinding.
+				// Nothing is buried below the outermost frame, so the whole
+				// world is stalled. Release a partial fold gather first: its
+				// parked joiners fall back to normal execution, so folding
+				// can never introduce a deadlock that the unfolded engine
+				// would not have. A poller waiting on a gathered rank is such
+				// a case, so the release comes before any poller runs.
+				if l.releaseFoldStalled() {
+					continue
+				}
+				// Only yielded pollers are left. They run here, where
+				// whatever a poller waits on is parked or runnable, never
+				// stuck under a frame that keeps resuming the poller instead
+				// of unwinding.
 				if er = l.takePoll(); er == nil {
 					return
 				}
 			} else {
 				// Nothing is runnable but our collective is incomplete (a
-				// yielded poller does not count). Either a frame buried below
-				// us holds the rank whose body must run next, or the next
-				// message for us arrives only after an outer caller or a
-				// poller makes progress — all need control to unwind, so
-				// yield. While suspended here the rank behaves like any
-				// parked rank: its schedule advances stacklessly in
+				// yielded poller and a partial fold gather do not count).
+				// Either a frame buried below us holds the rank whose body
+				// must run next — often the next joiner of that very gather —
+				// or the next message for us arrives only after an outer
+				// caller or a poller makes progress: all need control to
+				// unwind, so yield. While suspended here the rank behaves
+				// like any parked rank: its schedule advances stacklessly in
 				// whichever frame pops it, and the frame that completes it
 				// resumes us. A true deadlock unwinds every frame the same
-				// way until the top-level loop reports it.
+				// way until the top-level loop releases the gather or
+				// reports it.
 				target.blockOnStep(target.sched)
 				target.driving = false
 				if !target.yield(struct{}{}) {
@@ -509,9 +502,6 @@ func (l *eventLoop) driveUntil(target *eventRank) {
 		if s := er.sched; s != nil {
 			// Replay the rank's compiled schedule in place: no coroutine
 			// switch until it completes or fails.
-			if DebugCounters != nil {
-				DebugCounters[7]++
-			}
 			done, err := s.tryDrive()
 			if !done && err == nil {
 				er.blockOnStep(s)
@@ -529,9 +519,6 @@ func (l *eventLoop) driveUntil(target *eventRank) {
 			// or earlier via a pull-forward or cut-through): the buried
 			// frame notices when control unwinds back into it.
 			continue
-		}
-		if DebugCounters != nil {
-			DebugCounters[6]++
 		}
 		if _, alive := er.next(); !alive || er.finished {
 			er.state = rankDone
@@ -617,9 +604,15 @@ func (l *eventLoop) drainDirect(p *Proc, rdv *rendezvous, done vtime.Micros) boo
 // retry if nothing changed, or resumes the coroutine if the schedule
 // completed here. Reports whether the schedule is still active (so a
 // second cut-through attempt is worthwhile).
+//
+// A driving rank is refused. Its driveUntil frame exits as soon as its
+// schedule is nil, without popping its own queue entry, and the rank runs
+// on: the stale entry would later resume it wherever it has parked since,
+// a fold gather included. Refused, the sender takes the mailbox path and
+// the rank's own pop consumes the message.
 func (l *eventLoop) pullForward(gdst int) bool {
 	er := l.ranks[gdst]
-	if er.state != rankRunnable || er.sched == nil {
+	if er.state != rankRunnable || er.sched == nil || er.driving {
 		return false
 	}
 	er.state = rankRunning
@@ -679,9 +672,6 @@ func (l *eventLoop) deliverDirect(gdst, src, gsrc, tag, ctx, size int, data []by
 	}
 	if size > st.n {
 		return false // would truncate: the mailbox path raises the error
-	}
-	if DebugCounters != nil {
-		DebugCounters[0]++
 	}
 	// The receiver is parked at this recv: run finishRecv's arithmetic on
 	// its clock, here and now.

@@ -36,9 +36,11 @@ package mpi
 // (opSend/opRecv steps), mixed forced algorithms, pending mailbox traffic,
 // ranks with outstanding nonblocking collectives — fails eligibility or
 // shape analysis and falls back to per-rank simulation, so folding can only
-// change speed, never a number. A partial gather that stalls is released by
-// the loop's safety valve (releaseFoldStalled), so folding cannot introduce
-// a deadlock the unfolded engine would not have had.
+// change speed, never a number. A partial gather is released by the loop's
+// safety valve (releaseFoldStalled) only when the whole world is stalled,
+// so folding cannot introduce a deadlock the unfolded engine would not have
+// had. A gather still waiting on a rank that is runnable, or buried under a
+// nested loop frame, is not stalled: the frame unwinds to that rank instead.
 
 import (
 	"math"
@@ -56,7 +58,7 @@ type FoldStats struct {
 	// (unfoldable shape, tag mismatch, or pending mailbox traffic).
 	Fallback int64
 	// Released counts partial gathers released by the deadlock safety
-	// valve because some rank never joined.
+	// valve: the whole world was stalled with some live rank not joined.
 	Released int64
 	// ClassesCompiled counts equivalence classes compiled by probe shape
 	// analysis (process-wide structure-cache misses attributed to this
@@ -316,10 +318,10 @@ func (l *eventLoop) foldRelease(folded bool) {
 	g.joined = 0
 }
 
-// releaseFoldStalled is the deadlock safety valve: when the loop finds
-// nothing runnable while a partial gather is pending, the gathered ranks
-// fall back to per-rank execution, preserving the unfolded engine's
-// semantics (including real deadlocks).
+// releaseFoldStalled is the deadlock safety valve: when the outermost loop
+// frame finds nothing runnable while a partial gather is pending, the whole
+// world is stalled, and the gathered ranks fall back to per-rank execution,
+// preserving the unfolded engine's semantics (including real deadlocks).
 func (l *eventLoop) releaseFoldStalled() bool {
 	if l.fold.joined == 0 {
 		return false

@@ -17,9 +17,9 @@ import (
 // side of the fold/fallback split actually executed, so a silent "always
 // fall back" regression cannot pass as parity.
 
-// runFoldParity runs body on an event-engine world and returns every
-// rank's final clock plus the world's fold counters.
-func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats) {
+// runFoldWorld runs body on a timing-only world and returns every rank's
+// final clock, the world's fold counters and the run's error.
+func runFoldWorld(t testing.TB, ranks, ppn int, disableFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats, error) {
 	t.Helper()
 	place, err := topology.NewPlacement(&topology.Frontera, ranks, ppn, topology.Block, false)
 	if err != nil {
@@ -43,10 +43,17 @@ func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms ma
 		end[p.Rank()] = p.Wtime()
 		return nil
 	})
+	return end, w.FoldStats(), err
+}
+
+// runFoldParity is runFoldWorld for bodies that must not fail.
+func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats) {
+	t.Helper()
+	end, stats, err := runFoldWorld(t, ranks, ppn, disableFold, algorithms, body)
 	if err != nil {
 		t.Fatalf("fold=%v: %v", !disableFold, err)
 	}
-	return end, w.FoldStats()
+	return end, stats
 }
 
 // assertFoldParity runs body two ways — per-rank execution and folded —
@@ -176,10 +183,12 @@ func TestFoldParityStraggler(t *testing.T) {
 // TestFoldParityRootedFallback drives rooted collectives through the
 // benchmark loop's per-size shape (barrier, clock reset, barrier, the timed
 // calls, then the min/sum/max row reduce). Rooted schedules are not
-// uniform across ranks, so their gathers end in a shape fallback or — when
-// the root leaves early — a partial gather released by the safety valve.
-// The clocks must still match per-rank execution, and both fallback paths
-// must actually have run.
+// uniform across ranks, so a full gather of one ends in a shape fallback.
+// A rank that leaves a rooted collective early and joins the next gather
+// while its peers are still inside that collective is waiting, not
+// stalled: loop frames unwind until the peers run, so every barrier folds
+// and the safety valve stays shut. The clocks must still match per-rank
+// execution.
 func TestFoldParityRootedFallback(t *testing.T) {
 	cases := []struct {
 		coll       string
@@ -219,8 +228,8 @@ func TestFoldParityRootedFallback(t *testing.T) {
 				}
 				return nil
 			})
-			if stats.Released == 0 {
-				t.Errorf("safety valve never released a stalled gather: %+v", stats)
+			if stats.Released != 0 || stats.Folded != 4 {
+				t.Errorf("want all 4 barriers folded and no release: %+v", stats)
 			}
 			if tc.coll == "bcast" && stats.Fallback == 0 {
 				t.Errorf("bcast never fell back from a full gather: %+v", stats)
@@ -265,4 +274,178 @@ func TestFoldParityPollingRank(t *testing.T) {
 	if stats.Released == 0 {
 		t.Errorf("the polling rank's gather was never released: %+v", stats)
 	}
+}
+
+// TestFoldParityNonblockingRooted drives nonblocking collectives through
+// the overlap benchmark's per-size shape: barrier, clock reset, then a pure
+// phase and a compute phase, each a barrier and four post/Wait rounds (the
+// second charging each rank its own mean pure latency between post and
+// Wait), then the min/sum/max row reduce. A nonblocking collective never
+// folds, and ranks that finish it early join the next barrier's gather
+// while the rest are still driving it. That is no stall, so every barrier
+// must fold and nothing may be released. In the rooted igather the root
+// finishes last, so the other ranks gather at the next barrier while the
+// root is still in its Wait.
+func TestFoldParityNonblockingRooted(t *testing.T) {
+	colls := []struct {
+		name string
+		post func(c *Comm, n int) (*Request, error)
+	}{
+		{"ialltoall", func(c *Comm, n int) (*Request, error) { return c.IalltoallN(nil, n, nil) }},
+		{"ireduce_scatter", func(c *Comm, n int) (*Request, error) {
+			return c.IreduceScatterBlockN(nil, nil, n, Float32, OpSum)
+		}},
+		{"iallreduce", func(c *Comm, n int) (*Request, error) { return c.IallreduceN(nil, nil, n, Float32, OpSum) }},
+		{"igather", func(c *Comm, n int) (*Request, error) { return c.IgatherN(nil, n, nil, 0) }},
+	}
+	for _, coll := range colls {
+		for _, shape := range [][2]int{{4, 2}, {8, 4}, {16, 4}} {
+			ranks, ppn := shape[0], shape[1]
+			t.Run(fmt.Sprintf("%s-%dx%d", coll.name, ranks, ppn), func(t *testing.T) {
+				stats := assertFoldParity(t, ranks, ppn, nil, func(p *Proc) error {
+					c := p.CommWorld()
+					row := make([]byte, 48)
+					for _, n := range []int{8, 1024, 64 * 1024} {
+						if err := c.Barrier(); err != nil {
+							return err
+						}
+						p.ResetClock()
+						var compute vtime.Micros
+						for phase := 0; phase < 2; phase++ {
+							if err := c.Barrier(); err != nil {
+								return err
+							}
+							start := p.Wtime()
+							for i := 0; i < 4; i++ {
+								req, err := coll.post(c, n)
+								if err != nil {
+									return err
+								}
+								c.ChargeCompute(compute)
+								if _, err := req.Wait(); err != nil {
+									return err
+								}
+							}
+							compute = (p.Wtime() - start) / 4
+						}
+						if err := c.Reduce(row[:24], row[24:], Float64, OpMinSumMax, 0); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if stats.Released != 0 || stats.Folded != 9 {
+					t.Errorf("want all 9 barriers folded and no release: %+v", stats)
+				}
+			})
+		}
+	}
+}
+
+// TestFoldReleaseBlockedReceiver pins the safety valve on a stall that has
+// no poller: rank 0 blocks in a receive that rank 1 satisfies only after a
+// bcast, which ranks 1..7 enter first. Their gather can never complete, so
+// the outermost loop frame must release it.
+func TestFoldReleaseBlockedReceiver(t *testing.T) {
+	const ranks, n = 8, 1024
+	stats := assertFoldParity(t, ranks, 4, nil, func(p *Proc) error {
+		c := p.CommWorld()
+		if p.Rank() == 0 {
+			if _, err := c.RecvN(nil, n, 1, 7); err != nil {
+				return err
+			}
+			return c.BcastN(nil, n, 1)
+		}
+		if err := c.BcastN(nil, n, 1); err != nil {
+			return err
+		}
+		if p.Rank() == 1 {
+			return c.SendN(nil, n, 0, 7)
+		}
+		return nil
+	})
+	if stats.Released == 0 {
+		t.Errorf("the blocked receiver's gather was never released: %+v", stats)
+	}
+}
+
+// FuzzFoldParity is the fold on/off differential: a random program of
+// collectives, clock resets and one-rank compute skews, run by every rank
+// of a timing-only world on 1-16 Frontera nodes, must end with the same
+// per-rank clocks, and fail or succeed alike, with folding on and off.
+// Each (op, arg) byte pair of prog is one step, up to 32 steps; arg picks
+// the size from 8 B, 1 KiB, 16 KiB and 64 KiB (low two bits) and the root
+// or the skewed rank (the rest).
+func FuzzFoldParity(f *testing.F) {
+	f.Add(uint8(1), uint8(1), []byte{0, 0, 1, 2, 2, 5, 3, 9, 4, 0})
+	f.Add(uint8(3), uint8(3), []byte{5, 0, 0, 0, 8, 1, 0, 0, 9, 2, 0, 0, 4, 0})
+	f.Add(uint8(15), uint8(5), []byte{6, 13, 1, 3, 7, 1, 10, 0, 11, 6, 0, 0})
+	f.Add(uint8(6), uint8(4), []byte{0, 0, 5, 0, 0, 0, 8, 3, 8, 3, 8, 3, 8, 3, 4, 0})
+	f.Fuzz(func(t *testing.T, nodes, ppnSel uint8, prog []byte) {
+		ppn := []int{1, 2, 3, 4, 7, 8}[int(ppnSel)%6]
+		ranks := ppn * (1 + int(nodes)%16)
+		if len(prog) > 64 {
+			prog = prog[:64]
+		}
+		sizes := [4]int{8, 1024, 16 * 1024, 64 * 1024}
+		body := func(p *Proc) error {
+			c := p.CommWorld()
+			row := make([]byte, 48)
+			for i := 0; i+1 < len(prog); i += 2 {
+				op, arg := prog[i]%12, int(prog[i+1])
+				n, peer := sizes[arg&3], (arg>>2)%ranks
+				var req *Request
+				var err error
+				switch op {
+				case 0:
+					err = c.Barrier()
+				case 1:
+					err = c.AllreduceN(nil, nil, n, Float32, OpSum)
+				case 2:
+					err = c.BcastN(nil, n, peer)
+				case 3:
+					err = c.ReduceN(nil, nil, n, Float32, OpSum, peer)
+				case 4:
+					err = c.Reduce(row[:24], row[24:], Float64, OpMinSumMax, peer)
+				case 5:
+					p.ResetClock()
+				case 6:
+					if p.Rank() == peer {
+						c.ChargeCompute(vtime.Micros(1 + arg))
+					}
+				case 7:
+					err = c.AllgatherN(nil, n, nil)
+				case 8:
+					req, err = c.IgatherN(nil, n, nil, peer)
+				case 9:
+					req, err = c.IalltoallN(nil, n, nil)
+				case 10:
+					req, err = c.IallreduceN(nil, nil, n, Float32, OpSum)
+				case 11:
+					req, err = c.IbcastN(nil, n, peer)
+				}
+				if err == nil && req != nil {
+					_, err = req.Wait()
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		want, offStats, offErr := runFoldWorld(t, ranks, ppn, true, nil, body)
+		got, _, err := runFoldWorld(t, ranks, ppn, false, nil, body)
+		if offStats != (FoldStats{}) {
+			t.Errorf("DisableFold world still reached the fold gather: %+v", offStats)
+		}
+		if (err != nil) != (offErr != nil) {
+			t.Fatalf("%dx%d: fold-off error %v, folded error %v", ranks, ppn, offErr, err)
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("%dx%d rank %d: virtual end time diverged: fold-off %v, folded %v",
+					ranks, ppn, r, want[r], got[r])
+			}
+		}
+	})
 }

@@ -243,9 +243,6 @@ func (mb *mailbox) deliver(src, tag, ctx, size int, data []byte, arrival, wire, 
 		payload = mb.pay.getRaw(size) // fully overwritten by the copy below
 		copy(payload, data[:size])
 	}
-	if DebugCounters != nil {
-		DebugCounters[1]++
-	}
 	e := mb.getEnvelope()
 	e.src, e.tag, e.ctx, e.size = src, tag, ctx, size
 	e.seq = mb.seq

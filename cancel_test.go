@@ -143,6 +143,45 @@ func TestCancelMidRunHugeWorld(t *testing.T) {
 	})
 }
 
+// TestCancelMidBatchedLoop cancels a C-mode timing-only barrier whose one
+// timed loop of a million calls (~20 s) folds as a single batch, the way an
+// ombserve request with a large "iters" does: the run must still return
+// within 250ms of the cancel, as a classified "canceled" failure.
+func TestCancelMidBatchedLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("million-call loop in -short mode")
+	}
+	opts := hugeWorldOptions(1024, false)
+	opts.Benchmark = core.Barrier
+	opts.Iters, opts.Warmup = 1<<20, 0
+	const bound = 250 * time.Millisecond
+	var elapsed time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		canceledAt := make(chan time.Time, 1)
+		timer := time.AfterFunc(100*time.Millisecond, func() {
+			canceledAt <- time.Now()
+			cancel()
+		})
+		rep, err := core.RunContext(ctx, opts)
+		returned := time.Now()
+		timer.Stop()
+		cancel()
+		if err != nil {
+			t.Fatalf("canceled run returned an error instead of a classified report: %v", err)
+		}
+		if rep.Failure == nil || rep.Failure.Code != "canceled" {
+			t.Fatalf("failure = %+v, want code %q", rep.Failure, "canceled")
+		}
+		if elapsed = returned.Sub(<-canceledAt); elapsed <= bound {
+			break
+		}
+	}
+	if elapsed > bound && !raceEnabled {
+		t.Errorf("canceled million-call loop took %v to unwind, want <= %v", elapsed, bound)
+	}
+}
+
 // TestCancelThenWarmRunStaysPooled proves a canceled huge-world run does
 // not poison the slab pools or caches: warm 4096-rank runs after a cancel
 // still fit under the pinned allocation ceiling of

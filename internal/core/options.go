@@ -350,6 +350,17 @@ func (o Options) validate() error {
 	if o.Pairs < 0 {
 		return fmt.Errorf("core: Pairs %d must not be negative", o.Pairs)
 	}
+	// Zero means the default (withDefaults); a negative count would run no
+	// loop, or a short one, and divide its time by the count.
+	for _, n := range [...]struct {
+		name string
+		v    int
+	}{{"Iters", o.Iters}, {"Warmup", o.Warmup}, {"LargeIters", o.LargeIters},
+		{"LargeWarmup", o.LargeWarmup}, {"Window", o.Window}} {
+		if n.v < 0 {
+			return fmt.Errorf("core: %s %d must not be negative", n.name, n.v)
+		}
+	}
 	if o.UseGPU && o.Mode != ModeC && !o.Buffer.OnGPU() {
 		return fmt.Errorf("core: GPU runs need a GPU buffer library, got %v", o.Buffer)
 	}

@@ -171,6 +171,67 @@ func TestSelectedAlgorithm(t *testing.T) {
 	}
 }
 
+// TestSelectedAlgorithmsAgree pins the batched lookup against the one-size
+// one, size by size: the same name at every size, and the same error when
+// a size fails (the first failing size's, since the batch stops there).
+// The sizes include ones that are not whole float32 elements, which Py mode
+// rounds down, and the reduce_scatter cases select on the total payload.
+func TestSelectedAlgorithmsAgree(t *testing.T) {
+	sizes := []int{1, 3, 4, 6, 64, 1000, 1024, 4096, 8191, 8192, 65536, 1 << 20}
+	cases := []struct {
+		name    string
+		o       Options
+		wantErr bool
+	}{
+		{"c-allgather", Options{Benchmark: Allgather, Ranks: 16, TimingOnly: true}, false},
+		{"c-allreduce-63x7", Options{Benchmark: Allreduce, Ranks: 63, PPN: 7, TimingOnly: true}, false},
+		{"py-allreduce", Options{Benchmark: Allreduce, Mode: ModePy, Ranks: 12, PPN: 2, TimingOnly: true}, false},
+		{"c-reduce_scatter", Options{Benchmark: ReduceScatter, Ranks: 8, PPN: 4, TimingOnly: true}, false},
+		{"py-reduce_scatter", Options{Benchmark: ReduceScatter, Mode: ModePy, Ranks: 24, PPN: 4, TimingOnly: true}, false},
+		{"forced", Options{Benchmark: Allgather, Ranks: 16, TimingOnly: true,
+			Algorithms: map[string]string{"allgather": "ring"}}, false},
+		{"forced-py-alltoall", Options{Benchmark: Alltoall, Mode: ModePy, Ranks: 16, PPN: 4, TimingOnly: true,
+			Algorithms: map[string]string{"alltoall": "pairwise"}}, false},
+		{"infeasible", Options{Benchmark: Allgather, Ranks: 6, TimingOnly: true,
+			Algorithms: map[string]string{"allgather": "rd"}}, true},
+		{"no-registry", Options{Benchmark: Gather, Ranks: 4}, true},
+		{"pickle", Options{Benchmark: Allreduce, Ranks: 4, Mode: ModePickle}, true},
+		{"invalid", Options{Benchmark: Allreduce, Ranks: 4, Iters: -1}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			names, err := tc.o.SelectedAlgorithms(sizes)
+			var firstErr error
+			for i, size := range sizes {
+				name, err1 := tc.o.SelectedAlgorithm(size)
+				if err1 != nil {
+					if firstErr == nil {
+						firstErr = err1
+					}
+					continue
+				}
+				if err == nil && names[i] != name {
+					t.Errorf("size %d: SelectedAlgorithms names %s, SelectedAlgorithm %s", size, names[i], name)
+				}
+			}
+			if fmt.Sprint(err) != fmt.Sprint(firstErr) {
+				t.Errorf("SelectedAlgorithms error %v, SelectedAlgorithm's first %v", err, firstErr)
+			}
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("error %v, want error %v", err, tc.wantErr)
+			}
+			if err == nil && len(names) != len(sizes) {
+				t.Fatalf("%d names for %d sizes", len(names), len(sizes))
+			}
+			for i, name := range names {
+				if forced := tc.o.Algorithms[string(tc.o.Benchmark)]; forced != "" && name != forced {
+					t.Errorf("size %d: forcing %s selects %s", sizes[i], forced, name)
+				}
+			}
+		})
+	}
+}
+
 // TestRowsIsolated pins the cases where rows depend on earlier sizes.
 func TestRowsIsolated(t *testing.T) {
 	opts := Options{Benchmark: Allreduce, Ranks: 16, TimingOnly: true}

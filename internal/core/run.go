@@ -212,44 +212,59 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 }
 
 // SelectedAlgorithm names the algorithm a run of o dispatches for its
-// benchmark's collective at one message size. It resolves and validates
-// the options as RunContext does (a caller running under Defaults applies
-// them first, as a sweep does) and asks mpi.Policy.Select about the
-// Selection the dispatch site builds (mpi.NewSelection). A selection
-// error, such as a forced algorithm infeasible at this communicator size,
-// is the error the run fails with. Benchmarks without an algorithm
-// registry select nothing, and neither does pickle mode, whose collectives
-// move pickled frames rather than the benchmark's message; both return an
-// error.
+// benchmark's collective at one message size: SelectedAlgorithms for that
+// one size.
 func (o Options) SelectedAlgorithm(size int) (string, error) {
+	names, err := o.SelectedAlgorithms([]int{size})
+	if err != nil {
+		return "", err
+	}
+	return names[0], nil
+}
+
+// SelectedAlgorithms names, per message size, the algorithm a run of o
+// dispatches for its benchmark's collective. It resolves and validates the
+// options once, as RunContext does (a caller running under Defaults applies
+// them first, as a sweep does), and asks mpi.Policy.Select about the
+// Selection the dispatch site builds (mpi.NewSelection) at each size. A
+// selection error, such as a forced algorithm infeasible at this
+// communicator size, is the error the run fails with. Benchmarks without an
+// algorithm registry select nothing, and neither does pickle mode, whose
+// collectives move pickled frames rather than the benchmark's message; both
+// return an error.
+func (o Options) SelectedAlgorithms(sizes []int) ([]string, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
-		return "", err
+		return nil, err
 	}
 	coll, ok := o.Benchmark.Collective()
 	if !ok || o.Mode == ModePickle {
-		return "", fmt.Errorf("core: %s in %s mode dispatches no selectable collective", o.Benchmark, o.Mode)
+		return nil, fmt.Errorf("core: %s in %s mode dispatches no selectable collective", o.Benchmark, o.Mode)
 	}
 	forced, err := o.mpiAlgorithms()
 	if err != nil {
-		return "", err
-	}
-	bytes := size
-	if o.Mode == ModePy {
-		// Py-mode buffers hold whole elements (ops.setup).
-		bytes -= size % o.DType.Size()
-	}
-	if coll == mpi.CollReduceScatter {
-		// The benchmark's size is the per-rank block; the dispatch selects
-		// on the total payload.
-		bytes *= o.Ranks
+		return nil, err
 	}
 	policy := mpi.Policy{Tuning: o.Tuning, Forced: forced}
-	a, err := policy.Select(coll, mpi.NewSelection(coll, o.Ranks, bytes, o.DType))
-	if err != nil {
-		return "", err
+	names := make([]string, len(sizes))
+	for i, size := range sizes {
+		bytes := size
+		if o.Mode == ModePy {
+			// Py-mode buffers hold whole elements (ops.setup).
+			bytes -= size % o.DType.Size()
+		}
+		if coll == mpi.CollReduceScatter {
+			// The benchmark's size is the per-rank block; the dispatch
+			// selects on the total payload.
+			bytes *= o.Ranks
+		}
+		a, err := policy.Select(coll, mpi.NewSelection(coll, o.Ranks, bytes, o.DType))
+		if err != nil {
+			return nil, err
+		}
+		names[i] = a.Name
 	}
-	return a.Name, nil
+	return names, nil
 }
 
 // RowsIsolated reports whether every row of a run of o depends only on the

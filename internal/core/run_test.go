@@ -277,6 +277,15 @@ func TestOptionValidation(t *testing.T) {
 		{Benchmark: Bcast, Mode: ModePickle, Ranks: 4, TimingOnly: true},
 		{Benchmark: Latency, Mode: ModePickle, Cluster: "bridges2", UseGPU: true, Buffer: pybuf.CuPy, TimingOnly: true},
 		{Benchmark: BiBandwidth, Mode: ModePickle}, // the pickled exchange deadlocks
+		// Negative loop counts: zero means the default, below it is nonsense
+		// (a negative average, bandwidth or message rate).
+		{Benchmark: Allreduce, Ranks: 4, PPN: 2, TimingOnly: true, Iters: -3},
+		{Benchmark: Allreduce, Ranks: 4, PPN: 2, TimingOnly: true, Warmup: -1},
+		{Benchmark: Allreduce, Ranks: 4, PPN: 2, TimingOnly: true, LargeIters: -2},
+		{Benchmark: Allreduce, Ranks: 4, PPN: 2, TimingOnly: true, LargeWarmup: -1},
+		{Benchmark: Latency, Iters: -1},
+		{Benchmark: Bandwidth, Window: -4},
+		{Benchmark: MultiBWMR, Ranks: 4, Window: -2},
 	}
 	for i, o := range cases {
 		// Each is refused by validation, before any rank runs.

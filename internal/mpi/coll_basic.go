@@ -60,12 +60,15 @@ func buildBarrierDiss(c *Comm, _ collCall, s *collSched) error {
 	return nil
 }
 
+// barrierStart defers an eligible barrier to the fold gather, consuming
+// the timed loop Comm.Repeat armed, and compiles it otherwise.
 func (c *Comm) barrierStart() *collSched {
+	rep := c.proc.takeRepeat()
 	p := len(c.group)
 	if p == 1 {
 		return nil
 	}
-	key := foldKey{shape: shapeKey{coll: collBarrier}, seq: c.collSeq}
+	key := foldKey{shape: shapeKey{coll: collBarrier}, seq: c.collSeq, rep: rep}
 	if c.proc.ev.loop.schedFoldEligible(c, key.shape) {
 		c.proc.foldPend = foldPending{key: key}
 		return schedFoldPending

@@ -503,11 +503,13 @@ func (c *Comm) nextCollTag() int {
 // state no schedule object ever exists for them. Ineligible
 // buffer-free invocations hit the replay cache: the schedule compiled for
 // this (algorithm, size, root, dtype, op) shape is re-armed instead of
-// rebuilt (see eventsched.go).
+// rebuilt (see eventsched.go). The entry consumes the timed loop
+// Comm.Repeat armed, carrying it in the fold key.
 func (c *Comm) startColl(coll Collective, sel Selection, call collCall) (*collSched, error) {
+	rep := c.proc.takeRepeat()
 	if call.replayable() {
 		key := foldKey{shape: shapeKey{coll: coll, n: call.n, root: call.root,
-			dt: call.dt, op: call.op}, seq: c.collSeq}
+			dt: call.dt, op: call.op}, seq: c.collSeq, rep: rep}
 		if c.proc.ev.loop.schedFoldEligible(c, key.shape) {
 			c.proc.foldPend = foldPending{key: key, sel: sel, call: call}
 			return schedFoldPending, nil

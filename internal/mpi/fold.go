@@ -91,12 +91,14 @@ const (
 	// foldDenseRefine bounds the class count refined through a dense
 	// (class x class) table; beyond it a map takes over.
 	foldDenseRefine = 1024
-	// foldMaxClasses aborts a fold whose refined partition approaches
-	// per-rank size: the recurrence would not beat per-rank replay.
-	foldMaxClasses = 16384
 	// foldMaxPartitions bounds cached entry partitions per shape.
 	foldMaxPartitions = 8
 )
+
+// foldMaxClasses bounds a refined entry partition: one that approaches
+// per-rank size saves nothing over the identity partition, which the
+// recurrence runs on instead. A variable only so tests can lower it.
+var foldMaxClasses = 16384
 
 // foldApply maps a rank to its peer under a delta.
 func foldApply(kind foldKind, r, d, p int) int {
@@ -286,12 +288,21 @@ func (l *eventLoop) foldJoinKey(er *eventRank, pend *foldPending) bool {
 
 // resolveFold runs on the last joiner's stack once every live rank has
 // gathered: verify the invocation is uniform, fold it, and wake everyone.
+// A key carrying a timed loop (Comm.Repeat) folds every repetition here,
+// back to back: nothing but the fold itself touches a rank between two
+// calls of the loop, so each repetition enters with the state the last one
+// left. A validated shape always folds (simulate cannot refuse), so only a
+// cancel stops a batch halfway, and then no number is reported: no number
+// depends on whether a loop was batched. FoldStats.Folded counts one
+// invocation per repetition run.
 func (l *eventLoop) resolveFold() bool {
 	w := l.w
-	if l.fold.joined == w.size && l.tryFold() {
-		w.foldStats.Folded++
-		l.foldRelease(true)
-		return true
+	if l.fold.joined == w.size {
+		if sh := l.tryFold(); sh != nil {
+			w.foldStats.Folded += int64(sh.simulate(l, l.fold.keys[0].rep))
+			l.foldRelease(true)
+			return true
+		}
 	}
 	w.foldStats.Fallback++
 	l.foldRelease(false)
@@ -331,25 +342,26 @@ func (l *eventLoop) releaseFoldStalled() bool {
 	return true
 }
 
-// tryFold validates the gathered invocation and simulates it per class:
-// every rank must have joined with the identical key (same collective,
-// shape and sequence number — the proof they are in the same invocation),
-// and no delivery may have raced into a mailbox after its rank joined.
-func (l *eventLoop) tryFold() bool {
+// tryFold validates a full gather and returns the invocation's analyzed
+// shape, or nil when it must fall back: every rank must have joined with
+// the identical key (same collective, shape, sequence number and timed
+// loop — the proof they are in the same invocation), no delivery may have
+// raced into a mailbox after its rank joined, and the shape must fold.
+func (l *eventLoop) tryFold() *foldShape {
 	w := l.w
 	g := &l.fold
 	p := w.size
 	key0 := g.keys[0]
 	for r := 1; r < p; r++ {
 		if g.keys[r] != key0 {
-			return false
+			return nil
 		}
 	}
 	for r := 0; r < p; r++ {
 		// Proc-side mirror of mailbox npend: one line the resolver's token
 		// scan is about to touch anyway, not a cold mailbox line per rank.
 		if l.ranks[r].proc.mbPend != 0 {
-			return false
+			return nil
 		}
 	}
 	sk := key0.shape
@@ -366,9 +378,9 @@ func (l *eventLoop) tryFold() bool {
 			w.foldNo = make(map[shapeKey]struct{}, 8)
 		}
 		w.foldNo[sk] = struct{}{}
-		return false
+		return nil
 	}
-	return sh.simulate(l)
+	return sh
 }
 
 const foldFNV = 14695981039346656037
@@ -793,7 +805,10 @@ type foldScratch struct {
 	seeds                  []vtime.Micros
 	clock, cp, sr, arr, cr []vtime.Micros
 	lb                     []vtime.Micros
-	entryLB                []*foldLB
+	// entry and esum are a batched loop's per-class entry clocks and timed
+	// elapsed sums.
+	entry, esum []vtime.Micros
+	entryLB     []*foldLB
 	// Token interning state: the map's buckets and the info slice survive
 	// across invocations (cleared, not reallocated), and dirty-token seed
 	// snapshots are carved from one arena chunk instead of allocated each.
@@ -921,6 +936,26 @@ func (sh *foldShape) effSeeds(pr *Proc, seeds []vtime.Micros) {
 	}
 }
 
+// partitionFor returns the refined partition of an entry-token pattern
+// that is not the structural one, from the shape's cache or freshly built;
+// nil when it exceeds foldMaxClasses.
+func (sh *foldShape) partitionFor(tokOf []int32, ntok int) *foldPartition {
+	for _, cand := range sh.parts {
+		if foldI32Equal(cand.tok, tokOf) {
+			return cand
+		}
+	}
+	part := sh.buildPartition(tokOf, ntok)
+	if part == nil {
+		return nil
+	}
+	if len(sh.parts) >= foldMaxPartitions {
+		sh.parts = sh.parts[:0]
+	}
+	sh.parts = append(sh.parts, part)
+	return part
+}
+
 // buildPartition refines an observed entry-token pattern against the shape.
 func (sh *foldShape) buildPartition(tokOf []int32, ntok int) *foldPartition {
 	cls := append([]int32(nil), tokOf...)
@@ -945,7 +980,21 @@ func (sh *foldShape) buildPartition(tokOf []int32, ntok int) *foldPartition {
 // simulate folds one gathered invocation: classify entry states, pick (or
 // build) the refined partition, run the coupled per-class recurrence, and
 // fan exit state out to every rank.
-func (sh *foldShape) simulate(l *eventLoop) bool {
+//
+// A batched timed loop (Comm.Repeat) runs the recurrence once per
+// repetition on the first repetition's partition and fans out once. That
+// partition stays exact: its classes leave every repetition with one exit
+// state each and stay peer-closed, which is all a partition needs (the
+// per-call loop re-derives the same classes from the exit slabs' pointer
+// identities). Link-busy values carried between repetitions at or below
+// the clock act as the zero effSeeds would read, since the recurrence only
+// maxes them against times at or after the clock. Per class, each timed
+// repetition adds exit minus entry clock to a sum that starts at zero —
+// the float64 operations Comm.Repeat's per-call loop makes on each member
+// rank. A cancel latched between two repetitions stops the batch there:
+// the state reached fans out and every rank fails in schedFoldDrive, so a
+// partial sum is never read. simulate returns the repetitions it ran.
+func (sh *foldShape) simulate(l *eventLoop, loop foldRepeat) int {
 	w := l.w
 	p := w.size
 	scr := &w.foldScratch
@@ -1062,35 +1111,24 @@ func (sh *foldShape) simulate(l *eventLoop) bool {
 		reps             []int32
 		costIdx          []int32
 		sendCls, recvCls [][]int32
+		part             *foldPartition
 	)
+	if !ident && !foldI32Equal(tokOf, sh.class) {
+		// Past foldMaxClasses, fall to the identity partition.
+		part = sh.partitionFor(tokOf, len(toks))
+		ident = part == nil
+	}
 	switch {
 	case ident:
 		// Identity partition: class i is rank i; peers are computed from the
 		// step deltas directly, costs index through the structural classes.
 		ncls = p
 		costIdx = sh.class
-	case foldI32Equal(tokOf, sh.class):
+	case part == nil:
 		cls, ncls, reps = sh.class, sh.nclass, sh.reps
 		costIdx = sh.identIdx
 		sendCls, recvCls = sh.sendCls, sh.recvCls
 	default:
-		var part *foldPartition
-		for _, cand := range sh.parts {
-			if foldI32Equal(cand.tok, tokOf) {
-				part = cand
-				break
-			}
-		}
-		if part == nil {
-			part = sh.buildPartition(tokOf, len(toks))
-			if part == nil {
-				return false
-			}
-			if len(sh.parts) >= foldMaxPartitions {
-				sh.parts = sh.parts[:0]
-			}
-			sh.parts = append(sh.parts, part)
-		}
 		cls, ncls, reps = part.cls, part.ncls, part.reps
 		costIdx = part.costIdx
 		sendCls, recvCls = part.sendCls, part.recvCls
@@ -1122,84 +1160,108 @@ func (sh *foldShape) simulate(l *eventLoop) bool {
 		entryLB[i] = pr.foldLB
 	}
 
-	// 4. The coupled recurrence: per exchange step, three phases over all
-	// classes (post, receive, drain), each line mirroring the exact float64
-	// operation order of postSendPriced / finishRecv / completeSend.
+	// 4. The coupled recurrence, once per repetition: per exchange step,
+	// three phases over all classes (post, receive, drain), each line
+	// mirroring the exact float64 operation order of postSendPriced /
+	// finishRecv / completeSend.
 	py := w.cfg.PyMode
-	for k := 0; k < ns; k++ {
-		fs := &sh.steps[k]
-		switch fs.op {
-		case opReduce:
-			for i := 0; i < ncls; i++ {
-				clock[i] += sh.costs[costIdx[i]][k].compute
-			}
-		case opExchange:
-			slot := int(fs.slot)
-			for i := 0; i < ncls; i++ {
-				c := &sh.costs[costIdx[i]][k]
-				t := clock[i]
-				if py {
-					t += c.pyLock
+	nrep := max(loop.reps, 1)
+	var entry, esum []vtime.Micros
+	if loop.timed(nrep - 1) {
+		scr.entry = foldGrowM(scr.entry, ncls)
+		scr.esum = foldGrowM(scr.esum, ncls)
+		entry, esum = scr.entry, scr.esum
+		clear(esum)
+	}
+	for j := 0; j < nrep; j++ {
+		if j > 0 && w.cancelRequested() {
+			nrep = j
+			break
+		}
+		timed := loop.timed(j)
+		if timed {
+			copy(entry, clock)
+		}
+		for k := 0; k < ns; k++ {
+			fs := &sh.steps[k]
+			switch fs.op {
+			case opReduce:
+				for i := 0; i < ncls; i++ {
+					clock[i] += sh.costs[costIdx[i]][k].compute
 				}
-				t += c.sendOver
-				cp[i] = t
-				if c.eager {
-					start := t
-					if b := lb[i*nslots+slot]; b > start {
-						start = b
+			case opExchange:
+				slot := int(fs.slot)
+				for i := 0; i < ncls; i++ {
+					c := &sh.costs[costIdx[i]][k]
+					t := clock[i]
+					if py {
+						t += c.pyLock
 					}
-					lb[i*nslots+slot] = start + c.transmit
-					arr[i] = start + c.wire
-				} else {
-					sr[i] = t
-				}
-			}
-			for i := 0; i < ncls; i++ {
-				var src int32
-				if ident {
-					src = int32(foldApply(sh.kind, i, int(fs.recvDelta), p))
-				} else {
-					src = recvCls[i][k]
-				}
-				c := &sh.costs[costIdx[src]][k]
-				t := cp[i]
-				if c.eager {
-					if a := arr[src]; a > t {
-						t = a
-					}
-				} else {
-					d := sr[src]
-					if t > d {
-						d = t
-					}
-					d += c.wire
-					if d > t {
-						t = d
-					}
-				}
-				t += c.recvOver
-				cr[i] = t
-			}
-			for i := 0; i < ncls; i++ {
-				c := &sh.costs[costIdx[i]][k]
-				t := cr[i]
-				if !c.eager {
-					var dst int32
-					if ident {
-						dst = int32(foldApply(sh.kind, i, int(fs.sendDelta), p))
+					t += c.sendOver
+					cp[i] = t
+					if c.eager {
+						start := t
+						if b := lb[i*nslots+slot]; b > start {
+							start = b
+						}
+						lb[i*nslots+slot] = start + c.transmit
+						arr[i] = start + c.wire
 					} else {
-						dst = sendCls[i][k]
-					}
-					d := sr[i]
-					if v := cp[dst]; v > d {
-						d = v
-					}
-					d += c.wire
-					if d > t {
-						t = d
+						sr[i] = t
 					}
 				}
-				clock[i] = t
+				for i := 0; i < ncls; i++ {
+					var src int32
+					if ident {
+						src = int32(foldApply(sh.kind, i, int(fs.recvDelta), p))
+					} else {
+						src = recvCls[i][k]
+					}
+					c := &sh.costs[costIdx[src]][k]
+					t := cp[i]
+					if c.eager {
+						if a := arr[src]; a > t {
+							t = a
+						}
+					} else {
+						d := sr[src]
+						if t > d {
+							d = t
+						}
+						d += c.wire
+						if d > t {
+							t = d
+						}
+					}
+					t += c.recvOver
+					cr[i] = t
+				}
+				for i := 0; i < ncls; i++ {
+					c := &sh.costs[costIdx[i]][k]
+					t := cr[i]
+					if !c.eager {
+						var dst int32
+						if ident {
+							dst = int32(foldApply(sh.kind, i, int(fs.sendDelta), p))
+						} else {
+							dst = sendCls[i][k]
+						}
+						d := sr[i]
+						if v := cp[dst]; v > d {
+							d = v
+						}
+						d += c.wire
+						if d > t {
+							t = d
+						}
+					}
+					clock[i] = t
+				}
+			}
+		}
+		if timed {
+			for i := 0; i < ncls; i++ {
+				esum[i] += clock[i] - entry[i]
 			}
 		}
 	}
@@ -1238,14 +1300,17 @@ func (sh *foldShape) simulate(l *eventLoop) bool {
 		if !ident {
 			i = int(cls[r])
 		}
+		if esum != nil {
+			pr.repeatE = esum[i]
+		}
 		pr.clock.Set(clock[i])
 		pr.foldLB = &slab[i]
-		// No schedule was ever compiled, but the invocation still consumed
-		// the communicator's collective sequence number (every fallback or
-		// per-rank path bumps it through nextCollTag), so advance it here to
-		// keep tag sequences identical across folded, fallback and fold-off
-		// executions.
-		pr.comm0.collSeq++
+		// No schedule was ever compiled, but each invocation still consumed
+		// one of the communicator's collective sequence numbers (every
+		// fallback or per-rank path bumps it through nextCollTag), so advance
+		// it here to keep tag sequences identical across folded, fallback
+		// and fold-off executions.
+		pr.comm0.collSeq += nrep
 	}
-	return true
+	return nrep
 }

@@ -353,8 +353,8 @@ func (e *RankError) Unwrap() error { return e.Err }
 type Proc struct {
 	// Field order is deliberate up to comm0v: a fold resolution walks every
 	// rank of a huge world twice (token scan, then clock fanout; fold.go),
-	// and each walk's working set — clock, foldLB, lbDirty, mbPend, and
-	// comm0v.collSeq (first field of Comm) — lands in the Proc's first
+	// and each walk's working set — clock, foldLB, lbDirty, mbPend, repeatE
+	// and comm0v.collSeq (first field of Comm) — lands in the Proc's first
 	// cache line instead of three lines scattered over a ~3KB struct.
 	world *World
 	rank  int
@@ -371,6 +371,10 @@ type Proc struct {
 	// mailbox (mailbox.go maintains it alongside npend). The fold eligibility checks read it from the Proc line
 	// they already touch instead of paying a cold mailbox line per rank.
 	mbPend int32
+	// repeatE is the rank's timed elapsed sum a batched fold gather
+	// (Comm.Repeat) hands over in its clock fanout, so it shares the
+	// fanout's line.
+	repeatE vtime.Micros
 	// comm0 is the rank's cached world communicator; comm0v is its inline
 	// storage, so CommWorld never allocates.
 	comm0  *Comm
@@ -416,6 +420,12 @@ type Proc struct {
 	// if the gather falls back. Valid only between startColl and the
 	// immediately following driveSched/collRequest.
 	foldPend foldPending
+	// repeat is the timed loop Comm.Repeat arms for the first collective
+	// its callback reaches: startColl or barrierStart consumes it into the
+	// fold key. repeatDone reports that the gather resolved the whole loop
+	// (repeatE holds its sum).
+	repeat     foldRepeat
+	repeatDone bool
 	// lbSmall* is a tiny inline store in front of the sparse map in huge
 	// worlds: collective traffic touches O(log size) distinct peers per
 	// rank, so the map (an allocation per insert growth) almost never

@@ -25,12 +25,16 @@ package mpi
 //     (compileReplayColl) and drive them per rank. Folding can therefore
 //     only change speed, never a number (the fold parity suite pins every
 //     case against Config.DisableFold).
+//   - A timed loop of identical calls (Comm.Repeat) carries its repetition
+//     counts in the first call's key; one gather then resolves the whole
+//     loop, so each rank parks once per loop instead of once per call.
 
 import (
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/topology"
+	"repro/internal/vtime"
 )
 
 // shapeKey identifies one collective invocation shape on the world
@@ -45,12 +49,80 @@ type shapeKey struct {
 
 // foldKey is the per-invocation gather key: the shape plus the
 // communicator's collective sequence number, which every member agrees on
-// (collective calls are collectively ordered). Key equality across all
-// ranks proves they are entering the same invocation of the same
-// collective.
+// (collective calls are collectively ordered), plus the timed loop the
+// invocation starts, if any. Key equality across all ranks proves they are
+// entering the same invocation of the same collective, and the same loop.
 type foldKey struct {
 	shape shapeKey
 	seq   int
+	rep   foldRepeat
+}
+
+// foldRepeat is the timed loop a gather resolves in one go (Comm.Repeat):
+// reps identical invocations, the first warmup of them untimed. The zero
+// value is a single plain invocation.
+type foldRepeat struct {
+	reps, warmup int
+}
+
+// timed reports whether repetition j of a batched loop adds to the ranks'
+// elapsed sums.
+func (r foldRepeat) timed(j int) bool { return r.reps > 0 && j >= r.warmup }
+
+// takeRepeat consumes the loop Comm.Repeat armed, if any: only the first
+// collective entry of its callback may carry it.
+func (p *Proc) takeRepeat() foldRepeat {
+	r := p.repeat
+	p.repeat = foldRepeat{}
+	return r
+}
+
+// Repeat times a loop of one blocking collective: call, which must make
+// exactly one blocking collective call on c, runs warmup+iters times, and
+// Repeat returns the rank's virtual time summed over the timed calls. The
+// sum is the loop
+//
+//	for i := 0; i < warmup+iters; i++ {
+//		t0 := Wtime()
+//		call()
+//		if i >= warmup {
+//			e += Wtime() - t0
+//		}
+//	}
+//
+// bit for bit. When the first call is fold-eligible, every rank joins one
+// gather whose key carries (reps, warmup), and the resolver simulates the
+// repetitions back to back with the same float64 operations per rank, so a
+// rank parks once per loop. Everywhere else — a fallback, data-carrying,
+// traced, fault-plan and fold-off worlds, sub-communicators — it is that
+// loop.
+func (c *Comm) Repeat(warmup, iters int, call func() error) (vtime.Micros, error) {
+	reps := warmup + iters
+	if reps <= 0 {
+		return 0, nil
+	}
+	p := c.proc
+	p.repeat = foldRepeat{reps: reps, warmup: warmup}
+	p.repeatE = 0
+	var e vtime.Micros
+	for i := 0; i < reps; i++ {
+		t0 := p.clock.Now()
+		err := call()
+		// A loop whose first call reached no collective entry leaves the
+		// request armed; it must not reach the second.
+		p.repeat = foldRepeat{}
+		if err != nil {
+			return e, err
+		}
+		if p.repeatDone {
+			p.repeatDone = false
+			return p.repeatE, nil
+		}
+		if i >= warmup {
+			e += p.clock.Now() - t0
+		}
+	}
+	return e, nil
 }
 
 // foldPending carries a deferred collective invocation from startColl to
@@ -129,13 +201,22 @@ func (l *eventLoop) schedFoldEligible(c *Comm, sk shapeKey) bool {
 
 // schedFoldDrive is the blocking drive of a deferred collective: join the
 // key gather; on a fold the clock and link state already hold the exit
-// values (and the collective sequence advanced), so there is nothing left
-// to do. On fallback, materialize the per-rank schedule through the normal
-// replay path and drive it — the exact per-rank execution.
+// values (and the collective sequence advanced) — of the whole loop, when
+// the key carries one — so there is nothing left to do. A cancel may have
+// cut the loop short (simulate), so a batched rank passes the cancellation
+// checkpoint again before its sum counts. On fallback, materialize the
+// per-rank schedule through the normal replay path and drive it — the
+// exact per-rank execution.
 func (c *Comm) schedFoldDrive() error {
 	pend := &c.proc.foldPend
 	er := c.proc.ev
 	if er.loop.foldJoinKey(er, pend) {
+		if pend.key.rep.reps > 0 {
+			if err := c.proc.cancelEnter(pend.key.shape.coll); err != nil {
+				return err
+			}
+			c.proc.repeatDone = true
+		}
 		return nil
 	}
 	s, err := c.materializePending(pend)

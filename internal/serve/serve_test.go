@@ -269,6 +269,9 @@ func TestBadRequests(t *testing.T) {
 		// A pickled bibw exchange sends before it receives and deadlocks
 		// at the first rendezvous size.
 		"bibw_pickle": `{"benchmark":"bibw","mode":"pickle"}`,
+		// Zero iterations mean the default; a negative count is refused by
+		// option validation, not run to a negative latency.
+		"negative_iters": `{"benchmark":"allreduce","ranks":8,"ppn":2,"timing_only":true,"iters":-3}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := post(t, s.Handler(), body)

@@ -206,14 +206,14 @@ func rowKeys(opts core.Options) []rowKey {
 	if !ok || len(opts.Sizes) == 0 || !opts.RowsIsolated() {
 		return nil
 	}
+	algos, err := opts.SelectedAlgorithms(opts.Sizes)
+	if err != nil {
+		return nil
+	}
 	base := policyFreeKey(opts, coll)
 	keys := make([]rowKey, len(opts.Sizes))
 	for i, size := range opts.Sizes {
-		algo, err := opts.SelectedAlgorithm(size)
-		if err != nil {
-			return nil
-		}
-		keys[i] = rowKey{probe: base, size: size, algo: algo}
+		keys[i] = rowKey{probe: base, size: size, algo: algos[i]}
 	}
 	return keys
 }

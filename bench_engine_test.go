@@ -37,28 +37,40 @@ func hugeWorldOptions(ranks int, noFold bool) core.Options {
 }
 
 // TestEngineFoldSmoke1024 is the CI race-smoke gate for the fold at scale:
-// one 1024-rank event sweep folded and one with folding disabled must
-// produce byte-identical series.
+// 1024-rank event sweeps folded and with folding disabled must produce
+// byte-identical series. The allreduce sweep folds by class; the bcast
+// sweep over 1 KiB - 1 MiB runs binomial below 512 KiB and scatter_ring
+// from there, both on per-rank step tables.
 func TestEngineFoldSmoke1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-rank sweep in -short mode")
 	}
-	want, err := core.Run(hugeWorldOptions(1024, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Run(hugeWorldOptions(1024, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Series.Rows) != len(want.Series.Rows) {
-		t.Fatalf("row count diverged: fold-off %d, folded %d",
-			len(want.Series.Rows), len(got.Series.Rows))
-	}
-	for i, w := range want.Series.Rows {
-		if got.Series.Rows[i] != w {
-			t.Errorf("row %d diverged:\nfold-off %+v\nfolded   %+v", i, w, got.Series.Rows[i])
-		}
+	bcast := hugeWorldOptions(1024, false)
+	bcast.Benchmark = core.Bcast
+	bcast.MinSize, bcast.MaxSize = 1024, 1<<20
+	bcast.LargeIters = 2
+	for _, o := range []core.Options{hugeWorldOptions(1024, false), bcast} {
+		t.Run(string(o.Benchmark), func(t *testing.T) {
+			off := o
+			off.NoFold = true
+			want, err := core.Run(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Series.Rows) != len(want.Series.Rows) {
+				t.Fatalf("row count diverged: fold-off %d, folded %d",
+					len(want.Series.Rows), len(got.Series.Rows))
+			}
+			for i, w := range want.Series.Rows {
+				if got.Series.Rows[i] != w {
+					t.Errorf("row %d diverged:\nfold-off %+v\nfolded   %+v", i, w, got.Series.Rows[i])
+				}
+			}
+		})
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -53,7 +54,7 @@ func main() {
 		fold      = flag.Bool("fold", true, "let the event loop fold symmetric ranks (false forces every rank to execute; reported numbers are identical either way)")
 		algo      = flag.String("algorithm", "", "force collective algorithms: a name for this benchmark's collective, coll=name pairs, \"all\" to sweep every algorithm, \"list\" to show the registry")
 		faults    = flag.String("faults", "", "deterministic fault plan, e.g. \"kill:rank=3,after=2:allreduce; noise:sigma=5us; jitter:link=0.1; seed:42\"")
-		par       = flag.Int("parallel", 0, "worker count for the -algorithm all sweep (0 = serial)")
+		par       = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for the -algorithm all sweep (default: the usable cores; 0 or 1 = serial; output is identical at any count)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); expiry reports \"# FAILED: timeout\" instead of running on")
 		tableFile = flag.String("tuning-table", "", "apply a generated tuning table (see ombtune) as the per-placement default selection policy")
 		asJSON    = flag.Bool("json", false, "emit the report as JSON")

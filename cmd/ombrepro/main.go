@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -34,7 +35,7 @@ func main() {
 		list      = flag.Bool("list", false, "list experiment ids")
 		plot      = flag.Bool("plot", false, "render each experiment's series as an ASCII chart")
 		algo      = flag.String("algorithm", "", "force collective algorithms for every run, as coll=name pairs (e.g. allgather=ring,allreduce=rd)")
-		par       = flag.Int("parallel", 0, "sweep worker count for multi-variant experiments (0 = serial)")
+		par       = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count for multi-variant experiments (default: the usable cores; 0 or 1 = serial; output is identical at any count)")
 		fold      = flag.Bool("fold", true, "let the event loop fold symmetric ranks (false forces every rank to execute; reported numbers are identical either way)")
 		faults    = flag.String("faults", "", "deterministic fault plan applied to every run, e.g. \"noise:sigma=2us; jitter:link=0.1; seed:7\"")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget per benchmark run (0 = none); expiry reports a structured timeout failure instead of running on")

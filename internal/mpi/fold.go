@@ -11,36 +11,44 @@ package mpi
 //
 //   1. The invocation's *shape* is analyzed once per shape key (schedfold.go
 //      probe-compiles it or fetches it from the process-wide structure
-//      cache): every rank must run the same step-op sequence, built from
+//      cache). When every rank runs the same step-op sequence, built from
 //      exchange/reduce/copy primitives only, with one global per-step peer
 //      delta (xor "r^d" or modular "(r+d) mod p") that is its own inverse
-//      across the step. Ranks collapse into structural classes by their
+//      across the step, ranks collapse into structural classes by their
 //      per-step (bytes, outbound link class) signature, refined until every
 //      class agrees on the class of each step peer; per-class per-step
 //      message prices come from the same netmodel calls the per-rank path
-//      makes.
+//      makes. A shape without that symmetry (a rooted tree, the fold ranks
+//      of a non-power-of-two world) keeps its probe steps instead, as a
+//      per-rank table with every receive matched to its send (foldTable).
 //   2. Each invocation classifies ranks by entry state (clock bits plus
 //      live link-busy state), intersects that with the structural classes,
 //      and re-refines to a fixpoint (cached per observed entry pattern). In
 //      the steady benchmark loop every rank enters identically and this
-//      collapses to the precomputed structural partition.
+//      collapses to the precomputed structural partition. A table runs on
+//      the identity partition and needs no classification.
 //   3. A coupled recurrence advances one clock per class through the steps,
 //      performing literally the same float64 operations, in the same order,
 //      as postSendPriced/finishRecv/completeSend would per rank — virtual
-//      times stay bit-identical (TestEngineParity pins this).
+//      times stay bit-identical (TestEngineParity pins this). A table
+//      performs those operations once per (rank, step), in an order fixed
+//      at analysis in which every receive follows its send and every
+//      rendezvous drain its receive.
 //   4. Exit clocks fan out with Clock.Set; exit link-busy state fans out as
 //      one shared symbolic foldLB per class, materialized lazily by the
-//      next non-fold touch of the rank's link state.
+//      next non-fold touch of the rank's link state. A table writes each
+//      rank's real link-busy store as it goes, as per-rank execution does.
 //
-// Anything irregular — sub-communicators, non-power-of-two fold ranks
-// (opSend/opRecv steps), mixed forced algorithms, pending mailbox traffic,
-// ranks with outstanding nonblocking collectives — fails eligibility or
-// shape analysis and falls back to per-rank simulation, so folding can only
-// change speed, never a number. A partial gather is released by the loop's
-// safety valve (releaseFoldStalled) only when the whole world is stalled,
-// so folding cannot introduce a deadlock the unfolded engine would not have
-// had. A gather still waiting on a rank that is runnable, or buried under a
-// nested loop frame, is not stalled: the frame unwinds to that rank instead.
+// Anything irregular — sub-communicators, mixed forced algorithms, pending
+// mailbox traffic, ranks with outstanding nonblocking collectives, builders
+// that draw staging storage, truncating messages, tables over
+// foldMaxTableSteps — fails eligibility or shape analysis and falls back to
+// per-rank simulation, so folding can only change speed, never a number. A
+// partial gather is released by the loop's safety valve (releaseFoldStalled)
+// only when the whole world is stalled, so folding cannot introduce a
+// deadlock the unfolded engine would not have had. A gather still waiting on
+// a rank that is runnable, or buried under a nested loop frame, is not
+// stalled: the frame unwinds to that rank instead.
 
 import (
 	"math"
@@ -52,7 +60,8 @@ import (
 
 // FoldStats counts symmetry-folding outcomes on a world's event engine.
 type FoldStats struct {
-	// Folded counts collective invocations simulated per equivalence class.
+	// Folded counts collective invocations simulated per equivalence class
+	// or, for a shape without class symmetry, on a per-rank step table.
 	Folded int64
 	// Fallback counts full gathers that resolved to per-rank execution
 	// (unfoldable shape, tag mismatch, or pending mailbox traffic).
@@ -99,6 +108,12 @@ const (
 // per-rank size saves nothing over the identity partition, which the
 // recurrence runs on instead. A variable only so tests can lower it.
 var foldMaxClasses = 16384
+
+// foldMaxTableSteps bounds the probe steps a per-rank table keeps (~40
+// bytes each with its evaluation state); a larger shape falls back. It
+// covers scatter_ring bcast up to 1447 ranks ((p-1)(p+2) steps) and
+// binomial bcast up to 1Mi ranks. A variable only so tests can lower it.
+var foldMaxTableSteps = 1 << 21
 
 // foldApply maps a rank to its peer under a delta.
 func foldApply(kind foldKind, r, d, p int) int {
@@ -196,12 +211,16 @@ type foldPartition struct {
 
 // foldShape is the once-per-shape analysis of a collective invocation. The
 // structural half (kind, steps, classes, peer tables, per-class byte
-// snapshots) is deterministic in (algorithm, comm size, invocation shape,
-// link tables) and shareable across worlds through schedfold.go's
-// process-wide structure cache; costs and parts are per-world (prices
-// depend on the model and PyMode; the partition cache mutates).
+// snapshots, or the per-rank table) is deterministic in (algorithm, comm
+// size, invocation shape, link tables) and shareable across worlds through
+// schedfold.go's process-wide structure cache; costs and parts are
+// per-world (prices depend on the model and PyMode; the partition cache
+// mutates).
 type foldShape struct {
-	ok     bool
+	ok bool
+	// tab, when set, is a shape without class symmetry: the class fields
+	// below are empty and costs has one row, indexed by tab's price entries.
+	tab    *foldTable
 	kind   foldKind
 	steps  []foldStep
 	nslots int
@@ -623,11 +642,23 @@ func buildFoldShapeFx(w *World, fx *foldExtract) *foldShape {
 }
 
 // foldCostsFor prices a shape's per-(class, step) table under this world's
-// model — the same pure netmodel calls priceTo makes per rank.
+// model — the same pure netmodel calls priceTo makes per rank. A per-rank
+// table's shape gets one row, one entry per distinct priced operation.
 func (w *World) foldCostsFor(sh *foldShape) [][]foldCost {
 	model := w.cfg.Model
 	py := w.cfg.PyMode
 	fullSub := w.fullSub
+	if t := sh.tab; t != nil {
+		cc := make([]foldCost, len(t.prices))
+		for i, pe := range t.prices {
+			if pe.compute {
+				cc[i].compute = model.Compute(int(pe.n), py, fullSub)
+			} else {
+				cc[i] = w.foldMsgCost(pe.link, int(pe.n))
+			}
+		}
+		return [][]foldCost{cc}
+	}
 	p := w.size
 	costs := make([][]foldCost, sh.nclass)
 	for i := 0; i < sh.nclass; i++ {
@@ -638,16 +669,7 @@ func (w *World) foldCostsFor(sh *foldShape) [][]foldCost {
 			switch fs.op {
 			case opExchange:
 				gdst := foldApply(sh.kind, rep, int(fs.sendDelta), p)
-				link := w.link(rep, gdst)
-				sendN := int(sh.repSendN[i][k])
-				pc := model.PtPt(link, sendN, py, fullSub)
-				c := &cc[k]
-				c.sendOver, c.wire, c.transmit = pc.SendOverhead, pc.Wire, pc.Transmit
-				c.recvOver, c.eager = pc.RecvOverhead, pc.Eager
-				if py {
-					// Collective tags are always internal (> MaxUserTag).
-					c.pyLock = model.PyOpLock(link, sendN, true, fullSub)
-				}
+				cc[k] = w.foldMsgCost(w.link(rep, gdst), int(sh.repSendN[i][k]))
 			case opReduce:
 				cc[k].compute = model.Compute(int(sh.repN[i][k]), py, fullSub)
 			}
@@ -655,6 +677,19 @@ func (w *World) foldCostsFor(sh *foldShape) [][]foldCost {
 		costs[i] = cc
 	}
 	return costs
+}
+
+// foldMsgCost prices one collective message of n bytes over link.
+func (w *World) foldMsgCost(link topology.LinkClass, n int) foldCost {
+	model := w.cfg.Model
+	pc := model.PtPt(link, n, w.cfg.PyMode, w.fullSub)
+	c := foldCost{sendOver: pc.SendOverhead, wire: pc.Wire, transmit: pc.Transmit,
+		recvOver: pc.RecvOverhead, eager: pc.Eager}
+	if w.cfg.PyMode {
+		// Collective tags are always internal (> MaxUserTag).
+		c.pyLock = model.PyOpLock(link, n, true, w.fullSub)
+	}
+	return c
 }
 
 // refinePartition refines cls by every exchange step's send and recv peer
@@ -809,6 +844,10 @@ type foldScratch struct {
 	// elapsed sums.
 	entry, esum []vtime.Micros
 	entryLB     []*foldLB
+	// msg is a per-rank table's message state, per send step: the eager
+	// arrival or rendezvous sender-ready time once posted, then a
+	// rendezvous's completion instant once received.
+	msg []vtime.Micros
 	// Token interning state: the map's buckets and the info slice survive
 	// across invocations (cleared, not reallocated), and dirty-token seed
 	// snapshots are carved from one arena chunk instead of allocated each.
@@ -995,6 +1034,9 @@ func (sh *foldShape) buildPartition(tokOf []int32, ntok int) *foldPartition {
 // the state reached fans out and every rank fails in schedFoldDrive, so a
 // partial sum is never read. simulate returns the repetitions it ran.
 func (sh *foldShape) simulate(l *eventLoop, loop foldRepeat) int {
+	if sh.tab != nil {
+		return sh.simulateTable(l, loop)
+	}
 	w := l.w
 	p := w.size
 	scr := &w.foldScratch
@@ -1310,6 +1352,368 @@ func (sh *foldShape) simulate(l *eventLoop, loop foldRepeat) int {
 		// fallback or per-rank path bumps it through nextCollTag), so advance
 		// it here to keep tag sequences identical across folded, fallback
 		// and fold-off executions.
+		pr.comm0.collSeq += nrep
+	}
+	return nrep
+}
+
+// Table actions: the clock operations of one table step, each the work of
+// one per-rank primitive.
+const (
+	foldActPost    = iota // inject the step's send (postSendPriced)
+	foldActRecv           // consume the matched message (finishRecv)
+	foldActDrain          // complete the step's send (drainStep, completeSend)
+	foldActCompute        // charge a local reduction (chargeCompute)
+)
+
+// foldTable is the analysis of a shape with no class symmetry: every rank's
+// probe steps in one array, rank by rank, each receive matched to the send
+// it consumes, and one order of all their clock actions in which every
+// action follows each action it reads (a receive its send's post, a drain
+// its send's receive). Messages of one invocation share one tag, so the
+// k-th receive at r from s consumes the k-th send from s to r. The order is
+// fixed at analysis because dependencies are structural: it assumes every
+// send is a rendezvous, whose drain waits on the receiver, and an eager
+// world only has fewer dependencies.
+type foldTable struct {
+	rank  []int32 // step -> its rank
+	peer  []int32 // send step -> destination rank
+	match []int32 // receive step -> the send step it consumes
+	price []int32 // send or reduce step -> its entry in prices
+	// prices holds the distinct priced operations, which foldCostsFor
+	// prices per world.
+	prices []foldTabPrice
+	order  []uint32 // step<<2 | action
+}
+
+// foldTabPrice is one distinct priced operation of a table: a message of n
+// bytes over link, or (compute) a local reduction of n bytes.
+type foldTabPrice struct {
+	link    topology.LinkClass
+	n       int32
+	compute bool
+}
+
+// buildFoldTable compiles every rank's steps (compile reports false for a
+// builder that drew staging storage) into a table, or returns nil when the
+// shape cannot be evaluated by itself: a peer or byte count out of range,
+// more than foldMaxTableSteps steps, a message without its receive or a
+// receive without its message, a message larger than its receive (the
+// per-rank path raises ErrTruncate), a posted send never drained, or no
+// order of the actions (a schedule that deadlocks once every send is a
+// rendezvous).
+func buildFoldTable(w *World, compile func(r int) ([]collStep, bool)) *foldTable {
+	p := w.size
+	off := make([]int32, p+1)
+	var ops []collOp
+	var rank, dst, src, sendN, recvN []int32
+	for r := 0; r < p; r++ {
+		steps, ok := compile(r)
+		if !ok || len(ops)+len(steps) > foldMaxTableSteps {
+			return nil
+		}
+		for i := range steps {
+			st := &steps[i]
+			d, s, sn, rn := 0, 0, 0, 0
+			switch st.op {
+			case opPost, opSend:
+				d, sn = st.peer, st.n
+			case opRecv:
+				s, rn = st.peer, st.n
+			case opExchange:
+				d, sn, s, rn = st.sendPeer, st.sendN, st.peer, st.n
+			case opReduce:
+				rn = st.n
+			}
+			if d < 0 || d >= p || s < 0 || s >= p || sn < 0 || rn < 0 ||
+				sn > math.MaxInt32 || rn > math.MaxInt32 {
+				return nil
+			}
+			ops = append(ops, st.op)
+			rank = append(rank, int32(r))
+			dst = append(dst, int32(d))
+			src = append(src, int32(s))
+			sendN = append(sendN, int32(sn))
+			recvN = append(recvN, int32(rn))
+		}
+		off[r+1] = int32(len(ops))
+	}
+	n := len(ops)
+	t := &foldTable{rank: rank, peer: dst, match: make([]int32, n), price: make([]int32, n)}
+
+	// Match receives to sends FIFO per (sender, receiver) pair: the sends of
+	// a pair are chained in program order, and each receive takes the head.
+	type fifo struct{ head, tail int32 }
+	pairs := make(map[uint64]fifo)
+	next := make([]int32, n)
+	prices := make(map[foldTabPrice]int32)
+	for g := 0; g < n; g++ {
+		t.match[g], t.price[g] = -1, -1
+		var pe foldTabPrice
+		switch ops[g] {
+		case opPost, opSend, opExchange:
+			pe = foldTabPrice{link: w.link(int(rank[g]), int(dst[g])), n: sendN[g]}
+			key := uint64(rank[g])<<32 | uint64(dst[g])
+			q, ok := pairs[key]
+			if ok {
+				next[q.tail] = int32(g)
+				q.tail = int32(g)
+			} else {
+				q = fifo{int32(g), int32(g)}
+			}
+			next[g] = -1
+			pairs[key] = q
+		case opReduce:
+			pe = foldTabPrice{n: recvN[g], compute: true}
+		default:
+			continue
+		}
+		id, ok := prices[pe]
+		if !ok {
+			id = int32(len(t.prices))
+			t.prices = append(t.prices, pe)
+			prices[pe] = id
+		}
+		t.price[g] = id
+	}
+	for g := 0; g < n; g++ {
+		if ops[g] != opRecv && ops[g] != opExchange {
+			continue
+		}
+		key := uint64(src[g])<<32 | uint64(rank[g])
+		q, ok := pairs[key]
+		if !ok || q.head < 0 || sendN[q.head] > recvN[g] {
+			return nil
+		}
+		t.match[g] = q.head
+		q.head = next[q.head]
+		pairs[key] = q
+	}
+	for _, q := range pairs {
+		if q.head >= 0 {
+			return nil
+		}
+	}
+	if t.order = foldTableOrder(ops, off, t); t.order == nil {
+		return nil
+	}
+	return t
+}
+
+// foldTableOrder runs the table's ranks symbolically, each as far as its
+// inputs allow, and returns the actions in the order they ran; nil when
+// some rank never finishes, posts again before draining, drains with
+// nothing posted, or ends with a post undrained (per-rank execution panics
+// or leaves the send open on those).
+func foldTableOrder(ops []collOp, off []int32, t *foldTable) []uint32 {
+	p := len(off) - 1
+	n := len(ops)
+	order := make([]uint32, 0, 2*n)
+	posted := make([]bool, n)
+	recvd := make([]bool, n)
+	cur := make([]int32, p)
+	copy(cur, off[:p])
+	phase := make([]uint8, p)
+	pend := make([]int32, p)
+	// waitOn is the send step a blocked rank waits on (-1 when not blocked):
+	// its receipt when waitRecv (a drain), its post otherwise (a receive).
+	waitOn := make([]int32, p)
+	waitRecv := make([]bool, p)
+	for r := range pend {
+		pend[r], waitOn[r] = -1, -1
+	}
+	stack := make([]int32, p)
+	for i := range stack {
+		stack[i] = int32(p - 1 - i)
+	}
+	emit := func(g int32, act uint32) { order = append(order, uint32(g)<<2|act) }
+	post := func(g int32) {
+		emit(g, foldActPost)
+		posted[g] = true
+		if d := t.peer[g]; waitOn[d] == g && !waitRecv[d] {
+			waitOn[d] = -1
+			stack = append(stack, d)
+		}
+	}
+	recv := func(g int32) {
+		s := t.match[g]
+		emit(g, foldActRecv)
+		recvd[s] = true
+		if r := t.rank[s]; waitOn[r] == s && waitRecv[r] {
+			waitOn[r] = -1
+			stack = append(stack, r)
+		}
+	}
+	done := 0
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+	run:
+		for ; cur[r] < off[r+1]; cur[r]++ {
+			g := cur[r]
+			switch ops[g] {
+			case opReduce:
+				emit(g, foldActCompute)
+			case opPost:
+				if pend[r] >= 0 {
+					return nil
+				}
+				post(g)
+				pend[r] = g
+			case opWaitSend:
+				s := pend[r]
+				if s < 0 {
+					return nil
+				}
+				if !recvd[s] {
+					waitOn[r], waitRecv[r] = s, true
+					break run
+				}
+				emit(s, foldActDrain)
+				pend[r] = -1
+			case opRecv:
+				if s := t.match[g]; !posted[s] {
+					waitOn[r], waitRecv[r] = s, false
+					break run
+				}
+				recv(g)
+			case opSend, opExchange:
+				if phase[r] == 0 {
+					if pend[r] >= 0 {
+						return nil
+					}
+					post(g)
+					phase[r] = 1
+				}
+				if phase[r] == 1 && ops[g] == opExchange {
+					if s := t.match[g]; !posted[s] {
+						waitOn[r], waitRecv[r] = s, false
+						break run
+					}
+					recv(g)
+					phase[r] = 2
+				}
+				if !recvd[g] {
+					waitOn[r], waitRecv[r] = g, true
+					break run
+				}
+				emit(g, foldActDrain)
+				phase[r] = 0
+			}
+		}
+		if cur[r] == off[r+1] {
+			if pend[r] >= 0 {
+				return nil
+			}
+			done++
+		}
+	}
+	if done != p {
+		return nil
+	}
+	return order
+}
+
+// simulateTable folds one gathered invocation of a per-rank table shape:
+// every rank is its own class, and each repetition runs the table's actions
+// in their analysis order, with the float64 operations postSendPriced,
+// finishRecv, drainStep and chargeCompute make per rank. Eager sends read
+// and write the rank's real link-busy store through linkBusyUntil and
+// holdLink, as per-rank execution does. A batched loop sums, checks for a
+// cancel and advances the collective sequence as simulate does.
+func (sh *foldShape) simulateTable(l *eventLoop, loop foldRepeat) int {
+	w := l.w
+	p := w.size
+	t := sh.tab
+	costs := sh.costs[0]
+	py := w.cfg.PyMode
+	scr := &w.foldScratch
+	scr.clock = foldGrowM(scr.clock, p)
+	scr.msg = foldGrowM(scr.msg, len(t.rank))
+	clock, msg := scr.clock, scr.msg
+	for r := range clock {
+		clock[r] = l.ranks[r].proc.clock.Now()
+	}
+	nrep := max(loop.reps, 1)
+	var entry, esum []vtime.Micros
+	if loop.timed(nrep - 1) {
+		scr.entry = foldGrowM(scr.entry, p)
+		scr.esum = foldGrowM(scr.esum, p)
+		entry, esum = scr.entry, scr.esum
+		clear(esum)
+	}
+	for j := 0; j < nrep; j++ {
+		if j > 0 && w.cancelRequested() {
+			nrep = j
+			break
+		}
+		timed := loop.timed(j)
+		if timed {
+			copy(entry, clock)
+		}
+		for _, ev := range t.order {
+			g := ev >> 2
+			r := t.rank[g]
+			switch ev & 3 {
+			case foldActPost:
+				c := &costs[t.price[g]]
+				tm := clock[r]
+				if py {
+					tm += c.pyLock
+				}
+				tm += c.sendOver
+				if c.eager {
+					// The link-busy store materializes symbolic state against
+					// the rank's clock, so the clock is current first.
+					pr := l.ranks[r].proc
+					pr.clock.Set(tm)
+					d := int(t.peer[g])
+					start := vtime.Max(tm, pr.linkBusyUntil(d))
+					pr.holdLink(d, start+c.transmit)
+					msg[g] = start + c.wire
+				} else {
+					msg[g] = tm
+				}
+				clock[r] = tm
+			case foldActRecv:
+				s := t.match[g]
+				c := &costs[t.price[s]]
+				tm := clock[r]
+				if c.eager {
+					if a := msg[s]; a > tm {
+						tm = a
+					}
+				} else {
+					done := vtime.Max(msg[s], tm) + c.wire
+					msg[s] = done
+					if done > tm {
+						tm = done
+					}
+				}
+				clock[r] = tm + c.recvOver
+			case foldActDrain:
+				if !costs[t.price[g]].eager {
+					if done := msg[g]; done > clock[r] {
+						clock[r] = done
+					}
+				}
+			case foldActCompute:
+				clock[r] += costs[t.price[g]].compute
+			}
+		}
+		if timed {
+			for r := range esum {
+				esum[r] += clock[r] - entry[r]
+			}
+		}
+	}
+	for r := 0; r < p; r++ {
+		pr := l.ranks[r].proc
+		if esum != nil {
+			pr.repeatE = esum[r]
+		}
+		pr.clock.Set(clock[r])
+		// As in simulate: one collective sequence number per invocation.
 		pr.comm0.collSeq += nrep
 	}
 	return nrep

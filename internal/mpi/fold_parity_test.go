@@ -21,21 +21,18 @@ import (
 // side of the fold/fallback split actually executed, so a silent "always
 // fall back" regression cannot pass as parity.
 
-// runFoldWorld runs body on a timing-only world and returns every rank's
-// final clock, the world's fold counters and the run's error.
-func runFoldWorld(t testing.TB, ranks, ppn int, disableFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats, error) {
+// runFoldWorld runs body on a timing-only world configured by cfg (its
+// placement and model are filled in) and returns every rank's final clock,
+// the world's fold counters and the run's error.
+func runFoldWorld(t testing.TB, ranks, ppn int, cfg Config, body func(p *Proc) error) ([]vtime.Micros, FoldStats, error) {
 	t.Helper()
 	place, err := topology.NewPlacement(&topology.Frontera, ranks, ppn, topology.Block, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(Config{
-		Placement:   place,
-		Model:       netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2),
-		CarryData:   false,
-		DisableFold: disableFold,
-		Algorithms:  algorithms,
-	})
+	cfg.Placement = place
+	cfg.Model = netmodel.MustNew(&topology.Frontera, netmodel.MVAPICH2)
+	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +50,7 @@ func runFoldWorld(t testing.TB, ranks, ppn int, disableFold bool, algorithms map
 // runFoldParity is runFoldWorld for bodies that must not fail.
 func runFoldParity(t *testing.T, ranks, ppn int, disableFold bool, algorithms map[Collective]string, body func(p *Proc) error) ([]vtime.Micros, FoldStats) {
 	t.Helper()
-	end, stats, err := runFoldWorld(t, ranks, ppn, disableFold, algorithms, body)
+	end, stats, err := runFoldWorld(t, ranks, ppn, Config{DisableFold: disableFold, Algorithms: algorithms}, body)
 	if err != nil {
 		t.Fatalf("fold=%v: %v", !disableFold, err)
 	}
@@ -186,24 +183,39 @@ func TestFoldParityStraggler(t *testing.T) {
 
 // TestFoldParityRootedFallback drives rooted collectives through the
 // benchmark loop's per-size shape (barrier, clock reset, barrier, the timed
-// calls, then the min/sum/max row reduce). Rooted schedules are not
-// uniform across ranks, so a full gather of one ends in a shape fallback.
-// A rank that leaves a rooted collective early and joins the next gather
-// while its peers are still inside that collective is waiting, not
-// stalled: loop frames unwind until the peers run, so every barrier folds
-// and the safety valve stays shut. The clocks must still match per-rank
-// execution.
+// calls, then the min/sum/max row reduce). A rooted bcast has no class
+// symmetry, so it folds on a per-rank step table; with the table's step
+// budget lowered below its size the same full gather ends in a shape
+// fallback, once per size. A rank that leaves a rooted collective early
+// and joins the next gather while its peers are still inside that
+// collective is waiting, not stalled: loop frames unwind until the peers
+// run, so every barrier folds and the safety valve stays shut. The clocks
+// must match per-rank execution either way.
 func TestFoldParityRootedFallback(t *testing.T) {
 	cases := []struct {
 		coll       string
 		ranks, ppn int
+		budget     int // foldMaxTableSteps; 0 keeps the default
+		// folded and fallback are the gather outcomes over the 2 sizes:
+		// 2 barriers each, plus 3 bcasts when the table folds them.
+		folded, fallback int64
 	}{
-		{"bcast", 16, 1},
-		{"bcast", 64, 8},
-		{"reduce", 16, 4},
+		{"bcast", 16, 1, 0, 10, 0},
+		{"bcast", 64, 8, 0, 10, 0},
+		{"bcast", 16, 1, 16, 4, 2},
+		{"bcast", 64, 8, 64, 4, 2},
+		{"reduce", 16, 4, 0, 4, 0},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s-%dx%d", tc.coll, tc.ranks, tc.ppn), func(t *testing.T) {
+		name := fmt.Sprintf("%s-%dx%d", tc.coll, tc.ranks, tc.ppn)
+		if tc.budget > 0 {
+			name += fmt.Sprintf("-budget%d", tc.budget)
+		}
+		t.Run(name, func(t *testing.T) {
+			if tc.budget > 0 {
+				defer func(old int) { foldMaxTableSteps = old }(foldMaxTableSteps)
+				foldMaxTableSteps = tc.budget
+			}
 			stats := assertFoldParity(t, tc.ranks, tc.ppn, nil, func(p *Proc) error {
 				c := p.CommWorld()
 				row := make([]byte, 48)
@@ -232,11 +244,8 @@ func TestFoldParityRootedFallback(t *testing.T) {
 				}
 				return nil
 			})
-			if stats.Released != 0 || stats.Folded != 4 {
-				t.Errorf("want all 4 barriers folded and no release: %+v", stats)
-			}
-			if tc.coll == "bcast" && stats.Fallback == 0 {
-				t.Errorf("bcast never fell back from a full gather: %+v", stats)
+			if stats.Released != 0 || stats.Folded != tc.folded || stats.Fallback != tc.fallback {
+				t.Errorf("want %d folded, %d fallback and no release: %+v", tc.folded, tc.fallback, stats)
 			}
 		})
 	}
@@ -374,8 +383,9 @@ func TestFoldReleaseBlockedReceiver(t *testing.T) {
 }
 
 // repeatColls are the collectives the Repeat tests time in a loop:
-// barrier, allreduce, allgather and alltoall fold on a power-of-two world,
-// the rooted bcast and reduce never do.
+// barrier, allreduce, allgather and alltoall fold by class on a
+// power-of-two world, the rooted bcast on a per-rank table, and reduce,
+// which compiles outside the gather, never does.
 var repeatColls = []struct {
 	name  string
 	folds bool
@@ -385,7 +395,7 @@ var repeatColls = []struct {
 	{"allreduce", true, func(c *Comm, n int) error { return c.AllreduceN(nil, nil, n, Float32, OpSum) }},
 	{"allgather", true, func(c *Comm, n int) error { return c.AllgatherN(nil, n, nil) }},
 	{"alltoall", true, func(c *Comm, n int) error { return c.AlltoallN(nil, n, nil) }},
-	{"bcast", false, func(c *Comm, n int) error { return c.BcastN(nil, n, 0) }},
+	{"bcast", true, func(c *Comm, n int) error { return c.BcastN(nil, n, 0) }},
 	{"reduce", false, func(c *Comm, n int) error { return c.ReduceN(nil, nil, n, Float32, OpSum, 0) }},
 }
 
@@ -586,6 +596,104 @@ func TestFoldParityRepeatClassBound(t *testing.T) {
 	}
 }
 
+// perRankCase is one TestFoldParityPerRank workload.
+type perRankCase struct {
+	name       string
+	ranks, ppn int
+	algos      map[Collective]string
+	py         bool
+	call       func(c *Comm, n int) error
+}
+
+// perRankCases are shapes with no class symmetry, which fold on a per-rank
+// step table: a rooted bcast under either algorithm at the first, second
+// and last root, on power-of-two and other worlds; recursive doubling,
+// Rabenseifner and pairwise exchange on a non-power-of-two world, whose
+// fold ranks send and receive alone; and one Py-mode bcast.
+func perRankCases() []perRankCase {
+	var cases []perRankCase
+	for _, algo := range []string{"binomial", "scatter_ring"} {
+		for _, shape := range [][2]int{{16, 1}, {8, 4}, {21, 7}} {
+			ranks, ppn := shape[0], shape[1]
+			for _, root := range []int{0, 1, ranks - 1} {
+				cases = append(cases, perRankCase{
+					name:  fmt.Sprintf("bcast-%s-root%d-%dx%d", algo, root, ranks, ppn),
+					ranks: ranks, ppn: ppn,
+					algos: map[Collective]string{CollBcast: algo},
+					call:  func(c *Comm, n int) error { return c.BcastN(nil, n, root) },
+				})
+			}
+		}
+	}
+	for _, algo := range []string{"recursive_doubling", "rabenseifner"} {
+		cases = append(cases, perRankCase{
+			name: "allreduce-" + algo + "-63x7", ranks: 63, ppn: 7,
+			algos: map[Collective]string{CollAllreduce: algo},
+			call:  func(c *Comm, n int) error { return c.AllreduceN(nil, nil, n, Float32, OpSum) },
+		})
+	}
+	return append(cases,
+		perRankCase{
+			name: "alltoall-pairwise-63x7", ranks: 63, ppn: 7,
+			algos: map[Collective]string{CollAlltoall: "pairwise"},
+			call:  func(c *Comm, n int) error { return c.AlltoallN(nil, n, nil) },
+		},
+		perRankCase{
+			name: "bcast-py-root1-63x7", ranks: 63, ppn: 7, py: true,
+			call: func(c *Comm, n int) error { return c.BcastN(nil, n, 1) },
+		})
+}
+
+// TestFoldParityPerRank pins the per-rank table path: every perRankCases
+// shape, timed by the benchmark loop's per-size shape from each
+// repeatSkews entry state at 8 B to 64 KiB (both sides of the eager
+// limit), as a per-call loop and as a Comm.Repeat loop with warmup, must
+// fold every call — no fallback, no release — and match the fold-off
+// world's end clocks and loop sums bit for bit.
+func TestFoldParityPerRank(t *testing.T) {
+	const warmup, iters = 1, 3
+	sizes := []int{8, 1024, 16 * 1024, 64 * 1024}
+	loops := []struct {
+		name string
+		run  func(c *Comm, call func() error) (vtime.Micros, error)
+	}{
+		{"calls", func(c *Comm, call func() error) (vtime.Micros, error) {
+			return plainLoop(c, warmup, iters, call)
+		}},
+		{"repeat", func(c *Comm, call func() error) (vtime.Micros, error) {
+			return c.Repeat(warmup, iters, call)
+		}},
+	}
+	for _, tc := range perRankCases() {
+		for _, sk := range repeatSkews {
+			for _, lp := range loops {
+				t.Run(fmt.Sprintf("%s-%s-%s", tc.name, sk.name, lp.name), func(t *testing.T) {
+					loop := func(c *Comm, n int) (vtime.Micros, error) {
+						return lp.run(c, func() error { return tc.call(c, n) })
+					}
+					run := func(disableFold bool) ([]vtime.Micros, [][]vtime.Micros, FoldStats) {
+						sums := make([][]vtime.Micros, tc.ranks)
+						cfg := Config{DisableFold: disableFold, Algorithms: tc.algos, PyMode: tc.py}
+						end, stats, err := runFoldWorld(t, tc.ranks, tc.ppn, cfg, repeatBody(sizes, sk.skew, sums, loop))
+						if err != nil {
+							t.Fatalf("fold=%v: %v", !disableFold, err)
+						}
+						return end, sums, stats
+					}
+					wantEnd, wantSums, _ := run(true)
+					gotEnd, gotSums, stats := run(false)
+					assertSameTimes(t, "fold on vs off", wantEnd, gotEnd, wantSums, gotSums)
+					// Two barriers per size, then every call of the loop.
+					want := int64(len(sizes) * (2 + warmup + iters))
+					if stats.Folded != want || stats.Fallback != 0 || stats.Released != 0 {
+						t.Errorf("want %d folds, no fallback and no release: %+v", want, stats)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestRepeatCancelMidBatch cancels a batched loop while its gather runs
 // the repetitions back to back on the resolver's stack, where no rank
 // reaches a collective entry to notice: the batch must stop at its next
@@ -679,11 +787,14 @@ func TestRepeatCancelMidBatch(t *testing.T) {
 // collectives, clock resets, one-rank compute skews and timed loops, run by
 // every rank of a timing-only world on 1-16 Frontera nodes, must end with
 // the same per-rank clocks and loop sums, and fail or succeed alike, with
-// folding on and off. Each (op, arg) byte pair of prog is one step, up to
-// 32 steps; arg picks the size from 8 B, 1 KiB, 16 KiB and 64 KiB (low two
-// bits) and the root or the skewed rank (the rest). An op byte of 0x80 or
-// more is a Comm.Repeat loop: its low seven bits pick the collective (of
-// six), the warmup (0-2) and the timed calls (1-4).
+// folding on and off. nodes' low four bits pick the node count; when its
+// high bit is set, bits 4-5 force a bcast algorithm (none, binomial,
+// scatter_ring, none) and bit 6 runs the world in Py mode. Each (op, arg)
+// byte pair of prog is one step, up to 32 steps; arg picks the size from
+// 8 B, 1 KiB, 16 KiB and 64 KiB (low two bits) and the root or the skewed
+// rank (the rest). An op byte of 0x80 or more is a Comm.Repeat loop: its
+// low seven bits pick the collective (of six), the warmup (0-2) and the
+// timed calls (1-4).
 func FuzzFoldParity(f *testing.F) {
 	f.Add(uint8(1), uint8(1), []byte{0, 0, 1, 2, 2, 5, 3, 9, 4, 0})
 	f.Add(uint8(3), uint8(3), []byte{5, 0, 0, 0, 8, 1, 0, 0, 9, 2, 0, 0, 4, 0})
@@ -693,6 +804,15 @@ func FuzzFoldParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nodes, ppnSel uint8, prog []byte) {
 		ppn := []int{1, 2, 3, 4, 7, 8}[int(ppnSel)%6]
 		ranks := ppn * (1 + int(nodes)%16)
+		var cfg Config
+		if nodes&0x80 != 0 {
+			if algo := []string{"", "binomial", "scatter_ring", ""}[nodes>>4&3]; algo != "" {
+				cfg.Algorithms = map[Collective]string{CollBcast: algo}
+			}
+			cfg.PyMode = nodes&0x40 != 0
+		}
+		off := cfg
+		off.DisableFold = true
 		if len(prog) > 64 {
 			prog = prog[:64]
 		}
@@ -755,8 +875,8 @@ func FuzzFoldParity(f *testing.F) {
 			}
 		}
 		offSums, sums := make([][]vtime.Micros, ranks), make([][]vtime.Micros, ranks)
-		want, offStats, offErr := runFoldWorld(t, ranks, ppn, true, nil, body(offSums))
-		got, _, err := runFoldWorld(t, ranks, ppn, false, nil, body(sums))
+		want, offStats, offErr := runFoldWorld(t, ranks, ppn, off, body(offSums))
+		got, _, err := runFoldWorld(t, ranks, ppn, cfg, body(sums))
 		if offStats != (FoldStats{}) {
 			t.Errorf("DisableFold world still reached the fold gather: %+v", offStats)
 		}

@@ -10,16 +10,19 @@ package mpi
 //     gather with that key.
 //   - The resolver compares keys (p integer compares), looks the shape up in
 //     a value-keyed per-world cache, and simulates the whole invocation per
-//     equivalence class (fold.go). No per-rank collSched is ever
-//     materialized on this path.
+//     equivalence class, or per rank on a step table (fold.go). No per-rank
+//     collSched is ever materialized on this path.
 //   - The first time a shape key is seen in the process, the resolver
 //     compiles one probe schedule per rank (streaming, into one reused
-//     buffer), verifies uniformity, and publishes the analyzed structure to
+//     buffer) and verifies uniformity; a shape without it (a rooted tree, a
+//     non-power-of-two world) is compiled once more into a per-rank table
+//     with every receive matched to its send. The analyzed structure goes to
 //     a process-wide cache keyed by (algorithm, comm size, invocation
 //     shape, link signature) — so subsequent worlds of the same sweep pay
-//     only a per-class re-pricing pass, never a compile.
-//   - Anything irregular — mismatched keys across ranks, unfoldable shapes,
-//     sub-communicators, pending traffic, outstanding nonblocking
+//     only a re-pricing pass, never a compile.
+//   - Anything irregular — mismatched keys across ranks, pending traffic,
+//     builders that draw staging storage, truncating messages, tables over
+//     the step budget, sub-communicators, outstanding nonblocking
 //     collectives, fault plans — falls back: the gathered ranks materialize
 //     per-rank schedules through the unchanged replay path
 //     (compileReplayColl) and drive them per rank. Folding can therefore
@@ -244,14 +247,17 @@ func (c *Comm) materializePending(pend *foldPending) (*collSched, error) {
 // shape, and the placement's link signature. Identical keys compile to
 // identical step structures and identical equivalence classes; message
 // prices are per-world (model, PyMode) and recomputed on every hit.
+// tableSteps is the step budget (foldMaxTableSteps) the analysis ran
+// under: a table refused under one budget may fit another.
 type foldStructKey struct {
-	alg     *Algorithm
-	p       int
-	n       int
-	root    int
-	dt      DType
-	op      Op
-	linkSig uint64
+	alg        *Algorithm
+	p          int
+	n          int
+	root       int
+	dt         DType
+	op         Op
+	linkSig    uint64
+	tableSteps int
 }
 
 // foldStructCache shares analyzed shapes across worlds (sync.Map: sweeps
@@ -293,6 +299,10 @@ func foldStructFootprint(sh *foldShape) int64 {
 	per := int64(len(sh.steps)) * 4
 	b += int64(len(sh.sendCls)+len(sh.recvCls)+len(sh.repN)+len(sh.repSendN)) * (per + 24)
 	b += int64(len(sh.dom))*4 + int64(len(sh.domLink))*8
+	if t := sh.tab; t != nil {
+		b += int64(len(t.rank)+len(t.peer)+len(t.match)+len(t.price)+len(t.order))*4 +
+			int64(len(t.prices))*16
+	}
 	return b
 }
 
@@ -318,7 +328,7 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 		return &foldShape{}
 	}
 	key := foldStructKey{alg: alg, p: w.size, n: sk.n, root: sk.root,
-		dt: sk.dt, op: sk.op, linkSig: w.linkSig}
+		dt: sk.dt, op: sk.op, linkSig: w.linkSig, tableSteps: foldMaxTableSteps}
 	if v, ok := foldStructCache.Load(key); ok {
 		tmpl := v.(*foldShape)
 		if foldI32Equal(tmpl.dom, w.dom) && foldLinksEqual(tmpl.domLink, w.domLink) {
@@ -345,21 +355,20 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 
 // probeAndAnalyze compiles every rank's schedule for the deferred call into
 // a reused probe buffer (streaming — rank r's steps are consumed before
-// rank r+1 compiles) and runs the uniformity analysis on them. No pool, no
-// tag, no replay cache is touched: the probes exist only to prove the
-// shape.
+// rank r+1 compiles) and runs the uniformity analysis on them. A shape
+// without class symmetry is compiled a second time into a per-rank table
+// (fold.go's foldTable). No pool, no tag, no replay cache is touched: the
+// probes exist only to prove the shape.
 func (l *eventLoop) probeAndAnalyze(alg *Algorithm, call collCall) *foldShape {
 	w := l.w
 	var probe collSched
-	bad := false
-	compile := func(r int) []collStep {
+	compile := func(r int) ([]collStep, bool) {
 		cr := l.ranks[r].proc.CommWorld()
 		probe.c = cr
 		probe.steps = probe.steps[:0]
 		probe.dt, probe.op = call.dt, call.op
 		if err := alg.build(cr, call, &probe); err != nil {
-			bad = true
-			return nil
+			return nil, false
 		}
 		if len(probe.bufs) != 0 || len(probe.ints) != 0 {
 			// The builder drew staging storage: its steps reference world
@@ -374,13 +383,12 @@ func (l *eventLoop) probeAndAnalyze(alg *Algorithm, call collCall) *foldShape {
 				probe.ints[i] = nil
 			}
 			probe.ints = probe.ints[:0]
-			bad = true
-			return nil
+			return nil, false
 		}
-		return probe.steps
+		return probe.steps, true
 	}
-	steps0 := compile(0)
-	if bad {
+	steps0, ok := compile(0)
+	if !ok {
 		return &foldShape{}
 	}
 	steps0 = append([]collStep(nil), steps0...)
@@ -388,16 +396,23 @@ func (l *eventLoop) probeAndAnalyze(alg *Algorithm, call collCall) *foldShape {
 		if r == 0 {
 			return steps0
 		}
-		s := compile(r)
-		if bad {
-			return nil
-		}
+		s, good := compile(r)
+		ok = ok && good
 		return s
 	})
-	if fx == nil {
+	switch {
+	case !ok:
+		return &foldShape{}
+	case fx != nil:
+		return buildFoldShapeFx(w, fx)
+	}
+	tab := buildFoldTable(w, compile)
+	if tab == nil {
 		return &foldShape{}
 	}
-	return buildFoldShapeFx(w, fx)
+	sh := &foldShape{ok: true, tab: tab}
+	sh.costs = w.foldCostsFor(sh)
+	return sh
 }
 
 func foldLinksEqual(a, b []topology.LinkClass) bool {

@@ -111,3 +111,57 @@ func TestPublishFoldStructAccounting(t *testing.T) {
 		}
 	})
 }
+
+// TestBuildFoldTableRefusals pins the per-rank table's build-time checks on
+// hand-made step lists for a 2-rank world: a table is kept only when every
+// message meets its receive, fits it, and can run in some order, so a shape
+// the per-rank path would reject (ErrTruncate, a deadlock, a builder bug)
+// falls back instead of folding.
+func TestBuildFoldTableRefusals(t *testing.T) {
+	w := parityWorld(t, 2, 1, Config{})
+	send := func(peer, n int) collStep { return collStep{op: opSend, peer: peer, n: n} }
+	recv := func(peer, n int) collStep { return collStep{op: opRecv, peer: peer, n: n} }
+	exch := func(peer, n int) collStep {
+		return collStep{op: opExchange, sendPeer: peer, sendN: n, peer: peer, n: n}
+	}
+	cases := []struct {
+		name   string
+		steps  [2][]collStep
+		budget int
+		ok     bool
+	}{
+		{"send then receive", [2][]collStep{{send(1, 64)}, {recv(0, 64)}}, 0, true},
+		{"exchange", [2][]collStep{{exch(1, 64)}, {exch(0, 64)}}, 0, true},
+		{"shorter message", [2][]collStep{{send(1, 32)}, {recv(0, 64)}}, 0, true},
+		{"post, receive, drain", [2][]collStep{
+			{{op: opPost, peer: 1, n: 8}, recv(1, 8), {op: opWaitSend}},
+			{{op: opPost, peer: 0, n: 8}, recv(0, 8), {op: opWaitSend}}}, 0, true},
+		{"truncating message", [2][]collStep{{send(1, 128)}, {recv(0, 64)}}, 0, false},
+		{"message never received", [2][]collStep{{send(1, 64), send(1, 64)}, {recv(0, 64)}}, 0, false},
+		{"receive never sent", [2][]collStep{{send(1, 64)}, {recv(0, 64), recv(0, 64)}}, 0, false},
+		{"both send first", [2][]collStep{{send(1, 64), recv(1, 64)}, {send(0, 64), recv(0, 64)}}, 0, false},
+		{"post twice", [2][]collStep{
+			{{op: opPost, peer: 1, n: 8}, {op: opPost, peer: 1, n: 8}, {op: opWaitSend}},
+			{recv(0, 8), recv(0, 8)}}, 0, false},
+		{"post never drained", [2][]collStep{{{op: opPost, peer: 1, n: 8}}, {recv(0, 8)}}, 0, false},
+		{"peer out of range", [2][]collStep{{send(2, 64)}, {recv(0, 64)}}, 0, false},
+		{"over the step budget", [2][]collStep{{exch(1, 64)}, {exch(0, 64)}}, 1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.budget > 0 {
+				defer func(old int) { foldMaxTableSteps = old }(foldMaxTableSteps)
+				foldMaxTableSteps = tc.budget
+			}
+			tab := buildFoldTable(w, func(r int) ([]collStep, bool) { return tc.steps[r], true })
+			if (tab != nil) != tc.ok {
+				t.Fatalf("table kept = %v, want %v", tab != nil, tc.ok)
+			}
+		})
+	}
+	t.Run("builder refused", func(t *testing.T) {
+		if buildFoldTable(w, func(int) ([]collStep, bool) { return nil, false }) != nil {
+			t.Fatal("table kept for a builder that drew staging storage")
+		}
+	})
+}

@@ -40,7 +40,8 @@ func hugeWorldOptions(ranks int, noFold bool) core.Options {
 // 1024-rank event sweeps folded and with folding disabled must produce
 // byte-identical series. The allreduce sweep folds by class; the bcast
 // sweep over 1 KiB - 1 MiB runs binomial below 512 KiB and scatter_ring
-// from there, both on per-rank step tables.
+// from there, both on per-rank step tables; the reduce_scatter sweep over
+// its smallest block to 64 KiB runs recursive halving, by class.
 func TestEngineFoldSmoke1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-rank sweep in -short mode")
@@ -49,7 +50,10 @@ func TestEngineFoldSmoke1024(t *testing.T) {
 	bcast.Benchmark = core.Bcast
 	bcast.MinSize, bcast.MaxSize = 1024, 1<<20
 	bcast.LargeIters = 2
-	for _, o := range []core.Options{hugeWorldOptions(1024, false), bcast} {
+	rs := hugeWorldOptions(1024, false)
+	rs.Benchmark = core.ReduceScatter
+	rs.MinSize = 1
+	for _, o := range []core.Options{hugeWorldOptions(1024, false), bcast, rs} {
 		t.Run(string(o.Benchmark), func(t *testing.T) {
 			off := o
 			off.NoFold = true

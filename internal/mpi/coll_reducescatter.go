@@ -31,14 +31,11 @@ func (c *Comm) ReduceScatterBlock(sbuf, rbuf []byte, dt DType, op Op) error {
 }
 
 // ReduceScatterBlockN is ReduceScatterBlock with an explicit per-rank byte
-// count; buffers may be nil in timing-only worlds.
+// count; buffers may be nil in timing-only worlds. The call carries the
+// block size, not a count vector, so a buffer-free call is keyed by it and
+// replays and folds like any other uniform collective.
 func (c *Comm) ReduceScatterBlockN(sbuf, rbuf []byte, n int, dt DType, op Op) error {
-	counts, err := c.blockCounts(n, dt)
-	if err != nil {
-		return err
-	}
-	defer c.releaseInts(counts)
-	return c.ReduceScatterN(sbuf, rbuf, counts, dt, op)
+	return c.driveReduceScatter(c.reduceScatterBlockStart(sbuf, rbuf, n, dt, op))
 }
 
 // IreduceScatterBlock starts a nonblocking ReduceScatterBlock.
@@ -49,24 +46,11 @@ func (c *Comm) IreduceScatterBlock(sbuf, rbuf []byte, dt DType, op Op) (*Request
 // IreduceScatterBlockN is IreduceScatterBlock with an explicit per-rank
 // byte count.
 func (c *Comm) IreduceScatterBlockN(sbuf, rbuf []byte, n int, dt DType, op Op) (*Request, error) {
-	counts, err := c.blockCounts(n, dt)
+	s, err := c.reduceScatterBlockStart(sbuf, rbuf, n, dt, op)
 	if err != nil {
 		return nil, err
 	}
-	defer c.releaseInts(counts)
-	return c.IreduceScatter(sbuf, rbuf, counts, dt, op)
-}
-
-// blockCounts builds the uniform per-rank count vector of the Block forms.
-func (c *Comm) blockCounts(n int, dt DType) ([]int, error) {
-	if n%dt.Size() != 0 {
-		return nil, fmt.Errorf("mpi: ReduceScatter block %d not a multiple of %s", n, dt)
-	}
-	counts := c.scratchInts(len(c.group))
-	for i := range counts {
-		counts[i] = n
-	}
-	return counts, nil
+	return c.collRequest(s)
 }
 
 // ReduceScatter reduces sbuf across ranks and scatters it by counts (bytes
@@ -79,7 +63,22 @@ func (c *Comm) ReduceScatter(sbuf, rbuf []byte, counts []int, dt DType, op Op) e
 // recursive halving on power-of-two groups with block-aligned windows, and
 // a pairwise exchange otherwise.
 func (c *Comm) ReduceScatterN(sbuf, rbuf []byte, counts []int, dt DType, op Op) error {
-	s, err := c.reduceScatterStart(sbuf, rbuf, counts, dt, op)
+	return c.driveReduceScatter(c.reduceScatterVectorStart(sbuf, rbuf, counts, dt, op))
+}
+
+// IreduceScatter starts a nonblocking ReduceScatter. The counts slice is
+// captured at post time and may be reused immediately.
+func (c *Comm) IreduceScatter(sbuf, rbuf []byte, counts []int, dt DType, op Op) (*Request, error) {
+	s, err := c.reduceScatterVectorStart(sbuf, rbuf, counts, dt, op)
+	if err != nil {
+		return nil, err
+	}
+	return c.collRequest(s)
+}
+
+// driveReduceScatter is the blocking drive of a started call of either
+// form.
+func (c *Comm) driveReduceScatter(s *collSched, err error) error {
 	if err != nil || s == nil {
 		return err
 	}
@@ -89,17 +88,20 @@ func (c *Comm) ReduceScatterN(sbuf, rbuf []byte, counts []int, dt DType, op Op) 
 	return nil
 }
 
-// IreduceScatter starts a nonblocking ReduceScatter. The counts slice is
-// captured at post time and may be reused immediately.
-func (c *Comm) IreduceScatter(sbuf, rbuf []byte, counts []int, dt DType, op Op) (*Request, error) {
-	s, err := c.reduceScatterStart(sbuf, rbuf, counts, dt, op)
-	if err != nil {
-		return nil, err
+// reduceScatterBlockStart validates the block form's size and starts it.
+func (c *Comm) reduceScatterBlockStart(sbuf, rbuf []byte, n int, dt DType, op Op) (*collSched, error) {
+	if n%dt.Size() != 0 {
+		return nil, fmt.Errorf("mpi: ReduceScatter block %d not a multiple of %s", n, dt)
 	}
-	return c.collRequest(s)
+	if n < 0 {
+		return nil, fmt.Errorf("mpi: ReduceScatter block %d invalid for %s", n, dt)
+	}
+	return c.reduceScatterStart(collCall{sbuf: sbuf, rbuf: rbuf, n: n, dt: dt, op: op}, len(c.group)*n, n)
 }
 
-func (c *Comm) reduceScatterStart(sbuf, rbuf []byte, counts []int, dt DType, op Op) (*collSched, error) {
+// reduceScatterVectorStart validates the vector form's counts and starts
+// it.
+func (c *Comm) reduceScatterVectorStart(sbuf, rbuf []byte, counts []int, dt DType, op Op) (*collSched, error) {
 	p := len(c.group)
 	if len(counts) != p {
 		return nil, fmt.Errorf("mpi: ReduceScatter counts length %d != %d ranks", len(counts), p)
@@ -111,37 +113,57 @@ func (c *Comm) reduceScatterStart(sbuf, rbuf []byte, counts []int, dt DType, op 
 		}
 		total += cnt
 	}
+	return c.reduceScatterStart(collCall{sbuf: sbuf, rbuf: rbuf, counts: counts, dt: dt, op: op}, total, counts[c.rank])
+}
+
+// reduceScatterStart checks a validated call's buffers against its total
+// and this rank's block, and compiles its schedule (nil for the trivial
+// single-rank case).
+func (c *Comm) reduceScatterStart(call collCall, total, mine int) (*collSched, error) {
+	sbuf, rbuf := call.sbuf, call.rbuf
 	if sbuf != nil && len(sbuf) < total {
 		return nil, fmt.Errorf("mpi: ReduceScatter send buffer %d < %d", len(sbuf), total)
 	}
-	if rbuf != nil && len(rbuf) < counts[c.rank] {
-		return nil, fmt.Errorf("mpi: ReduceScatter recv buffer %d < %d", len(rbuf), counts[c.rank])
+	if rbuf != nil && len(rbuf) < mine {
+		return nil, fmt.Errorf("mpi: ReduceScatter recv buffer %d < %d", len(rbuf), mine)
 	}
+	p := len(c.group)
 	if p == 1 {
 		if sbuf != nil && rbuf != nil {
 			copy(rbuf[:total], sbuf[:total])
 		}
 		return nil, nil
 	}
-	s, err := c.startColl(CollReduceScatter, NewSelection(CollReduceScatter, p, total, dt),
-		collCall{sbuf: sbuf, rbuf: rbuf, counts: counts, total: total, dt: dt, op: op})
+	s, err := c.startColl(CollReduceScatter, NewSelection(CollReduceScatter, p, total, call.dt), call)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: ReduceScatter: %w", err)
 	}
 	return s, nil
 }
 
+// reduceScatterOffs returns a call's p+1 block bounds in rank scratch (pair
+// with releaseInts): prefix sums of the vector form's counts, multiples of
+// the block form's n.
+func (c *Comm) reduceScatterOffs(call collCall) []int {
+	offs := c.scratchInts(len(c.group) + 1)
+	for r := range len(c.group) {
+		cnt := call.n
+		if call.counts != nil {
+			cnt = call.counts[r]
+		}
+		offs[r+1] = offs[r] + cnt
+	}
+	return offs
+}
+
 // buildReduceScatterHalving: recursive halving over rank-count-aligned
 // windows.
 func buildReduceScatterHalving(c *Comm, call collCall, s *collSched) error {
-	sbuf, rbuf, counts, total := call.sbuf, call.rbuf, call.counts, call.total
+	sbuf, rbuf := call.sbuf, call.rbuf
 	p := len(c.group)
-	offs := c.scratchInts(p + 1)
+	offs := c.reduceScatterOffs(call)
 	defer c.releaseInts(offs)
-	offs[0] = 0
-	for r := 0; r < p; r++ {
-		offs[r+1] = offs[r] + counts[r]
-	}
+	total := offs[p]
 	var acc, tmp []byte
 	if sbuf != nil {
 		acc = s.scratch(total)
@@ -156,7 +178,8 @@ func buildReduceScatterHalving(c *Comm, call collCall, s *collSched) error {
 		s.reduce(sliceOrNil(acc, kLo, kHi), sliceOrNil(tmp, kLo, kHi), kHi-kLo)
 	}
 	if rbuf != nil && acc != nil {
-		s.copyStep(rbuf[:counts[c.rank]], acc[offs[c.rank]:offs[c.rank+1]], counts[c.rank])
+		lo, hi := offs[c.rank], offs[c.rank+1]
+		s.copyStep(rbuf[:hi-lo], acc[lo:hi], hi-lo)
 	}
 	return nil
 }
@@ -165,15 +188,11 @@ func buildReduceScatterHalving(c *Comm, call collCall, s *collSched) error {
 // block destined for rank+k and receives (and reduces) its own block from
 // rank-k.
 func buildReduceScatterPairwise(c *Comm, call collCall, s *collSched) error {
-	sbuf, rbuf, counts := call.sbuf, call.rbuf, call.counts
+	sbuf, rbuf := call.sbuf, call.rbuf
 	p := len(c.group)
-	offs := c.scratchInts(p + 1)
+	offs := c.reduceScatterOffs(call)
 	defer c.releaseInts(offs)
-	offs[0] = 0
-	for r := 0; r < p; r++ {
-		offs[r+1] = offs[r] + counts[r]
-	}
-	mine := counts[c.rank]
+	mine := offs[c.rank+1] - offs[c.rank]
 	var tmp []byte
 	if sbuf != nil && rbuf != nil {
 		copy(rbuf[:mine], sbuf[offs[c.rank]:offs[c.rank]+mine])

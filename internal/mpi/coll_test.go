@@ -335,6 +335,129 @@ func TestReduceScatterBlock(t *testing.T) {
 	})
 }
 
+// reduceScatterBlockForms runs the block form blocking and as a
+// nonblocking post plus Wait.
+var reduceScatterBlockForms = []struct {
+	name string
+	call func(c *Comm, sbuf, rbuf []byte, n int) error
+}{
+	{"blocking", func(c *Comm, sbuf, rbuf []byte, n int) error {
+		return c.ReduceScatterBlockN(sbuf, rbuf, n, Float32, OpSum)
+	}},
+	{"nonblocking", func(c *Comm, sbuf, rbuf []byte, n int) error {
+		req, err := c.IreduceScatterBlockN(sbuf, rbuf, n, Float32, OpSum)
+		if err != nil {
+			return err
+		}
+		_, err = req.Wait()
+		return err
+	}},
+}
+
+// TestReduceScatterBlockRefusals pins the block form's argument checks on
+// a 4-rank world: every rank gets the same refusal, and a zero block
+// succeeds.
+func TestReduceScatterBlockRefusals(t *testing.T) {
+	cases := []struct {
+		name       string
+		n          int
+		sLen, rLen int // buffer lengths; 0 passes nil
+		want       string
+	}{
+		{"unaligned", 6, 0, 0, "mpi: ReduceScatter block 6 not a multiple of float32"},
+		// The block form carries no count vector, so a negative block is
+		// named as the block, not as the count[0] it once expanded into.
+		{"negative", -4, 0, 0, "mpi: ReduceScatter block -4 invalid for float32"},
+		{"short-send", 4, 12, 0, "mpi: ReduceScatter send buffer 12 < 16"},
+		{"short-recv", 4, 0, 2, "mpi: ReduceScatter recv buffer 2 < 4"},
+		{"zero-block", 0, 0, 0, ""},
+	}
+	buf := func(n int) []byte {
+		if n == 0 {
+			return nil
+		}
+		return make([]byte, n)
+	}
+	for _, form := range reduceScatterBlockForms {
+		for _, tc := range cases {
+			t.Run(form.name+"-"+tc.name, func(t *testing.T) {
+				errs := make([]error, 4)
+				err := testWorld(t, 4, 4).Run(func(pr *Proc) error {
+					errs[pr.Rank()] = form.call(pr.CommWorld(), buf(tc.sLen), buf(tc.rLen), tc.n)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, err := range errs {
+					got := ""
+					if err != nil {
+						got = err.Error()
+					}
+					if got != tc.want {
+						t.Errorf("rank %d: error %q, want %q", r, got, tc.want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestReduceScatterVectorRefusals pins the vector form's count checks: a
+// nil count vector is a length mismatch, never the block form's zero block.
+func TestReduceScatterVectorRefusals(t *testing.T) {
+	cases := []struct {
+		name   string
+		counts []int
+		want   string
+	}{
+		{"nil", nil, "mpi: ReduceScatter counts length 0 != 4 ranks"},
+		{"short", []int{4, 4}, "mpi: ReduceScatter counts length 2 != 4 ranks"},
+		{"negative", []int{4, -4, 4, 4}, "mpi: ReduceScatter count[1]=-4 invalid for float32"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make([]error, 8) // blocking, then nonblocking, per rank
+			err := testWorld(t, 4, 4).Run(func(pr *Proc) error {
+				c := pr.CommWorld()
+				errs[pr.Rank()] = c.ReduceScatter(nil, nil, tc.counts, Float32, OpSum)
+				_, errs[4+pr.Rank()] = c.IreduceScatter(nil, nil, tc.counts, Float32, OpSum)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, err := range errs {
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("rank %d call %d: error %v, want %q", i%4, i/4, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestReduceScatterBlockOneRank pins the single-rank block form, which
+// copies sbuf's block to rbuf.
+func TestReduceScatterBlockOneRank(t *testing.T) {
+	for _, form := range reduceScatterBlockForms {
+		t.Run(form.name, func(t *testing.T) {
+			err := testWorld(t, 1, 1).Run(func(pr *Proc) error {
+				sbuf, rbuf := pattern(0, 16), make([]byte, 16)
+				if err := form.call(pr.CommWorld(), sbuf, rbuf, 16); err != nil {
+					return err
+				}
+				if !bytes.Equal(rbuf, sbuf) {
+					return fmt.Errorf("rbuf %v, want sbuf %v", rbuf, sbuf)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestVectorCollectives(t *testing.T) {
 	forAllWorlds(t, func(t *testing.T, cc collCase) {
 		w := testWorld(t, cc.n, cc.ppn)

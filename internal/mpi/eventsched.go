@@ -29,7 +29,9 @@ type replayKey struct {
 
 // replayable reports whether a call's schedule can be cached: nothing in
 // the step list may reference caller-owned memory, which is guaranteed
-// exactly when the call carries no buffers and no per-call counts.
+// exactly when the call carries no buffers and no per-call counts. Only
+// the vector ReduceScatter carries counts; the block form passes its
+// block size as n, which the replay and fold keys hold.
 func (call *collCall) replayable() bool {
 	return call.sbuf == nil && call.rbuf == nil && call.counts == nil
 }

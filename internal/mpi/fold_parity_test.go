@@ -134,13 +134,15 @@ func TestFoldParitySplitHalves(t *testing.T) {
 }
 
 // TestFoldParityForcedMix forces a deliberately mismatched algorithm set —
-// ring allgather (mod-family peer deltas) against recursive-doubling
-// allreduce (xor-family) — so consecutive collectives flip the fold shape
-// cache between kinds. Clocks must still match per-rank execution.
+// ring allgather and pairwise reduce_scatter (mod-family peer deltas)
+// against recursive-doubling allreduce (xor-family) — so consecutive
+// collectives flip the fold shape cache between kinds. Clocks must still
+// match per-rank execution.
 func TestFoldParityForcedMix(t *testing.T) {
 	algorithms := map[Collective]string{
-		CollAllreduce: "recursive_doubling",
-		CollAllgather: "ring",
+		CollAllreduce:     "recursive_doubling",
+		CollAllgather:     "ring",
+		CollReduceScatter: "pairwise",
 	}
 	stats := assertFoldParity(t, 48, 8, algorithms, func(p *Proc) error {
 		c := p.CommWorld()
@@ -151,11 +153,15 @@ func TestFoldParityForcedMix(t *testing.T) {
 			if err := c.AllgatherN(nil, 4*1024, nil); err != nil {
 				return err
 			}
+			if err := c.ReduceScatterBlockN(nil, nil, 1024, Float32, OpSum); err != nil {
+				return err
+			}
 		}
 		return c.Barrier()
 	})
-	if stats.Folded == 0 {
-		t.Errorf("forced algorithm mix never folded: %+v", stats)
+	// Two rounds of three collectives and the closing barrier.
+	if stats.Folded != 7 || stats.Fallback+stats.Released != 0 {
+		t.Errorf("forced algorithm mix not fully folded: %+v", stats)
 	}
 }
 
@@ -383,9 +389,10 @@ func TestFoldReleaseBlockedReceiver(t *testing.T) {
 }
 
 // repeatColls are the collectives the Repeat tests time in a loop:
-// barrier, allreduce, allgather and alltoall fold by class on a
-// power-of-two world, the rooted bcast on a per-rank table, and reduce,
-// which compiles outside the gather, never does.
+// barrier, allreduce, allgather, alltoall and reduce_scatter's block form
+// fold by class on a power-of-two world, the rooted bcast on a per-rank
+// table, and reduce, which compiles outside the gather, never does.
+// FuzzFoldParity decodes its loops from the first six entries.
 var repeatColls = []struct {
 	name  string
 	folds bool
@@ -397,6 +404,7 @@ var repeatColls = []struct {
 	{"alltoall", true, func(c *Comm, n int) error { return c.AlltoallN(nil, n, nil) }},
 	{"bcast", true, func(c *Comm, n int) error { return c.BcastN(nil, n, 0) }},
 	{"reduce", false, func(c *Comm, n int) error { return c.ReduceN(nil, nil, n, Float32, OpSum, 0) }},
+	{"reduce_scatter", true, func(c *Comm, n int) error { return c.ReduceScatterBlockN(nil, nil, n, Float32, OpSum) }},
 }
 
 // repeatSkews are the entry states of the timed loops: every rank even
@@ -789,12 +797,13 @@ func TestRepeatCancelMidBatch(t *testing.T) {
 // the same per-rank clocks and loop sums, and fail or succeed alike, with
 // folding on and off. nodes' low four bits pick the node count; when its
 // high bit is set, bits 4-5 force a bcast algorithm (none, binomial,
-// scatter_ring, none) and bit 6 runs the world in Py mode. Each (op, arg)
-// byte pair of prog is one step, up to 32 steps; arg picks the size from
-// 8 B, 1 KiB, 16 KiB and 64 KiB (low two bits) and the root or the skewed
-// rank (the rest). An op byte of 0x80 or more is a Comm.Repeat loop: its
-// low seven bits pick the collective (of six), the warmup (0-2) and the
-// timed calls (1-4).
+// scatter_ring) or, at 3, swap reduce_scatter's block form in for the
+// reduce and igather steps and the reduce loops, and bit 6 runs the world
+// in Py mode. Each (op, arg) byte pair of prog is one step, up to 32 steps;
+// arg picks the size from 8 B, 1 KiB, 16 KiB and 64 KiB (low two bits) and
+// the root or the skewed rank (the rest). An op byte of 0x80 or more is a
+// Comm.Repeat loop: its low seven bits pick the collective (of
+// repeatColls' first six), the warmup (0-2) and the timed calls (1-4).
 func FuzzFoldParity(f *testing.F) {
 	f.Add(uint8(1), uint8(1), []byte{0, 0, 1, 2, 2, 5, 3, 9, 4, 0})
 	f.Add(uint8(3), uint8(3), []byte{5, 0, 0, 0, 8, 1, 0, 0, 9, 2, 0, 0, 4, 0})
@@ -805,10 +814,12 @@ func FuzzFoldParity(f *testing.F) {
 		ppn := []int{1, 2, 3, 4, 7, 8}[int(ppnSel)%6]
 		ranks := ppn * (1 + int(nodes)%16)
 		var cfg Config
+		rs := false
 		if nodes&0x80 != 0 {
 			if algo := []string{"", "binomial", "scatter_ring", ""}[nodes>>4&3]; algo != "" {
 				cfg.Algorithms = map[Collective]string{CollBcast: algo}
 			}
+			rs = nodes>>4&3 == 3
 			cfg.PyMode = nodes&0x40 != 0
 		}
 		off := cfg
@@ -826,7 +837,10 @@ func FuzzFoldParity(f *testing.F) {
 					n, peer := sizes[arg&3], (arg>>2)%ranks
 					if sel := int(prog[i]); sel >= 0x80 {
 						sel -= 0x80
-						coll := repeatColls[sel%len(repeatColls)]
+						coll := repeatColls[sel%6]
+						if rs && coll.name == "reduce" {
+							coll = repeatColls[6]
+						}
 						e, err := c.Repeat(sel/6%3, 1+sel/18%4, func() error { return coll.call(c, n) })
 						if err != nil {
 							return err
@@ -844,7 +858,11 @@ func FuzzFoldParity(f *testing.F) {
 					case 2:
 						err = c.BcastN(nil, n, peer)
 					case 3:
-						err = c.ReduceN(nil, nil, n, Float32, OpSum, peer)
+						if rs {
+							err = c.ReduceScatterBlockN(nil, nil, n, Float32, OpSum)
+						} else {
+							err = c.ReduceN(nil, nil, n, Float32, OpSum, peer)
+						}
 					case 4:
 						err = c.Reduce(row[:24], row[24:], Float64, OpMinSumMax, peer)
 					case 5:
@@ -856,7 +874,11 @@ func FuzzFoldParity(f *testing.F) {
 					case 7:
 						err = c.AllgatherN(nil, n, nil)
 					case 8:
-						req, err = c.IgatherN(nil, n, nil, peer)
+						if rs {
+							req, err = c.IreduceScatterBlockN(nil, nil, n, Float32, OpSum)
+						} else {
+							req, err = c.IgatherN(nil, n, nil, peer)
+						}
 					case 9:
 						req, err = c.IalltoallN(nil, n, nil)
 					case 10:

@@ -105,7 +105,6 @@ type collCall struct {
 	sbuf, rbuf []byte
 	n          int
 	counts     []int
-	total      int
 	dt         DType
 	op         Op
 	root       int

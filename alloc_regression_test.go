@@ -2,7 +2,11 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
+	"runtime/metrics"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,26 +14,24 @@ import (
 )
 
 // Steady-state allocation ceilings for the huge-world timing-only sweep.
-// The PR5 baseline sat at ~437k allocations per 4096-rank run; the
-// symmetry-folded engine plus the cross-world schedule and fold structure
-// caches brought a warm run to ~96k (and ~25k at 1024 ranks). The ceilings
-// pin those numbers with headroom for runtime jitter, so a regression that
-// reverts any single pooling layer (schedule store, fold structure cache,
-// arena seeds, per-rank slabs) trips the test long before the sweep gets
+// Before symmetry folding a warm 4096-rank run made ~437k allocations; the
+// folded engine, the key gather at collective entry, the fold structure
+// cache, the slab pools (rank/mailbox/rank-state) and the class-indexed
+// token memo brought it to ~17.7k (~5.8k at 1024 ranks, ~70.7k at 16Ki).
+// Schedules computed round by round, with no per-rank memo, and a
+// refinement whose scratch is reused took a warm run to ~4.9k, ~14.0k and
+// ~55.9k. Each ceiling is 1.41 times that count, the jitter headroom the
+// 16Ki row kept before, so a regression that reverts any single pooling
+// layer (schedule store, fold structure cache, arena seeds, per-rank
+// slabs, refinement scratch) trips the test long before the sweep gets
 // slow.
 var allocCeilings = []struct {
 	ranks   int
 	ceiling uint64
 }{
-	{1024, 33_000},
-	{4096, 109_188}, // >=4x under the 436_752/run PR5 baseline
-	// The slab pools (rank/mailbox/rank-state), the key gather at
-	// collective entry and the class-indexed token memo hold a warm 16Ki
-	// run to ~71k mallocs — under a fifth of the 341_444/run it recorded
-	// before the gather moved ahead of schedule compilation. The
-	// ceiling leaves jitter headroom while still tripping if any single
-	// pool stops recycling.
-	{16384, 100_000},
+	{1024, 6_900},
+	{4096, 19_700},
+	{16384, 79_000},
 }
 
 func hugeWorldRun(t *testing.T, ranks int) {
@@ -106,5 +108,70 @@ func TestPickleLatencyAllocCeiling(t *testing.T) {
 	t.Logf("warm pickle latency run: %.1f MiB allocated (ceiling %d MiB)", float64(got)/(1<<20), pickleAllocCeiling>>20)
 	if got > pickleAllocCeiling {
 		t.Errorf("warm pickle-mode latency run allocated %d bytes, ceiling %d", got, pickleAllocCeiling)
+	}
+}
+
+// coldSweepsEnv marks the child process TestColdHugeWorldSweeps starts.
+const coldSweepsEnv = "REPRO_COLD_SWEEPS_CHILD"
+
+// coldSweepsCeiling bounds the bytes the three sweeps allocate in a fresh
+// process (166.6 MB measured, 335 MB before their fold analysis stopped
+// allocating per rank). It sits more than 10% under the ~193 MB heap goal
+// the pacer sets for their live set (the coroutine stacks and rank slabs
+// of a 16Ki-rank world), so the sweeps finish without a third collection,
+// which would scan 16Ki parked coroutine stacks.
+const coldSweepsCeiling = 170_000_000
+
+// coldSweepsOptions are the huge_world benchmark's three sweeps in its
+// order: allreduce and barrier at 16Ki ranks, then bcast at 8Ki.
+func coldSweepsOptions() []core.Options {
+	barrier := hugeWorldOptions(16384, false)
+	barrier.Benchmark = core.Barrier
+	bcast := hugeWorldOptions(8192, false)
+	bcast.Benchmark = core.Bcast
+	return []core.Options{hugeWorldOptions(16384, false), barrier, bcast}
+}
+
+// TestColdHugeWorldSweeps runs the three huge-world sweeps in a fresh
+// process on one processor, as every ombpy run and bench repetition does,
+// and bounds the bytes they allocate. The test binary re-runs itself as
+// the child; the child reports TotalAlloc, the GC cycle count and the
+// pacer's heap goal on one line.
+func TestColdHugeWorldSweeps(t *testing.T) {
+	if os.Getenv(coldSweepsEnv) == "1" {
+		for _, o := range coldSweepsOptions() {
+			if _, err := core.Run(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		goal := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
+		metrics.Read(goal)
+		fmt.Printf("cold-sweeps total_alloc=%d num_gc=%d heap_goal=%d\n",
+			ms.TotalAlloc, ms.NumGC, goal[0].Value.Uint64())
+		return
+	}
+	if raceEnabled {
+		t.Skip("allocation volumes shift under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("16Ki-rank sweeps in -short mode")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestColdHugeWorldSweeps$", "-test.count=1")
+	cmd.Env = append(os.Environ(), coldSweepsEnv+"=1", "GOMAXPROCS=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	var alloc, ngc, goal uint64
+	_, line, _ := strings.Cut(string(out), "cold-sweeps ")
+	if _, err := fmt.Sscanf(line, "total_alloc=%d num_gc=%d heap_goal=%d", &alloc, &ngc, &goal); err != nil {
+		t.Fatalf("child printed no measurement (%v):\n%s", err, out)
+	}
+	t.Logf("cold sweeps: %.1f MB allocated in %d GC cycles, heap goal %.1f MB (ceiling %.1f MB)",
+		float64(alloc)/1e6, ngc, float64(goal)/1e6, float64(coldSweepsCeiling)/1e6)
+	if alloc > coldSweepsCeiling {
+		t.Errorf("cold sweeps allocated %d bytes, ceiling %d", alloc, coldSweepsCeiling)
 	}
 }

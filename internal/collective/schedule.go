@@ -1,12 +1,25 @@
-// Package collective computes the communication schedules used by the MPI
+// Package collective defines the communication schedules used by the MPI
 // runtime's collective operations: binomial trees, recursive doubling and
-// halving, ring passes and Bruck's algorithm. The functions here are pure --
-// they map (rank, size, root) to peer lists -- so every schedule is unit
-// tested independently of the message-passing machinery, and the runtime's
-// collectives are thin loops over these schedules.
+// halving, dissemination, ring passes and Bruck's algorithm. Every
+// schedule is closed-form in the rank's bits (Thakur, Rabenseifner and
+// Gropp, "Optimization of Collective Communication Operations in MPICH",
+// IJHPCA 2005), so a multi-round schedule is an iterator that computes each
+// round as it is yielded and allocates nothing: the runtime compiles one
+// schedule per rank, and at tens of thousands of ranks a peer list per rank
+// is garbage nobody reads twice. The iterator constructors stay small
+// enough to inline (their panics are constant strings), which keeps each
+// iterator and its loop body on the caller's stack.
+//
+// The functions are pure -- they map (rank, size, root) to peers and block
+// windows -- so every schedule is unit tested independently of the
+// message-passing machinery, and the runtime's collectives are thin loops
+// over these schedules.
 package collective
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Pof2Floor returns the largest power of two not exceeding p (p >= 1).
 func Pof2Floor(p int) int {
@@ -50,50 +63,75 @@ func BinomialParent(rank, root, size int) int {
 	return absRank(rel&(rel-1), root, size)
 }
 
-// BinomialChildren returns the children of rank in the binomial tree rooted
-// at root, in the order a binomial broadcast sends to them (largest subtree
-// first).
-func BinomialChildren(rank, root, size int) []int {
-	rel := relRank(rank, root, size)
-	// Walk the mask up to rel's lowest set bit (or past size for the root);
-	// the children of rel are rel+m for every mask m below that point, in
-	// descending order (largest subtree first), while rel+m stays in range.
+// binomialMask returns the bound below which the child offsets of
+// relative rank rel lie: rel's lowest set bit, or the first power of two
+// not below size for the root. The children of rel are rel+m for every
+// power of two m below the mask, while rel+m stays in range.
+func binomialMask(rel, size int) int {
 	mask := 1
 	for mask < size && rel&mask == 0 {
 		mask <<= 1
 	}
-	var children []int
-	for m := mask >> 1; m > 0; m >>= 1 {
-		if child := rel + m; child < size {
-			children = append(children, absRank(child, root, size))
+	return mask
+}
+
+// BinomialChildren yields the children of rank in the binomial tree rooted
+// at root, in the order a binomial broadcast sends to them (largest subtree
+// first).
+func BinomialChildren(rank, root, size int) iter.Seq[int] {
+	rel := relRank(rank, root, size)
+	mask := binomialMask(rel, size)
+	return func(yield func(int) bool) {
+		for m := mask >> 1; m > 0; m >>= 1 {
+			if child := rel + m; child < size && !yield(absRank(child, root, size)) {
+				return
+			}
 		}
 	}
-	return children
 }
 
-// DisseminationPeers returns the (sendTo, recvFrom) peer pairs of the
-// dissemination barrier for rank in a communicator of the given size:
-// round k sends to rank+2^k and receives from rank-2^k (mod size).
-func DisseminationPeers(rank, size int) (sendTo, recvFrom []int) {
-	for k := 1; k < size; k *= 2 {
-		sendTo = append(sendTo, (rank+k)%size)
-		recvFrom = append(recvFrom, (rank-k+size)%size)
+// BinomialChildrenReversed yields BinomialChildren in reverse order
+// (smallest subtree first), the order a binomial reduce receives in so
+// that it reduces data as it arrives.
+func BinomialChildrenReversed(rank, root, size int) iter.Seq[int] {
+	rel := relRank(rank, root, size)
+	mask := binomialMask(rel, size)
+	return func(yield func(int) bool) {
+		for m := 1; m < mask && rel+m < size; m <<= 1 {
+			if !yield(absRank(rel+m, root, size)) {
+				return
+			}
+		}
 	}
-	return sendTo, recvFrom
 }
 
-// RecursiveDoublingPeers returns the exchange partner per round for a
+// DisseminationPeers yields the (sendTo, recvFrom) peer pair of each round
+// of the dissemination barrier for rank in a communicator of the given
+// size: round k sends to rank+2^k and receives from rank-2^k (mod size).
+func DisseminationPeers(rank, size int) iter.Seq2[int, int] {
+	return func(yield func(sendTo, recvFrom int) bool) {
+		for k := 1; k < size; k *= 2 {
+			if !yield((rank+k)%size, (rank-k+size)%size) {
+				return
+			}
+		}
+	}
+}
+
+// RecursiveDoublingPeers yields the exchange partner per round for a
 // power-of-two communicator: round k's partner is rank XOR 2^k.
 // It panics if size is not a power of two; callers fold remainders first.
-func RecursiveDoublingPeers(rank, size int) []int {
+func RecursiveDoublingPeers(rank, size int) iter.Seq[int] {
 	if !IsPof2(size) {
-		panic(fmt.Sprintf("collective: RecursiveDoublingPeers size %d not a power of two", size))
+		panic("collective: RecursiveDoublingPeers size not a power of two")
 	}
-	var peers []int
-	for mask := 1; mask < size; mask *= 2 {
-		peers = append(peers, rank^mask)
+	return func(yield func(int) bool) {
+		for mask := 1; mask < size; mask *= 2 {
+			if !yield(rank ^ mask) {
+				return
+			}
+		}
 	}
-	return peers
 }
 
 // Pof2Fold describes how a non-power-of-two communicator folds onto its
@@ -160,23 +198,22 @@ type BruckStep struct {
 	BlockCount       int
 }
 
-// BruckSchedule returns the rounds of Bruck's algorithm for a communicator
+// BruckSchedule yields the rounds of Bruck's algorithm for a communicator
 // of the given size: ceil(log2(size)) rounds, round k exchanging
 // min(2^k, size-2^k) blocks with peers at distance 2^k.
-func BruckSchedule(rank, size int) []BruckStep {
-	var steps []BruckStep
-	for k := 1; k < size; k *= 2 {
-		cnt := k
-		if size-k < cnt {
-			cnt = size - k
+func BruckSchedule(rank, size int) iter.Seq[BruckStep] {
+	return func(yield func(BruckStep) bool) {
+		for k := 1; k < size; k *= 2 {
+			st := BruckStep{
+				SendTo:     (rank - k + size) % size,
+				RecvFrom:   (rank + k) % size,
+				BlockCount: min(k, size-k),
+			}
+			if !yield(st) {
+				return
+			}
 		}
-		steps = append(steps, BruckStep{
-			SendTo:     (rank - k + size) % size,
-			RecvFrom:   (rank + k) % size,
-			BlockCount: cnt,
-		})
 	}
-	return steps
 }
 
 // PairwisePeer returns the peer of rank in round k of the pairwise
@@ -204,28 +241,31 @@ type RecursiveHalvingStep struct {
 	SendLo, SendHi int // block indices sent to the peer
 }
 
-// RecursiveHalvingSchedule computes reduce-scatter rounds for newRank in a
-// power-of-two group of size pof2 over pof2 equal blocks.
-func RecursiveHalvingSchedule(newRank, pof2 int) []RecursiveHalvingStep {
+// halvingRound is the round with mask m of recursive halving for newRank:
+// the windows are the aligned m-block runs holding newRank and its peer
+// newRank^m, so the kept window starts at newRank &^ (m-1) and the sent one
+// at (newRank^m) &^ (m-1).
+func halvingRound(newRank, m int) RecursiveHalvingStep {
+	keep := newRank &^ (m - 1)
+	send := (newRank ^ m) &^ (m - 1)
+	return RecursiveHalvingStep{Peer: newRank ^ m,
+		KeepLo: keep, KeepHi: keep + m, SendLo: send, SendHi: send + m}
+}
+
+// RecursiveHalvingSchedule yields the reduce-scatter rounds for newRank in
+// a power-of-two group of size pof2 over pof2 equal blocks: masks pof2/2
+// down to 1, each round halving the window the rank keeps.
+func RecursiveHalvingSchedule(newRank, pof2 int) iter.Seq[RecursiveHalvingStep] {
 	if !IsPof2(pof2) {
-		panic(fmt.Sprintf("collective: RecursiveHalvingSchedule size %d not a power of two", pof2))
+		panic("collective: RecursiveHalvingSchedule size not a power of two")
 	}
-	var steps []RecursiveHalvingStep
-	lo, hi := 0, pof2
-	for mask := pof2 / 2; mask > 0; mask /= 2 {
-		peer := newRank ^ mask
-		mid := (lo + hi) / 2
-		var s RecursiveHalvingStep
-		if newRank&mask == 0 { // keep the lower half
-			s = RecursiveHalvingStep{Peer: peer, KeepLo: lo, KeepHi: mid, SendLo: mid, SendHi: hi}
-			hi = mid
-		} else {
-			s = RecursiveHalvingStep{Peer: peer, KeepLo: mid, KeepHi: hi, SendLo: lo, SendHi: mid}
-			lo = mid
+	return func(yield func(RecursiveHalvingStep) bool) {
+		for m := pof2 / 2; m > 0; m /= 2 {
+			if !yield(halvingRound(newRank, m)) {
+				return
+			}
 		}
-		steps = append(steps, s)
 	}
-	return steps
 }
 
 // RecursiveDoublingAllgatherStep describes one round of the allgather phase
@@ -236,20 +276,21 @@ type RecursiveDoublingAllgatherStep struct {
 	GetLo, GetHi   int // window received from the peer
 }
 
-// RecursiveDoublingAllgatherSchedule computes the allgather rounds that undo
-// RecursiveHalvingSchedule, growing the owned window back to all blocks.
-func RecursiveDoublingAllgatherSchedule(newRank, pof2 int) []RecursiveDoublingAllgatherStep {
-	halving := RecursiveHalvingSchedule(newRank, pof2)
-	steps := make([]RecursiveDoublingAllgatherStep, 0, len(halving))
-	// Replay the halving in reverse: at the end of halving the rank owns
-	// exactly one block window; each reversed round doubles it.
-	for i := len(halving) - 1; i >= 0; i-- {
-		h := halving[i]
-		steps = append(steps, RecursiveDoublingAllgatherStep{
-			Peer:   h.Peer,
-			HaveLo: h.KeepLo, HaveHi: h.KeepHi,
-			GetLo: h.SendLo, GetHi: h.SendHi,
-		})
+// RecursiveDoublingAllgatherSchedule yields the allgather rounds that undo
+// RecursiveHalvingSchedule: its rounds in reverse (masks 1 up to pof2/2),
+// each doubling the owned window until it holds all blocks.
+func RecursiveDoublingAllgatherSchedule(newRank, pof2 int) iter.Seq[RecursiveDoublingAllgatherStep] {
+	if !IsPof2(pof2) {
+		panic("collective: RecursiveDoublingAllgatherSchedule size not a power of two")
 	}
-	return steps
+	return func(yield func(RecursiveDoublingAllgatherStep) bool) {
+		for m := 1; m < pof2; m *= 2 {
+			h := halvingRound(newRank, m)
+			st := RecursiveDoublingAllgatherStep{Peer: h.Peer,
+				HaveLo: h.KeepLo, HaveHi: h.KeepHi, GetLo: h.SendLo, GetHi: h.SendHi}
+			if !yield(st) {
+				return
+			}
+		}
+	}
 }

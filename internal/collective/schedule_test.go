@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"iter"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,10 +56,18 @@ func TestBinomialTreeStructure(t *testing.T) {
 					}
 				}
 			}
-			// Children lists partition the non-root ranks.
+			// Children lists partition the non-root ranks, and the reduce
+			// order is the broadcast order reversed.
 			seen := map[int]int{}
 			for r := 0; r < size; r++ {
-				for _, ch := range BinomialChildren(r, root, size) {
+				children := slices.Collect(BinomialChildren(r, root, size))
+				rev := slices.Collect(BinomialChildrenReversed(r, root, size))
+				slices.Reverse(rev)
+				if !slices.Equal(children, rev) {
+					t.Errorf("size=%d root=%d rank=%d: reversed children %v, want %v reversed",
+						size, root, r, rev, children)
+				}
+				for _, ch := range children {
 					seen[ch]++
 					if got := BinomialParent(ch, root, size); got != r {
 						t.Errorf("size=%d root=%d: child %d of %d has parent %d", size, root, ch, r, got)
@@ -77,19 +87,37 @@ func TestBinomialTreeStructure(t *testing.T) {
 }
 
 func TestDisseminationPeers(t *testing.T) {
-	sendTo, recvFrom := DisseminationPeers(2, 8)
+	var sendTo, recvFrom []int
+	for s, r := range DisseminationPeers(2, 8) {
+		sendTo, recvFrom = append(sendTo, s), append(recvFrom, r)
+	}
 	wantSend := []int{3, 4, 6}
 	wantRecv := []int{1, 0, 6}
-	for i := range wantSend {
-		if sendTo[i] != wantSend[i] || recvFrom[i] != wantRecv[i] {
-			t.Errorf("round %d: got (%d,%d), want (%d,%d)", i, sendTo[i], recvFrom[i], wantSend[i], wantRecv[i])
-		}
+	if !slices.Equal(sendTo, wantSend) || !slices.Equal(recvFrom, wantRecv) {
+		t.Errorf("got send %v recv %v, want %v %v", sendTo, recvFrom, wantSend, wantRecv)
 	}
-	// Rounds must number ceil(log2(p)).
+	// Rounds must number ceil(log2(p)), and round k's receive is the
+	// sender whose send targets this rank in round k.
 	for _, p := range []int{2, 3, 7, 8, 896} {
-		s, _ := DisseminationPeers(0, p)
-		if len(s) != Log2Ceil(p) {
-			t.Errorf("p=%d: %d rounds, want %d", p, len(s), Log2Ceil(p))
+		rounds := 0
+		for range DisseminationPeers(0, p) {
+			rounds++
+		}
+		if rounds != Log2Ceil(p) {
+			t.Errorf("p=%d: %d rounds, want %d", p, rounds, Log2Ceil(p))
+		}
+		for r := 0; r < p; r++ {
+			k := 0
+			for _, from := range DisseminationPeers(r, p) {
+				var back []int
+				for to := range DisseminationPeers(from, p) {
+					back = append(back, to)
+				}
+				if back[k] != r {
+					t.Fatalf("p=%d rank %d round %d: sender %d sends to %d", p, r, k, from, back[k])
+				}
+				k++
+			}
 		}
 	}
 }
@@ -97,8 +125,8 @@ func TestDisseminationPeers(t *testing.T) {
 func TestRecursiveDoublingPeersSymmetric(t *testing.T) {
 	const size = 16
 	for r := 0; r < size; r++ {
-		for k, peer := range RecursiveDoublingPeers(r, size) {
-			back := RecursiveDoublingPeers(peer, size)
+		for k, peer := range slices.Collect(RecursiveDoublingPeers(r, size)) {
+			back := slices.Collect(RecursiveDoublingPeers(peer, size))
 			if back[k] != r {
 				t.Errorf("rank %d round %d: peer %d does not point back (%d)", r, k, peer, back[k])
 			}
@@ -172,7 +200,7 @@ func TestPof2FoldProperty(t *testing.T) {
 
 func TestBruckScheduleCoversAllBlocks(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 13, 896} {
-		steps := BruckSchedule(0, p)
+		steps := slices.Collect(BruckSchedule(0, p))
 		if len(steps) != Log2Ceil(p) {
 			t.Errorf("p=%d: %d rounds, want %d", p, len(steps), Log2Ceil(p))
 		}
@@ -208,12 +236,37 @@ func TestPairwisePeerIsPermutationEachRound(t *testing.T) {
 	}
 }
 
-// TestRecursiveHalvingWindows verifies the halving windows shrink correctly
-// and the final window is exactly the rank's own block.
+// halvingByBisection is recursive halving stated by bisecting the window
+// round by round, the reference for the closed-form windows.
+func halvingByBisection(newRank, pof2 int) []RecursiveHalvingStep {
+	var steps []RecursiveHalvingStep
+	lo, hi := 0, pof2
+	for mask := pof2 / 2; mask > 0; mask /= 2 {
+		peer := newRank ^ mask
+		mid := (lo + hi) / 2
+		var s RecursiveHalvingStep
+		if newRank&mask == 0 { // keep the lower half
+			s = RecursiveHalvingStep{Peer: peer, KeepLo: lo, KeepHi: mid, SendLo: mid, SendHi: hi}
+			hi = mid
+		} else {
+			s = RecursiveHalvingStep{Peer: peer, KeepLo: mid, KeepHi: hi, SendLo: lo, SendHi: mid}
+			lo = mid
+		}
+		steps = append(steps, s)
+	}
+	return steps
+}
+
+// TestRecursiveHalvingWindows verifies the halving windows shrink correctly,
+// match the bisection they are closed forms of, and that the final window
+// is exactly the rank's own block.
 func TestRecursiveHalvingWindows(t *testing.T) {
-	for _, p := range []int{2, 4, 8, 16, 64} {
+	for _, p := range []int{2, 4, 8, 16, 64, 1024} {
 		for r := 0; r < p; r++ {
-			steps := RecursiveHalvingSchedule(r, p)
+			steps := slices.Collect(RecursiveHalvingSchedule(r, p))
+			if want := halvingByBisection(r, p); !slices.Equal(steps, want) {
+				t.Fatalf("p=%d r=%d: windows %+v, want %+v", p, r, steps, want)
+			}
 			if len(steps) != Log2Ceil(p) {
 				t.Fatalf("p=%d r=%d: %d steps, want %d", p, r, len(steps), Log2Ceil(p))
 			}
@@ -235,14 +288,22 @@ func TestRecursiveHalvingWindows(t *testing.T) {
 	}
 }
 
-// TestAllgatherScheduleMirrorsHalving verifies the allgather phase regrows
-// windows back to the full range.
+// TestAllgatherScheduleMirrorsHalving verifies the allgather phase is the
+// halving run backwards and regrows windows back to the full range.
 func TestAllgatherScheduleMirrorsHalving(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 32} {
 		for r := 0; r < p; r++ {
-			steps := RecursiveDoublingAllgatherSchedule(r, p)
+			halving := slices.Collect(RecursiveHalvingSchedule(r, p))
+			slices.Reverse(halving)
+			i := 0
 			have := map[int]bool{r: true}
-			for _, s := range steps {
+			for s := range RecursiveDoublingAllgatherSchedule(r, p) {
+				h := halving[i]
+				if s.Peer != h.Peer || s.HaveLo != h.KeepLo || s.HaveHi != h.KeepHi ||
+					s.GetLo != h.SendLo || s.GetHi != h.SendHi {
+					t.Fatalf("p=%d r=%d round %d: %+v does not mirror %+v", p, r, i, s, h)
+				}
+				i++
 				// Must currently own exactly [HaveLo, HaveHi).
 				for b := s.HaveLo; b < s.HaveHi; b++ {
 					if !have[b] {
@@ -308,6 +369,41 @@ func TestPairwisePeerIsValidPairing(t *testing.T) {
 			if len(met[r]) != p-1 {
 				t.Errorf("p=%d: rank %d met %d peers, want %d", p, r, len(met[r]), p-1)
 			}
+		}
+	}
+}
+
+// firstRound ranges over seq and breaks after its first round, returning
+// the rounds seen: an iterator that kept yielding would panic.
+func firstRound[T any](seq iter.Seq[T]) int {
+	n := 0
+	for range seq {
+		n++
+		break
+	}
+	return n
+}
+
+// TestSchedulesStopEarly breaks out of every multi-round schedule after its
+// first round.
+func TestSchedulesStopEarly(t *testing.T) {
+	const rank, size = 5, 64
+	diss := 0
+	for range DisseminationPeers(rank, size) {
+		diss++
+		break
+	}
+	for name, n := range map[string]int{
+		"BinomialChildren":                   firstRound(BinomialChildren(0, 0, size)),
+		"BinomialChildrenReversed":           firstRound(BinomialChildrenReversed(0, 0, size)),
+		"DisseminationPeers":                 diss,
+		"RecursiveDoublingPeers":             firstRound(RecursiveDoublingPeers(rank, size)),
+		"BruckSchedule":                      firstRound(BruckSchedule(rank, size)),
+		"RecursiveHalvingSchedule":           firstRound(RecursiveHalvingSchedule(rank, size)),
+		"RecursiveDoublingAllgatherSchedule": firstRound(RecursiveDoublingAllgatherSchedule(rank, size)),
+	} {
+		if n != 1 {
+			t.Errorf("%s: %d rounds before the break, want 1", name, n)
 		}
 	}
 }

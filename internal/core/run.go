@@ -296,11 +296,13 @@ var rankStatePool struct {
 }
 
 // takeRankStates returns a zeroed rank-state slab of length n, recycling
-// the retained one when the size matches.
+// the retained one when its capacity holds n. The retained slab's length
+// is the part its last run used; clearing up to the larger of that and n
+// leaves the unused tail zero, so no older run stays reachable through it.
 func takeRankStates(n int) []rankState {
 	rankStatePool.mu.Lock()
 	slab := rankStatePool.slab
-	if len(slab) == n {
+	if cap(slab) >= n {
 		rankStatePool.slab = nil
 	} else {
 		slab = nil
@@ -309,8 +311,8 @@ func takeRankStates(n int) []rankState {
 	if slab == nil {
 		return make([]rankState, n)
 	}
-	clear(slab)
-	return slab
+	clear(slab[:max(len(slab), n)])
+	return slab[:n]
 }
 
 func putRankStates(slab []rankState) {

@@ -157,3 +157,110 @@ func TestAllreduceAllocs(t *testing.T) {
 		t.Errorf("8-rank allreduce allocates %.2f allocs/op, want <= 1.0", per)
 	}
 }
+
+// coldRanks returns the world communicators of a fresh set of ranks of w,
+// ranks that have never compiled a schedule, as a cold world's fold probe
+// meets them.
+func coldRanks(w *World) []*Comm {
+	procs := make([]Proc, w.size)
+	comms := make([]*Comm, w.size)
+	for r := range procs {
+		procs[r].world, procs[r].rank = w, r
+		comms[r] = procs[r].CommWorld()
+	}
+	return comms
+}
+
+// TestProbeCompileAllocs pins the fold probe's compile pass: once the
+// probe's reused schedule has grown, compiling every rank's schedule of a
+// 1024-rank world allocates nothing, even on ranks that never compiled
+// before. The schedules of internal/collective are computed round by round
+// and the builders keep no per-rank copy of them. Each measured pass runs
+// on a fresh set of ranks, so a per-rank memo would show up as one
+// allocation per rank.
+func TestProbeCompileAllocs(t *testing.T) {
+	const p = 1024
+	w := testWorld(t, p, p/16)
+	defer w.Release()
+	sets := [][]*Comm{coldRanks(w), coldRanks(w), coldRanks(w)}
+	alg := func(coll Collective, name string) *Algorithm {
+		a, err := LookupAlgorithm(coll, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	cases := []struct {
+		name string
+		alg  *Algorithm
+		call collCall
+	}{
+		{"allreduce/rabenseifner", alg(CollAllreduce, "rabenseifner"), collCall{n: 64 << 10, dt: Float32, op: OpSum}},
+		{"allreduce/recursive_doubling", alg(CollAllreduce, "recursive_doubling"), collCall{n: 16 << 10, dt: Float32, op: OpSum}},
+		{"reduce_scatter/recursive_halving", alg(CollReduceScatter, "recursive_halving"), collCall{n: 64, dt: Float32, op: OpSum}},
+		{"allgather/bruck", alg(CollAllgather, "bruck"), collCall{n: 64}},
+		{"barrier/dissemination", barrierAlg, collCall{}},
+		{"bcast/binomial", alg(CollBcast, "binomial"), collCall{n: 4096, root: 3}},
+		{"bcast/scatter_ring", alg(CollBcast, "scatter_ring"), collCall{n: 1 << 20, root: 3}},
+	}
+	var probe collSched
+	for _, tc := range cases {
+		compile := func(comms []*Comm) {
+			for _, c := range comms {
+				probe.c = c
+				probe.steps = probe.steps[:0]
+				probe.dt, probe.op = tc.call.dt, tc.call.op
+				if err := tc.alg.build(c, tc.call, &probe); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+			}
+		}
+		compile(sets[0])
+		next := 1
+		allocs := testing.AllocsPerRun(1, func() {
+			compile(sets[next])
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: compiling %d cold ranks allocates %.0f times, want 0", tc.name, p, allocs)
+		}
+	}
+}
+
+// TestSlabsReusedByCapacity pins the cross-world slab pools' reuse: a
+// smaller world after a larger one takes the retained slabs without
+// allocating, zeroed, and the entries past the smaller world's ranks hold
+// nothing of the larger one.
+func TestSlabsReusedByCapacity(t *testing.T) {
+	const big, small = 64, 16
+	procs, ers := takeRankSlabs(big)
+	mbs := takeMailboxSlab(big)
+	for r := range big {
+		procs[r].rank, ers[r].proc, mbs[r].size = r+1, &procs[r], big
+	}
+	putRankSlabs(procs, ers)
+	putMailboxSlab(mbs)
+	allocs := testing.AllocsPerRun(10, func() {
+		p2, e2 := takeRankSlabs(small)
+		m2 := takeMailboxSlab(small)
+		if &p2[0] != &procs[0] || &e2[0] != &ers[0] || &m2[0] != &mbs[0] {
+			t.Fatal("a smaller world did not take the retained slabs")
+		}
+		for r := range small {
+			if p2[r].rank != 0 || e2[r].proc != nil || m2[r].size != 0 {
+				t.Fatalf("rank %d: reused slab entry not zeroed", r)
+			}
+			p2[r].rank, e2[r].proc, m2[r].size = r+1, &p2[r], small
+		}
+		putRankSlabs(p2, e2)
+		putMailboxSlab(m2)
+	})
+	if allocs != 0 {
+		t.Errorf("taking the retained slabs for a smaller world allocates %.1f times, want 0", allocs)
+	}
+	for r := small; r < big; r++ {
+		if procs[r].rank != 0 || ers[r].proc != nil || mbs[r].size != 0 {
+			t.Errorf("entry %d past the smaller world's ranks keeps the larger world's state", r)
+		}
+	}
+}

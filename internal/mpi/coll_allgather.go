@@ -122,7 +122,7 @@ func buildAllgatherBruck(c *Comm, call collCall, s *collSched) error {
 		copy(stage[:n], rbuf[c.rank*n:(c.rank+1)*n])
 	}
 	have := 1
-	for _, st := range c.bruckSchedule(p) {
+	for st := range collective.BruckSchedule(c.rank, p) {
 		cnt := st.BlockCount
 		if cnt > have {
 			cnt = have // final partial round sends what exists

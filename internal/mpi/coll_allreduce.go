@@ -113,7 +113,7 @@ func buildAllreduceRecDoubling(c *Comm, call collCall, s *collSched) error {
 	}
 
 	if fold.Role != collective.FoldSender {
-		for _, peerNew := range c.rdPeersFor(fold.NewRank, fold.Pof2) {
+		for peerNew := range collective.RecursiveDoublingPeers(fold.NewRank, fold.Pof2) {
 			peer := fold.OldRank(peerNew, p)
 			s.exchange(peer, acc, n, peer, tmp, n)
 			s.reduce(acc, tmp, n)
@@ -154,7 +154,7 @@ func buildAllreduceRabenseifner(c *Comm, call collCall, s *collSched) error {
 		pof2 := fold.Pof2
 		bounds := c.blockBoundsFor(n, pof2, call.dt.Size())
 		// Reduce-scatter phase: recursive halving.
-		for _, st := range c.halvingSchedule(fold.NewRank, pof2) {
+		for st := range collective.RecursiveHalvingSchedule(fold.NewRank, pof2) {
 			peer := fold.OldRank(st.Peer, p)
 			sLo, sHi := bounds[st.SendLo], bounds[st.SendHi]
 			kLo, kHi := bounds[st.KeepLo], bounds[st.KeepHi]
@@ -163,7 +163,7 @@ func buildAllreduceRabenseifner(c *Comm, call collCall, s *collSched) error {
 			s.reduce(sliceOrNil(acc, kLo, kHi), sliceOrNil(tmp, kLo, kHi), kHi-kLo)
 		}
 		// Allgather phase: recursive doubling over the same windows.
-		for _, st := range c.allgatherSchedule(fold.NewRank, pof2) {
+		for st := range collective.RecursiveDoublingAllgatherSchedule(fold.NewRank, pof2) {
 			peer := fold.OldRank(st.Peer, p)
 			hLo, hHi := bounds[st.HaveLo], bounds[st.HaveHi]
 			gLo, gHi := bounds[st.GetLo], bounds[st.GetHi]

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/collective"
 )
@@ -53,9 +54,8 @@ var barrierAlg = &Algorithm{Name: "dissemination", Collective: collBarrier,
 // buildBarrierDiss compiles the dissemination barrier; the call is unused
 // (a barrier has no buffers, sizes or root).
 func buildBarrierDiss(c *Comm, _ collCall, s *collSched) error {
-	sendTo, recvFrom := c.dissPeers(len(c.group))
-	for k := range sendTo {
-		s.exchange(sendTo[k], nil, 0, recvFrom[k], nil, 0)
+	for sendTo, recvFrom := range collective.DisseminationPeers(c.rank, len(c.group)) {
+		s.exchange(sendTo, nil, 0, recvFrom, nil, 0)
 	}
 	return nil
 }
@@ -174,7 +174,7 @@ func buildBcastBinomial(c *Comm, call collCall, s *collSched) error {
 	if parent := collective.BinomialParent(c.rank, root, p); parent >= 0 {
 		s.recv(parent, buf, n)
 	}
-	for _, child := range c.binomialChildren(root, p) {
+	for child := range collective.BinomialChildren(c.rank, root, p) {
 		s.send(child, buf, n)
 	}
 	return nil
@@ -196,7 +196,7 @@ func buildBcastScatterRing(c *Comm, call collCall, s *collSched) error {
 		lo, hi := bounds[rel], bounds[min(rel+sub, p)]
 		s.recv(parent, sliceOrNil(buf, lo, hi), hi-lo)
 	}
-	for _, child := range c.binomialChildren(root, p) {
+	for child := range collective.BinomialChildren(c.rank, root, p) {
 		crel := (child - root + p) % p
 		sub := subtreeSize(crel, p)
 		lo, hi := bounds[crel], bounds[min(crel+sub, p)]
@@ -269,10 +269,15 @@ func (c *Comm) reduceStart(sbuf, rbuf []byte, n int, dt DType, op Op, root int) 
 		tmp = s.scratch(n)
 	}
 	// Children are received in reverse binomial order (deepest subtrees
-	// last) so that reductions happen as data arrives.
-	children := c.binomialChildren(root, p)
-	for i := len(children) - 1; i >= 0; i-- {
-		s.recv(children[i], tmp, n)
+	// last) so that reductions happen as data arrives. The steps are sized
+	// up front: a receive and a reduce per child, then the send or copy.
+	nchild := 0
+	for range collective.BinomialChildren(c.rank, root, p) {
+		nchild++
+	}
+	s.steps = slices.Grow(s.steps, 2*nchild+1)
+	for child := range collective.BinomialChildrenReversed(c.rank, root, p) {
+		s.recv(child, tmp, n)
 		s.reduce(acc, tmp, n)
 	}
 	if parent := collective.BinomialParent(c.rank, root, p); parent >= 0 {
@@ -337,7 +342,7 @@ func (c *Comm) gatherStart(sbuf []byte, n int, rbuf []byte, root int) (*collSche
 		stage = s.scratch(sub * n)
 		copy(stage[:n], sbuf[:n])
 	}
-	for _, child := range c.binomialChildren(root, p) {
+	for child := range collective.BinomialChildren(c.rank, root, p) {
 		crel := (child - root + p) % p
 		csub := subtreeSize(crel, p)
 		off := (crel - rel) * n
@@ -402,7 +407,7 @@ func (c *Comm) scatterStart(sbuf, rbuf []byte, n, root int) (*collSched, error) 
 		}
 		s.recv(parent, stage, sub*n)
 	}
-	for _, child := range c.binomialChildren(root, p) {
+	for child := range collective.BinomialChildren(c.rank, root, p) {
 		crel := (child - root + p) % p
 		csub := subtreeSize(crel, p)
 		off := (crel - rel) * n

@@ -141,19 +141,34 @@ func (c *Comm) reduceScatterStart(call collCall, total, mine int) (*collSched, e
 	return s, nil
 }
 
-// reduceScatterOffs returns a call's p+1 block bounds in rank scratch (pair
-// with releaseInts): prefix sums of the vector form's counts, multiples of
-// the block form's n.
-func (c *Comm) reduceScatterOffs(call collCall) []int {
+// rsBounds is a reduce_scatter call's p+1 block bounds: multiples of the
+// block form's n, computed on demand, or the prefix sums of the vector
+// form's counts, held in rank scratch.
+type rsBounds struct {
+	n    int
+	offs []int
+}
+
+// at returns the offset of block i.
+func (b rsBounds) at(i int) int {
+	if b.offs == nil {
+		return i * b.n
+	}
+	return b.offs[i]
+}
+
+// reduceScatterBounds returns a call's block bounds (pair with releaseInts on
+// offs). The block form needs no storage, so a probe that compiles every
+// rank of a cold world allocates no per-rank offset array for it.
+func (c *Comm) reduceScatterBounds(call collCall) rsBounds {
+	if call.counts == nil {
+		return rsBounds{n: call.n}
+	}
 	offs := c.scratchInts(len(c.group) + 1)
-	for r := range len(c.group) {
-		cnt := call.n
-		if call.counts != nil {
-			cnt = call.counts[r]
-		}
+	for r, cnt := range call.counts {
 		offs[r+1] = offs[r] + cnt
 	}
-	return offs
+	return rsBounds{offs: offs}
 }
 
 // buildReduceScatterHalving: recursive halving over rank-count-aligned
@@ -161,24 +176,24 @@ func (c *Comm) reduceScatterOffs(call collCall) []int {
 func buildReduceScatterHalving(c *Comm, call collCall, s *collSched) error {
 	sbuf, rbuf := call.sbuf, call.rbuf
 	p := len(c.group)
-	offs := c.reduceScatterOffs(call)
-	defer c.releaseInts(offs)
-	total := offs[p]
+	bounds := c.reduceScatterBounds(call)
+	defer c.releaseInts(bounds.offs)
+	total := bounds.at(p)
 	var acc, tmp []byte
 	if sbuf != nil {
 		acc = s.scratch(total)
 		copy(acc, sbuf[:total])
 		tmp = s.scratch(total)
 	}
-	for _, st := range c.halvingSchedule(c.rank, p) {
-		sLo, sHi := offs[st.SendLo], offs[st.SendHi]
-		kLo, kHi := offs[st.KeepLo], offs[st.KeepHi]
+	for st := range collective.RecursiveHalvingSchedule(c.rank, p) {
+		sLo, sHi := bounds.at(st.SendLo), bounds.at(st.SendHi)
+		kLo, kHi := bounds.at(st.KeepLo), bounds.at(st.KeepHi)
 		s.exchange(st.Peer, sliceOrNil(acc, sLo, sHi), sHi-sLo,
 			st.Peer, sliceOrNil(tmp, kLo, kHi), kHi-kLo)
 		s.reduce(sliceOrNil(acc, kLo, kHi), sliceOrNil(tmp, kLo, kHi), kHi-kLo)
 	}
 	if rbuf != nil && acc != nil {
-		lo, hi := offs[c.rank], offs[c.rank+1]
+		lo, hi := bounds.at(c.rank), bounds.at(c.rank+1)
 		s.copyStep(rbuf[:hi-lo], acc[lo:hi], hi-lo)
 	}
 	return nil
@@ -190,18 +205,18 @@ func buildReduceScatterHalving(c *Comm, call collCall, s *collSched) error {
 func buildReduceScatterPairwise(c *Comm, call collCall, s *collSched) error {
 	sbuf, rbuf := call.sbuf, call.rbuf
 	p := len(c.group)
-	offs := c.reduceScatterOffs(call)
-	defer c.releaseInts(offs)
-	mine := offs[c.rank+1] - offs[c.rank]
+	bounds := c.reduceScatterBounds(call)
+	defer c.releaseInts(bounds.offs)
+	mine := bounds.at(c.rank+1) - bounds.at(c.rank)
 	var tmp []byte
 	if sbuf != nil && rbuf != nil {
-		copy(rbuf[:mine], sbuf[offs[c.rank]:offs[c.rank]+mine])
+		copy(rbuf[:mine], sbuf[bounds.at(c.rank):bounds.at(c.rank)+mine])
 		tmp = s.scratch(mine)
 	}
 	for k := 1; k < p; k++ {
 		dst := (c.rank + k) % p
 		src := (c.rank - k + p) % p
-		sLo, sHi := offs[dst], offs[dst+1]
+		sLo, sHi := bounds.at(dst), bounds.at(dst+1)
 		s.exchange(dst, sliceOrNil(sbuf, sLo, sHi), sHi-sLo, src, tmp, mine)
 		s.reduce(sliceOrNil(rbuf, 0, mine), tmp, mine)
 	}

@@ -54,6 +54,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/collective"
 	"repro/internal/topology"
 	"repro/internal/vtime"
 )
@@ -94,12 +95,9 @@ const (
 )
 
 const (
-	// foldMaxRanks bounds worlds eligible for folding: class ids are packed
-	// three to a word during refinement.
+	// foldMaxRanks bounds worlds eligible for folding. Ranks and class ids
+	// are int32 throughout the analysis; the bound sits far below that.
 	foldMaxRanks = 1 << 21
-	// foldDenseRefine bounds the class count refined through a dense
-	// (class x class) table; beyond it a map takes over.
-	foldDenseRefine = 1024
 	// foldMaxPartitions bounds cached entry partitions per shape.
 	foldMaxPartitions = 8
 )
@@ -431,8 +429,10 @@ type foldExtract struct {
 // calls) and digests them, returning nil as soon as any uniformity
 // requirement fails: same length and op sequence everywhere, only
 // exchange/reduce/copy primitives, one global self-inverse peer delta
-// family across all steps, and no truncating message.
-func foldExtractSteps(p int, steps0 []collStep, stepsOf func(r int) []collStep) *foldExtract {
+// family across all steps, and no truncating message. The digest's byte
+// arrays are carved from scr.extract, so they are valid only until the
+// world's next extraction.
+func foldExtractSteps(scr *foldScratch, p int, steps0 []collStep, stepsOf func(r int) []collStep) *foldExtract {
 	ns := len(steps0)
 	fx := &foldExtract{p: p, ns: ns, steps: make([]foldStep, ns)}
 	hasExch := false
@@ -454,8 +454,15 @@ func foldExtractSteps(p int, steps0 []collStep, stepsOf func(r int) []collStep) 
 			return nil
 		}
 	}
-	fx.nArr = make([]int32, p*ns)
-	fx.sendNA = make([]int32, p*ns)
+	if need := 2 * p * ns; cap(scr.extract) < need {
+		// The first extraction sizes the buffer for Rabenseifner's
+		// allreduce (3*log2(p) steps), the longest logarithmic schedule
+		// the registry builds, so the shapes of one world share it.
+		scr.extract = make([]int32, 2*p*max(ns, 3*collective.Log2Ceil(p)))
+	}
+	buf := scr.extract[:2*p*ns]
+	clear(buf)
+	fx.nArr, fx.sendNA = buf[:p*ns:p*ns], buf[p*ns:]
 	// Both delta kinds start as candidates and are eliminated per (rank,
 	// step); a shape may not mix kinds (modular and xor wires alias
 	// differently across ranks), so one survivor must explain every step.
@@ -622,7 +629,7 @@ func buildFoldShapeFx(w *World, fx *foldExtract) *foldShape {
 		class[r] = id
 	}
 	sh.class = class
-	sh.nclass = sh.refinePartition(class, len(reps))
+	sh.nclass = sh.refinePartition(&w.foldScratch.refine, class, len(reps))
 	sh.reps = foldReps(class, sh.nclass)
 	sh.identIdx = make([]int32, sh.nclass)
 	for i := range sh.identIdx {
@@ -692,62 +699,81 @@ func (w *World) foldMsgCost(link topology.LinkClass, n int) foldCost {
 	return c
 }
 
+// foldRefine is refinePartition's scratch, reused across deltas and calls
+// (single-threaded, on the World).
+type foldRefine struct {
+	next []int32
+	// firstPeer and firstID hold, per class, the peer class of the first
+	// member met in the current pass (-1 before) and the label that pair
+	// received.
+	firstPeer, firstID []int32
+	// more labels a class's further (class, peer class) pairs.
+	more map[int64]int32
+}
+
 // refinePartition refines cls by every exchange step's send and recv peer
 // classes until stable: members of a class agree on the class of each
 // peer. The key includes the current class, so refinement only splits and
 // terminates; labels stay in first-seen rank order. A delta that split
 // nothing cannot split the same partition later, so it is skipped until
 // the next split: ring allgather repeats +1 and -1 on all p-1 steps.
-func (sh *foldShape) refinePartition(cls []int32, ncls int) int {
+//
+// Refining by one delta is one pass over the ranks (Paige and Tarjan's
+// linear refinement step): each class keeps its first member's peer class
+// and that pair's label, so a rank whose peer class matches costs two
+// loads, and only a class that meets a second peer class labels its
+// further pairs through a map. The buffers live in rs, so a warm
+// refinement allocates nothing whatever the class count.
+func (sh *foldShape) refinePartition(rs *foldRefine, cls []int32, ncls int) int {
 	p := len(cls)
-	next := make([]int32, p)
-	var dense []int32
+	rs.next = foldGrowI32(rs.next, p)
+	next := rs.next
 	// stable remembers up to 8 deltas that split nothing since the last
-	// split; further ones are refined again. A fixed array keeps the
-	// per-entry partitions of a warm run allocation-free.
+	// split; further ones are refined again.
 	var stable [8]int32
 	nstable := 0
 	refineBy := func(delta int32) {
 		if slices.Contains(stable[:nstable], delta) {
 			return
 		}
-		n := 0
-		if ncls <= foldDenseRefine {
-			need := ncls * ncls
-			if cap(dense) < need {
-				dense = make([]int32, need)
-			}
-			tab := dense[:need]
-			for i := range tab {
-				tab[i] = -1
-			}
-			for r := 0; r < p; r++ {
-				peer := foldApply(sh.kind, r, int(delta), p)
-				key := int(cls[r])*ncls + int(cls[peer])
-				id := tab[key]
-				if id < 0 {
-					id = int32(n)
-					n++
-					tab[key] = id
+		rs.firstPeer = foldGrowI32(rs.firstPeer, ncls)
+		rs.firstID = foldGrowI32(rs.firstID, ncls)
+		firstPeer, firstID := rs.firstPeer, rs.firstID
+		for i := range firstPeer {
+			firstPeer[i] = -1
+		}
+		n := int32(0)
+		spilled := false
+		for r := 0; r < p; r++ {
+			c := cls[r]
+			pc := cls[foldApply(sh.kind, r, int(delta), p)]
+			switch fp := firstPeer[c]; {
+			case fp == pc:
+				next[r] = firstID[c]
+			case fp < 0:
+				firstPeer[c], firstID[c] = pc, n
+				next[r] = n
+				n++
+			default:
+				if rs.more == nil {
+					rs.more = make(map[int64]int32)
 				}
-				next[r] = id
-			}
-		} else {
-			m := make(map[int64]int32, ncls+16)
-			for r := 0; r < p; r++ {
-				peer := foldApply(sh.kind, r, int(delta), p)
-				key := int64(cls[r])<<32 | int64(cls[peer])
-				id, ok := m[key]
+				key := int64(c)<<32 | int64(pc)
+				id, ok := rs.more[key]
 				if !ok {
-					id = int32(n)
+					id = n
 					n++
-					m[key] = id
+					rs.more[key] = id
 				}
 				next[r] = id
+				spilled = true
 			}
 		}
-		if n != ncls {
-			ncls = n
+		if spilled {
+			clear(rs.more)
+		}
+		if int(n) != ncls {
+			ncls = int(n)
 			copy(cls, next)
 			nstable = 0
 		} else if nstable < len(stable) {
@@ -863,6 +889,11 @@ type foldScratch struct {
 	// rank of each class.
 	clsTok  []int32
 	tokKeys []foldTok
+	// refine is refinePartition's scratch, shared by the structural
+	// analysis and the entry partitions.
+	refine foldRefine
+	// extract backs foldExtractSteps' per-(rank, step) byte arrays.
+	extract []int32
 }
 
 // snapSeeds copies a dirty rank's seed vector into the arena and returns the
@@ -978,13 +1009,13 @@ func (sh *foldShape) effSeeds(pr *Proc, seeds []vtime.Micros) {
 // partitionFor returns the refined partition of an entry-token pattern
 // that is not the structural one, from the shape's cache or freshly built;
 // nil when it exceeds foldMaxClasses.
-func (sh *foldShape) partitionFor(tokOf []int32, ntok int) *foldPartition {
+func (sh *foldShape) partitionFor(rs *foldRefine, tokOf []int32, ntok int) *foldPartition {
 	for _, cand := range sh.parts {
 		if foldI32Equal(cand.tok, tokOf) {
 			return cand
 		}
 	}
-	part := sh.buildPartition(tokOf, ntok)
+	part := sh.buildPartition(rs, tokOf, ntok)
 	if part == nil {
 		return nil
 	}
@@ -996,9 +1027,9 @@ func (sh *foldShape) partitionFor(tokOf []int32, ntok int) *foldPartition {
 }
 
 // buildPartition refines an observed entry-token pattern against the shape.
-func (sh *foldShape) buildPartition(tokOf []int32, ntok int) *foldPartition {
+func (sh *foldShape) buildPartition(rs *foldRefine, tokOf []int32, ntok int) *foldPartition {
 	cls := append([]int32(nil), tokOf...)
-	ncls := sh.refinePartition(cls, ntok)
+	ncls := sh.refinePartition(rs, cls, ntok)
 	if ncls > foldMaxClasses {
 		return nil
 	}
@@ -1157,7 +1188,7 @@ func (sh *foldShape) simulate(l *eventLoop, loop foldRepeat) int {
 	)
 	if !ident && !foldI32Equal(tokOf, sh.class) {
 		// Past foldMaxClasses, fall to the identity partition.
-		part = sh.partitionFor(tokOf, len(toks))
+		part = sh.partitionFor(&scr.refine, tokOf, len(toks))
 		ident = part == nil
 	}
 	switch {

@@ -407,8 +407,6 @@ type Proc struct {
 	replay []replayEntry
 	// arena recycles the collectives' staging buffers.
 	arena scratchArena
-	// sched memoises the collectives' communication schedules.
-	sched schedCache
 	// costMemo caches the priced message per link class for the last size,
 	// exploiting that benchmark loops price the same (link, size) pair on
 	// every iteration. A pure-function cache: it cannot change a single

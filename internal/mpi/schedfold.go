@@ -392,7 +392,7 @@ func (l *eventLoop) probeAndAnalyze(alg *Algorithm, call collCall) *foldShape {
 		return &foldShape{}
 	}
 	steps0 = append([]collStep(nil), steps0...)
-	fx := foldExtractSteps(w.size, steps0, func(r int) []collStep {
+	fx := foldExtractSteps(&w.foldScratch, w.size, steps0, func(r int) []collStep {
 		if r == 0 {
 			return steps0
 		}

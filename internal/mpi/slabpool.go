@@ -8,13 +8,18 @@ package mpi
 // iteration, so a steady sweep spent a visible slice of its wall clock
 // faulting in fresh zeroed pages and then garbage-collecting them.
 //
-// Each pool retains the single most recently released slab. Reuse is
-// keyed on exact length: a match is cleared in place (one memclr over
-// warm pages) and handed back; a mismatch allocates fresh, and the
-// retained slab stays put until a release of the new size displaces it.
-// One slot is deliberate — a sweep runs one world size at a time, and a
-// second resident size would double retained memory without improving
-// the steady-state hit rate.
+// Each pool retains the single most recently released slab and hands it to
+// the next world of any size up to its capacity: a sweep that moves to a
+// smaller world (the huge_world benchmark's bcast at 8Ki ranks after two
+// 16Ki-rank sweeps) reuses warm pages instead of allocating fresh ones. A
+// take clears the part its world uses and the rest of the part the last
+// world used, so the unused tail of a larger slab holds nothing from any
+// older world (it would otherwise keep that world's per-rank garbage
+// reachable). A slab too small for the world is left in the pool, and a
+// fresh one is allocated; the next release displaces it. One slot is
+// deliberate — a sweep runs one world size at a time, and a second
+// resident slab would double retained memory without improving the
+// steady-state hit rate.
 //
 // Safety: a recycled slab may serve any future World, so a release must
 // happen only after every pointer into the slab from longer-lived
@@ -35,11 +40,11 @@ var rankSlabPool struct {
 }
 
 // takeRankSlabs returns zeroed Proc and eventRank slabs of length n,
-// recycling the retained pair when the size matches.
+// recycling the retained pair when its capacity holds n.
 func takeRankSlabs(n int) ([]Proc, []eventRank) {
 	rankSlabPool.mu.Lock()
 	procs, ers := rankSlabPool.procs, rankSlabPool.ers
-	if len(procs) == n {
+	if cap(procs) >= n && cap(ers) >= n {
 		rankSlabPool.procs, rankSlabPool.ers = nil, nil
 	} else {
 		procs, ers = nil, nil
@@ -48,16 +53,23 @@ func takeRankSlabs(n int) ([]Proc, []eventRank) {
 	if procs == nil {
 		return make([]Proc, n), make([]eventRank, n)
 	}
-	clear(procs)
-	clear(ers)
-	return procs, ers
+	return reuseSlab(procs, n), reuseSlab(ers, n)
 }
 
-// putRankSlabs retains a Run's rank slabs for the next same-sized Run.
+// putRankSlabs retains a Run's rank slabs for the next Run.
 func putRankSlabs(procs []Proc, ers []eventRank) {
 	rankSlabPool.mu.Lock()
 	rankSlabPool.procs, rankSlabPool.ers = procs, ers
 	rankSlabPool.mu.Unlock()
+}
+
+// reuseSlab returns the first n entries of a released slab, zeroed. The
+// slab's length is the part its last world used: clearing up to the larger
+// of that and n leaves every entry past n zero, as it was when the slab
+// was made, so the unused tail never carries an older world's pointers.
+func reuseSlab[T any](slab []T, n int) []T {
+	clear(slab[:max(len(slab), n)])
+	return slab[:n]
 }
 
 var mailboxSlabPool struct {
@@ -70,7 +82,7 @@ var mailboxSlabPool struct {
 func takeMailboxSlab(n int) []mailbox {
 	mailboxSlabPool.mu.Lock()
 	mbs := mailboxSlabPool.mbs
-	if len(mbs) == n {
+	if cap(mbs) >= n {
 		mailboxSlabPool.mbs = nil
 	} else {
 		mbs = nil
@@ -79,8 +91,7 @@ func takeMailboxSlab(n int) []mailbox {
 	if mbs == nil {
 		return make([]mailbox, n)
 	}
-	clear(mbs)
-	return mbs
+	return reuseSlab(mbs, n)
 }
 
 func putMailboxSlab(mbs []mailbox) {

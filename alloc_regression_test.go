@@ -115,12 +115,22 @@ func TestPickleLatencyAllocCeiling(t *testing.T) {
 const coldSweepsEnv = "REPRO_COLD_SWEEPS_CHILD"
 
 // coldSweepsCeiling bounds the bytes the three sweeps allocate in a fresh
-// process (166.6 MB measured, 335 MB before their fold analysis stopped
-// allocating per rank). It sits more than 10% under the ~193 MB heap goal
-// the pacer sets for their live set (the coroutine stacks and rank slabs
-// of a 16Ki-rank world), so the sweeps finish without a third collection,
-// which would scan 16Ki parked coroutine stacks.
-const coldSweepsCeiling = 170_000_000
+// process: 117.0 MB measured, 166.6 MB while every rank's slab entries held
+// the staging arenas' class tables inline and the harness state two copies
+// of the run's Options, 335 MB before their fold analysis stopped
+// allocating per rank. It sits more than 10% under the ~175 MB heap goal
+// the pacer ends at for their live set (the rank slabs and the 16Ki parked
+// coroutine stacks), so the sweeps end in 2 GC cycles, or 3 when the first
+// one finishes before the Proc slab is allocated; either way only the last
+// cycle runs with the coroutines parked and scans their stacks.
+const coldSweepsCeiling = 120_000_000
+
+// coldStackCeiling bounds the goroutine stacks in use after the sweeps:
+// under 5 KiB for each of the 16Ki parked rank coroutines. A rank that is
+// not resolving a fold parks within one 4 KiB stack (67.9 MB in all); a
+// frame that pushes the entry path past 4 KiB doubles every rank's stack
+// (134.4 MB while startColl's prologue needed ~3.4 KiB).
+const coldStackCeiling = 80_000_000
 
 // coldSweepsOptions are the huge_world benchmark's three sweeps in its
 // order: allreduce and barrier at 16Ki ranks, then bcast at 8Ki.
@@ -134,9 +144,9 @@ func coldSweepsOptions() []core.Options {
 
 // TestColdHugeWorldSweeps runs the three huge-world sweeps in a fresh
 // process on one processor, as every ombpy run and bench repetition does,
-// and bounds the bytes they allocate. The test binary re-runs itself as
-// the child; the child reports TotalAlloc, the GC cycle count and the
-// pacer's heap goal on one line.
+// and bounds the bytes they allocate and the stack they leave in use. The
+// test binary re-runs itself as the child; the child reports TotalAlloc,
+// the GC cycle count, the pacer's heap goal and StackInuse on one line.
 func TestColdHugeWorldSweeps(t *testing.T) {
 	if os.Getenv(coldSweepsEnv) == "1" {
 		for _, o := range coldSweepsOptions() {
@@ -148,8 +158,8 @@ func TestColdHugeWorldSweeps(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		goal := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
 		metrics.Read(goal)
-		fmt.Printf("cold-sweeps total_alloc=%d num_gc=%d heap_goal=%d\n",
-			ms.TotalAlloc, ms.NumGC, goal[0].Value.Uint64())
+		fmt.Printf("cold-sweeps total_alloc=%d num_gc=%d heap_goal=%d stack_inuse=%d\n",
+			ms.TotalAlloc, ms.NumGC, goal[0].Value.Uint64(), ms.StackInuse)
 		return
 	}
 	if raceEnabled {
@@ -164,14 +174,18 @@ func TestColdHugeWorldSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("child: %v\n%s", err, out)
 	}
-	var alloc, ngc, goal uint64
+	var alloc, ngc, goal, stack uint64
 	_, line, _ := strings.Cut(string(out), "cold-sweeps ")
-	if _, err := fmt.Sscanf(line, "total_alloc=%d num_gc=%d heap_goal=%d", &alloc, &ngc, &goal); err != nil {
+	if _, err := fmt.Sscanf(line, "total_alloc=%d num_gc=%d heap_goal=%d stack_inuse=%d", &alloc, &ngc, &goal, &stack); err != nil {
 		t.Fatalf("child printed no measurement (%v):\n%s", err, out)
 	}
-	t.Logf("cold sweeps: %.1f MB allocated in %d GC cycles, heap goal %.1f MB (ceiling %.1f MB)",
-		float64(alloc)/1e6, ngc, float64(goal)/1e6, float64(coldSweepsCeiling)/1e6)
+	t.Logf("cold sweeps: %.1f MB allocated in %d GC cycles, heap goal %.1f MB (ceiling %.1f MB), stack in use %.1f MB (ceiling %.1f MB)",
+		float64(alloc)/1e6, ngc, float64(goal)/1e6, float64(coldSweepsCeiling)/1e6,
+		float64(stack)/1e6, float64(coldStackCeiling)/1e6)
 	if alloc > coldSweepsCeiling {
 		t.Errorf("cold sweeps allocated %d bytes, ceiling %d", alloc, coldSweepsCeiling)
+	}
+	if stack > coldStackCeiling {
+		t.Errorf("cold sweeps ended with %d bytes of stack in use, ceiling %d", stack, coldStackCeiling)
 	}
 }

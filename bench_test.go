@@ -397,7 +397,9 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md section 4) ---
+// --- Ablations: each benchmark below switches one modelled design choice
+// (the eager/rendezvous protocol, the collective algorithm, the binding's
+// staging, the pickle framing) and reports what that choice alone costs ---
 
 // BenchmarkAblationEagerThreshold contrasts one-way latency just below and
 // just above the inter-node rendezvous switch: the knee is the design

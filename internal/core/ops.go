@@ -18,7 +18,7 @@ import (
 // calls as a data run; only setup differs, leaving ModeC's slices nil and
 // giving ModePy buffers without storage.
 type ops struct {
-	opts Options
+	opts *Options
 	c    *mpi.Comm
 	py   *mpi4py.Comm
 	gpu  *device.GPU
@@ -40,8 +40,9 @@ type ops struct {
 }
 
 // newOps prepares the adapter for one rank in caller-provided storage, so
-// the run loop can slab-allocate the state for every rank at once.
-func newOps(o *ops, opts Options, raw *mpi.Comm) error {
+// the run loop can slab-allocate the state for every rank at once. opts is
+// the run's one Options, shared by every rank.
+func newOps(o *ops, opts *Options, raw *mpi.Comm) error {
 	*o = ops{opts: opts, c: raw}
 	if opts.UseGPU {
 		gpuIdx := raw.Proc().World().Placement().GPU(raw.WorldRank(raw.Rank()))

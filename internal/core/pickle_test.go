@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/pybuf"
 )
@@ -79,5 +80,18 @@ func TestRankStatesReusedByCapacity(t *testing.T) {
 		if i >= 8 && !reflect.ValueOf(st).IsZero() {
 			t.Errorf("entry %d past the smaller run's ranks keeps the larger run's state", i)
 		}
+	}
+}
+
+// TestRankStateFootprint bounds one rank's benchmark-loop state, which a
+// 16Ki-rank sweep holds once per rank: the adapter and the Bench point at
+// the run's one Options instead of each holding a copy (744 B with the
+// copies).
+func TestRankStateFootprint(t *testing.T) {
+	const ceiling = 256
+	got := unsafe.Sizeof(rankState{})
+	t.Logf("rankState %d B (ceiling %d B)", got, ceiling)
+	if got > ceiling {
+		t.Errorf("a rank's benchmark-loop state takes %d B, ceiling %d B", got, ceiling)
 	}
 }

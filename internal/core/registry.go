@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -344,7 +346,7 @@ func DescribeBenchmarks() string {
 //     rank 0 and a zero row elsewhere. Bodies must return exactly that
 //     shape — the run loop appends rank 0's row to the series.
 type Bench struct {
-	opts   Options
+	opts   *Options
 	o      *ops
 	size   int
 	iters  int
@@ -357,7 +359,7 @@ type Bench struct {
 }
 
 // Options returns the run's effective (defaulted) options.
-func (b *Bench) Options() Options { return b.opts }
+func (b *Bench) Options() Options { return *b.opts }
 
 // Comm returns the rank's world communicator.
 func (b *Bench) Comm() *mpi.Comm { return b.o.c }
@@ -409,6 +411,34 @@ func (b *Bench) Compute(d vtime.Micros) { b.o.compute(d) }
 // averages, global min and max) into the row for the current size; mbps
 // fills the bandwidth column from rank 0. It returns the filled row on
 // rank 0 and a zero row on every other rank.
+//
+// Aggregation runs on the raw runtime (outside the timed section, like
+// OMB's MPI_Reduce of elapsed times) as one 3-element vector reduce with
+// the fused min/sum/max operator: one message round instead of three
+// reduces. Sizes are clock-isolated (see Run), so without an
+// active fault plan the aggregation protocol cannot affect any reported
+// latency (TestTrafficAfterRowLeavesRowsUnchanged). Under a plan the
+// aggregation's collective and messages advance the per-rank draw
+// counters, so the protocol shifts later sizes' draws.
 func (b *Bench) ReduceRow(localLat, mbps float64) (stats.Row, error) {
-	return reduceRow(b.o, b.size, localLat, mbps)
+	c := b.o.c
+	self, out := b.o.rowBuf[:24], b.o.rowBuf[24:48]
+	bits := math.Float64bits(localLat)
+	for i := 0; i < 3; i++ {
+		binary.LittleEndian.PutUint64(self[8*i:], bits)
+	}
+	if err := c.Reduce(self, out, mpi.Float64, mpi.OpMinSumMax, 0); err != nil {
+		return stats.Row{}, err
+	}
+	if c.Rank() != 0 {
+		return stats.Row{}, nil
+	}
+	vals := mpi.DecodeFloat64s(out)
+	return stats.Row{
+		Size:  b.size,
+		AvgUs: vals[1] / float64(c.Size()),
+		MinUs: vals[0],
+		MaxUs: vals[2],
+		MBps:  mbps,
+	}, nil
 }

@@ -153,10 +153,10 @@ func TestBarrierSingleRow(t *testing.T) {
 
 func TestIterCounts(t *testing.T) {
 	o := Options{Iters: 100, Warmup: 10, LargeThreshold: 8192, LargeIters: 20, LargeWarmup: 2}
-	if it, wu := iterCounts(o, 1024); it != 100 || wu != 10 {
+	if it, wu := iterCounts(&o, 1024); it != 100 || wu != 10 {
 		t.Errorf("small counts %d/%d", it, wu)
 	}
-	if it, wu := iterCounts(o, 8192); it != 20 || wu != 2 {
+	if it, wu := iterCounts(&o, 8192); it != 20 || wu != 2 {
 		t.Errorf("large counts %d/%d", it, wu)
 	}
 }

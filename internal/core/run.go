@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/faults"
@@ -145,7 +143,6 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 		sizes = append([]int(nil), spec.FixedSizes...)
 	}
 	report := &Report{Options: opts}
-	var mu sync.Mutex // guards report.Series (rank 0 appends per size)
 
 	// Per-rank state comes from one slab: a heap-allocated ops and a fresh
 	// Bench per size add three allocations per rank per run, which at
@@ -157,44 +154,13 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 	defer putRankStates(states)
 
 	err = world.RunContext(ctx, func(p *mpi.Proc) error {
-		c := p.CommWorld()
-		st := &states[c.Rank()]
-		o := &st.o
-		if err := newOps(o, opts, c); err != nil {
-			return err
+		// Rank 0 reports the rows. The world runs on this goroutine, so
+		// nothing else touches the series until RunContext returns.
+		var rows *[]stats.Row
+		if p.Rank() == 0 {
+			rows = &report.Series.Rows
 		}
-		defer o.release()
-		for _, size := range sizes {
-			sf, rf := spec.buffers(c.Size())
-			if err := o.setup(size, sf, rf); err != nil {
-				return err
-			}
-			// Isolate sizes from each other: after a collective barrier the
-			// ranks rewind their clocks and wire-busy state to zero, so
-			// clock skew from the previous size's loop and aggregation
-			// traffic cannot leak into this one. Without an active fault
-			// plan each row then depends only on the configuration and the
-			// size (RowsIsolated); a plan's noise and jitter draws are
-			// keyed by per-rank counters that keep running from one size to
-			// the next, so under a plan a row also depends on the sizes
-			// before it.
-			if err := o.barrier(); err != nil {
-				return err
-			}
-			p.ResetClock()
-			iters, warmup := iterCounts(opts, size)
-			st.b = Bench{opts: opts, o: o, size: size, iters: iters, warmup: warmup, proc: p}
-			row, err := spec.Body(&st.b)
-			if err != nil {
-				return fmt.Errorf("size %d: %w", size, err)
-			}
-			if c.Rank() == 0 {
-				mu.Lock()
-				report.Series.Rows = append(report.Series.Rows, row)
-				mu.Unlock()
-			}
-		}
-		return nil
+		return states[p.Rank()].run(p, &opts, spec, sizes, rows)
 	})
 	if err != nil {
 		// A fault-plan failure or a cancellation is a classified outcome,
@@ -290,6 +256,53 @@ type rankState struct {
 	b Bench
 }
 
+// run is one rank's benchmark: every size in turn, through the spec's
+// body, appending each size's row to rows when rows is not nil. Every rank
+// of a huge world parks under this frame, so it holds only the loop and
+// refers to the run's one Options.
+func (st *rankState) run(p *mpi.Proc, opts *Options, spec *BenchmarkSpec, sizes []int, rows *[]stats.Row) error {
+	o := &st.o
+	if err := newOps(o, opts, p.CommWorld()); err != nil {
+		return err
+	}
+	defer o.release()
+	for _, size := range sizes {
+		sf, rf := spec.buffers(p.Size())
+		if err := o.setup(size, sf, rf); err != nil {
+			return err
+		}
+		// Isolate sizes from each other: after a collective barrier the
+		// ranks rewind their clocks and wire-busy state to zero, so clock
+		// skew from the previous size's loop and aggregation traffic
+		// cannot leak into this one. Without an active fault plan each row
+		// then depends only on the configuration and the size
+		// (RowsIsolated); a plan's noise and jitter draws are keyed by
+		// per-rank counters that keep running from one size to the next,
+		// so under a plan a row also depends on the sizes before it.
+		if err := o.barrier(); err != nil {
+			return err
+		}
+		p.ResetClock()
+		iters, warmup := iterCounts(o.opts, size)
+		b := &st.b
+		b.opts, b.o, b.size, b.iters, b.warmup, b.proc = o.opts, o, size, iters, warmup, p
+		row, err := spec.Body(b)
+		if err != nil {
+			return sizeFailed(size, err)
+		}
+		if rows != nil {
+			*rows = append(*rows, row)
+		}
+	}
+	return nil
+}
+
+// sizeFailed names the message size a rank's benchmark body failed at, out
+// of line so the boxing stays out of run's frame.
+//
+//go:noinline
+func sizeFailed(size int, err error) error { return fmt.Errorf("size %d: %w", size, err) }
+
 var rankStatePool struct {
 	mu   sync.Mutex
 	slab []rankState
@@ -331,77 +344,9 @@ func seriesName(o Options) string {
 
 // iterCounts returns the loop counts for a size, following OMB's reduced
 // iteration counts for large messages.
-func iterCounts(o Options, size int) (iters, warmup int) {
+func iterCounts(o *Options, size int) (iters, warmup int) {
 	if size >= o.LargeThreshold {
 		return o.LargeIters, o.LargeWarmup
 	}
 	return o.Iters, o.Warmup
-}
-
-// fuseRowReduce selects the single-message row aggregation; the test that
-// proves fusion leaves every reported number unchanged flips it to compare
-// against the legacy three-reduce path.
-var fuseRowReduce = true
-
-// reduceRow aggregates the local latency across ranks: average of averages,
-// global min and max. Aggregation runs on the raw runtime (outside the
-// timed section, like OMB's MPI_Reduce of elapsed times) as one 3-element
-// vector reduce with the fused min/sum/max operator — one message round
-// where the legacy path took three. Sizes are clock-isolated (see Run), so
-// without an active fault plan the aggregation protocol cannot affect any
-// reported latency; the legacy path is kept only for the test asserting
-// exactly that. Under a plan the aggregation's collective and messages
-// advance the per-rank draw counters, so the protocol shifts later sizes'
-// draws.
-func reduceRow(o *ops, size int, localLat, mbps float64) (stats.Row, error) {
-	c := o.c
-	if !fuseRowReduce {
-		return reduceRowUnfused(c, size, localLat, mbps)
-	}
-	self, out := o.rowBuf[:24], o.rowBuf[24:48]
-	bits := math.Float64bits(localLat)
-	for i := 0; i < 3; i++ {
-		binary.LittleEndian.PutUint64(self[8*i:], bits)
-	}
-	if err := c.Reduce(self, out, mpi.Float64, mpi.OpMinSumMax, 0); err != nil {
-		return stats.Row{}, err
-	}
-	if c.Rank() != 0 {
-		return stats.Row{}, nil
-	}
-	vals := mpi.DecodeFloat64s(out)
-	return stats.Row{
-		Size:  size,
-		AvgUs: vals[1] / float64(c.Size()),
-		MinUs: vals[0],
-		MaxUs: vals[2],
-		MBps:  mbps,
-	}, nil
-}
-
-// reduceRowUnfused is the legacy three-round aggregation.
-func reduceRowUnfused(c *mpi.Comm, size int, localLat, mbps float64) (stats.Row, error) {
-	avg := make([]byte, 8)
-	minv := make([]byte, 8)
-	maxv := make([]byte, 8)
-	self := mpi.EncodeFloat64s([]float64{localLat})
-	if err := c.Reduce(self, avg, mpi.Float64, mpi.OpSum, 0); err != nil {
-		return stats.Row{}, err
-	}
-	if err := c.Reduce(self, minv, mpi.Float64, mpi.OpMin, 0); err != nil {
-		return stats.Row{}, err
-	}
-	if err := c.Reduce(self, maxv, mpi.Float64, mpi.OpMax, 0); err != nil {
-		return stats.Row{}, err
-	}
-	if c.Rank() != 0 {
-		return stats.Row{}, nil
-	}
-	return stats.Row{
-		Size:  size,
-		AvgUs: mpi.DecodeFloat64s(avg)[0] / float64(c.Size()),
-		MinUs: mpi.DecodeFloat64s(minv)[0],
-		MaxUs: mpi.DecodeFloat64s(maxv)[0],
-		MBps:  mbps,
-	}, nil
 }

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // Allocation-regression tests pinning the zero-allocation fast path. Each
@@ -262,5 +264,58 @@ func TestSlabsReusedByCapacity(t *testing.T) {
 		if procs[r].rank != 0 || ers[r].proc != nil || mbs[r].size != 0 {
 			t.Errorf("entry %d past the smaller world's ranks keeps the larger world's state", r)
 		}
+	}
+}
+
+// TestSlabsKeepArenaClasses pins what a recycled slab keeps of an entry's
+// staging arena: an entry the next world uses keeps its class tables,
+// emptied, so a data-carrying world does not allocate them on every run;
+// an entry past the next world's ranks drops them. The next world may be
+// larger than the last, up to the slab's capacity.
+func TestSlabsKeepArenaClasses(t *testing.T) {
+	const big, small = 16, 4
+	procs, ers := takeRankSlabs(big)
+	mbs := takeMailboxSlab(big)
+	putRankSlabs(procs[:small], ers[:small])
+	putMailboxSlab(mbs[:small])
+	procs, ers = takeRankSlabs(big)
+	mbs = takeMailboxSlab(big)
+	for _, r := range []int{1, 12} {
+		procs[r].arena.put(make([]byte, 256))
+		procs[r].arena.putInts(make([]int, 64))
+		mbs[r].pay.put(make([]byte, 1024))
+	}
+	kept := [2]*scratchClasses{procs[1].arena.cls, mbs[1].pay.cls}
+	putRankSlabs(procs, ers)
+	putMailboxSlab(mbs)
+	procs, _ = takeRankSlabs(8)
+	mbs = takeMailboxSlab(8)
+	if procs[1].arena.cls != kept[0] || mbs[1].pay.cls != kept[1] {
+		t.Fatal("a recycled entry lost its arena's class tables")
+	}
+	for _, cls := range kept {
+		if !reflect.ValueOf(*cls).IsZero() {
+			t.Error("a recycled arena's class tables still hold the last world's buffers")
+		}
+	}
+	procs = procs[:big]
+	mbs = mbs[:big]
+	if procs[12].arena.cls != nil || mbs[12].pay.cls != nil {
+		t.Error("an entry past the smaller world's ranks keeps its class tables")
+	}
+}
+
+// TestRankFootprint bounds what one rank of a world costs in its slabs
+// before it does any work: its Proc, its mailbox and its event-loop entry.
+// Every rank of a 16Ki-rank sweep pays it, so the bytes sum to the
+// sweep's resident set; 5,040 B when the arenas held their class tables
+// inline.
+func TestRankFootprint(t *testing.T) {
+	const ceiling = 2816
+	got := unsafe.Sizeof(Proc{}) + unsafe.Sizeof(mailbox{}) + unsafe.Sizeof(eventRank{})
+	t.Logf("Proc %d B + mailbox %d B + eventRank %d B = %d B (ceiling %d B)",
+		unsafe.Sizeof(Proc{}), unsafe.Sizeof(mailbox{}), unsafe.Sizeof(eventRank{}), got, ceiling)
+	if got > ceiling {
+		t.Errorf("a rank's slab entries take %d B, ceiling %d B", got, ceiling)
 	}
 }

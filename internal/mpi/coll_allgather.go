@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"repro/internal/collective"
-)
+import "repro/internal/collective"
 
 // Allgather algorithm-selection thresholds, mirroring MVAPICH2: recursive
 // doubling for power-of-two groups with small totals, Bruck for small totals
@@ -55,7 +51,7 @@ func (c *Comm) AllgatherN(sbuf []byte, n int, rbuf []byte) error {
 		return err
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Allgather: %w", err)
+		return collError("Allgather", err)
 	}
 	return nil
 }
@@ -77,7 +73,7 @@ func (c *Comm) IallgatherN(sbuf []byte, n int, rbuf []byte) (*Request, error) {
 func (c *Comm) allgatherStart(sbuf []byte, n int, rbuf []byte) (*collSched, error) {
 	p := len(c.group)
 	if rbuf != nil && len(rbuf) < p*n {
-		return nil, fmt.Errorf("mpi: Allgather recv buffer %d < %d", len(rbuf), p*n)
+		return nil, bufferError("Allgather recv buffer", len(rbuf), p*n)
 	}
 	if sbuf != nil && rbuf != nil {
 		copy(rbuf[c.rank*n:(c.rank+1)*n], sbuf[:n])
@@ -85,10 +81,9 @@ func (c *Comm) allgatherStart(sbuf []byte, n int, rbuf []byte) (*collSched, erro
 	if p == 1 {
 		return nil, nil
 	}
-	s, err := c.startColl(CollAllgather, NewSelection(CollAllgather, p, n, Uint8),
-		collCall{rbuf: rbuf, n: n})
+	s, err := c.startColl(CollAllgather, &collCall{rbuf: rbuf, n: n}, n)
 	if err != nil {
-		return nil, fmt.Errorf("mpi: Allgather: %w", err)
+		return nil, collError("Allgather", err)
 	}
 	return s, nil
 }

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"repro/internal/collective"
 	"repro/internal/vtime"
 )
@@ -46,7 +44,7 @@ func (c *Comm) AllreduceN(sbuf, rbuf []byte, n int, dt DType, op Op) error {
 		return err
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Allreduce: %w", err)
+		return collError("Allreduce", err)
 	}
 	return nil
 }
@@ -70,7 +68,7 @@ func (c *Comm) IallreduceN(sbuf, rbuf []byte, n int, dt DType, op Op) (*Request,
 // selected algorithm's schedule (nil for the trivial single-rank case).
 func (c *Comm) allreduceStart(sbuf, rbuf []byte, n int, dt DType, op Op) (*collSched, error) {
 	if n%dt.Size() != 0 {
-		return nil, fmt.Errorf("mpi: Allreduce size %d not a multiple of %s", n, dt)
+		return nil, sizeError("Allreduce size", n, dt)
 	}
 	p := len(c.group)
 	if p == 1 {
@@ -85,10 +83,9 @@ func (c *Comm) allreduceStart(sbuf, rbuf []byte, n int, dt DType, op Op) (*collS
 		acc = rbuf[:n]
 		copy(acc, sbuf[:n])
 	}
-	s, err := c.startColl(CollAllreduce, NewSelection(CollAllreduce, p, n, dt),
-		collCall{rbuf: acc, n: n, dt: dt, op: op})
+	s, err := c.startColl(CollAllreduce, &collCall{rbuf: acc, n: n, dt: dt, op: op}, n)
 	if err != nil {
-		return nil, fmt.Errorf("mpi: Allreduce: %w", err)
+		return nil, collError("Allreduce", err)
 	}
 	return s, nil
 }

@@ -47,7 +47,7 @@ func (c *Comm) AlltoallN(sbuf []byte, n int, rbuf []byte) error {
 		return err
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Alltoall: %w", err)
+		return collError("Alltoall", err)
 	}
 	return nil
 }
@@ -73,7 +73,7 @@ func (c *Comm) IalltoallN(sbuf []byte, n int, rbuf []byte) (*Request, error) {
 func (c *Comm) alltoallStart(sbuf []byte, n int, rbuf []byte) (*collSched, error) {
 	p := len(c.group)
 	if rbuf != nil && len(rbuf) < p*n {
-		return nil, fmt.Errorf("mpi: Alltoall recv buffer %d < %d", len(rbuf), p*n)
+		return nil, bufferError("Alltoall recv buffer", len(rbuf), p*n)
 	}
 	if sbuf != nil && rbuf != nil {
 		copy(rbuf[c.rank*n:(c.rank+1)*n], sbuf[c.rank*n:(c.rank+1)*n])
@@ -81,10 +81,9 @@ func (c *Comm) alltoallStart(sbuf []byte, n int, rbuf []byte) (*collSched, error
 	if p == 1 {
 		return nil, nil
 	}
-	s, err := c.startColl(CollAlltoall, NewSelection(CollAlltoall, p, n, Uint8),
-		collCall{sbuf: sbuf, rbuf: rbuf, n: n})
+	s, err := c.startColl(CollAlltoall, &collCall{sbuf: sbuf, rbuf: rbuf, n: n}, n)
 	if err != nil {
-		return nil, fmt.Errorf("mpi: Alltoall: %w", err)
+		return nil, collError("Alltoall", err)
 	}
 	return s, nil
 }

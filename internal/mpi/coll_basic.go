@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/collective"
@@ -23,7 +22,7 @@ func (c *Comm) Barrier() error {
 		return nil
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Barrier: %w", err)
+		return collError("Barrier", err)
 	}
 	return nil
 }
@@ -68,9 +67,7 @@ func (c *Comm) barrierStart() *collSched {
 	if p == 1 {
 		return nil
 	}
-	key := foldKey{shape: shapeKey{coll: collBarrier}, seq: c.collSeq, rep: rep}
-	if c.proc.ev.loop.schedFoldEligible(c, key.shape) {
-		c.proc.foldPend = foldPending{key: key}
+	if c.deferColl(collBarrier, 0, 0, 0, 0, rep) {
 		return schedFoldPending
 	}
 	return c.compileBarrierSched()
@@ -133,7 +130,7 @@ func (c *Comm) BcastN(buf []byte, n, root int) error {
 		return err
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Bcast: %w", err)
+		return collError("Bcast", err)
 	}
 	return nil
 }
@@ -160,10 +157,9 @@ func (c *Comm) bcastStart(buf []byte, n, root int) (*collSched, error) {
 	if p == 1 {
 		return nil, nil
 	}
-	s, err := c.startColl(CollBcast, NewSelection(CollBcast, p, n, Uint8),
-		collCall{sbuf: buf, n: n, root: root})
+	s, err := c.startColl(CollBcast, &collCall{sbuf: buf, n: n, root: root}, n)
 	if err != nil {
-		return nil, fmt.Errorf("mpi: Bcast: %w", err)
+		return nil, collError("Bcast", err)
 	}
 	return s, nil
 }
@@ -245,7 +241,7 @@ func (c *Comm) ReduceN(sbuf, rbuf []byte, n int, dt DType, op Op, root int) erro
 		return err
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Reduce: %w", err)
+		return collError("Reduce", err)
 	}
 	return nil
 }
@@ -255,7 +251,7 @@ func (c *Comm) reduceStart(sbuf, rbuf []byte, n int, dt DType, op Op, root int) 
 		return nil, err
 	}
 	if n%dt.Size() != 0 {
-		return nil, fmt.Errorf("mpi: Reduce size %d not a multiple of %s", n, dt)
+		return nil, sizeError("Reduce size", n, dt)
 	}
 	p := len(c.group)
 	s := c.getSched()
@@ -303,7 +299,7 @@ func (c *Comm) GatherN(sbuf []byte, n int, rbuf []byte, root int) error {
 		return err
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Gather: %w", err)
+		return collError("Gather", err)
 	}
 	return nil
 }
@@ -328,7 +324,7 @@ func (c *Comm) gatherStart(sbuf []byte, n int, rbuf []byte, root int) (*collSche
 	}
 	p := len(c.group)
 	if c.rank == root && rbuf != nil && len(rbuf) < p*n {
-		return nil, fmt.Errorf("mpi: Gather recv buffer %d < %d", len(rbuf), p*n)
+		return nil, bufferError("Gather recv buffer", len(rbuf), p*n)
 	}
 	s := c.getSched()
 	s.coll = collGather
@@ -374,7 +370,7 @@ func (c *Comm) ScatterN(sbuf, rbuf []byte, n, root int) error {
 		return err
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Scatter: %w", err)
+		return collError("Scatter", err)
 	}
 	return nil
 }
@@ -385,7 +381,7 @@ func (c *Comm) scatterStart(sbuf, rbuf []byte, n, root int) (*collSched, error) 
 	}
 	p := len(c.group)
 	if c.rank == root && sbuf != nil && len(sbuf) < p*n {
-		return nil, fmt.Errorf("mpi: Scatter send buffer %d < %d", len(sbuf), p*n)
+		return nil, bufferError("Scatter send buffer", len(sbuf), p*n)
 	}
 	s := c.getSched()
 	s.coll = collScatter

@@ -83,7 +83,7 @@ func (c *Comm) driveReduceScatter(s *collSched, err error) error {
 		return err
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: ReduceScatter: %w", err)
+		return collError("ReduceScatter", err)
 	}
 	return nil
 }
@@ -91,7 +91,7 @@ func (c *Comm) driveReduceScatter(s *collSched, err error) error {
 // reduceScatterBlockStart validates the block form's size and starts it.
 func (c *Comm) reduceScatterBlockStart(sbuf, rbuf []byte, n int, dt DType, op Op) (*collSched, error) {
 	if n%dt.Size() != 0 {
-		return nil, fmt.Errorf("mpi: ReduceScatter block %d not a multiple of %s", n, dt)
+		return nil, sizeError("ReduceScatter block", n, dt)
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("mpi: ReduceScatter block %d invalid for %s", n, dt)
@@ -122,10 +122,10 @@ func (c *Comm) reduceScatterVectorStart(sbuf, rbuf []byte, counts []int, dt DTyp
 func (c *Comm) reduceScatterStart(call collCall, total, mine int) (*collSched, error) {
 	sbuf, rbuf := call.sbuf, call.rbuf
 	if sbuf != nil && len(sbuf) < total {
-		return nil, fmt.Errorf("mpi: ReduceScatter send buffer %d < %d", len(sbuf), total)
+		return nil, bufferError("ReduceScatter send buffer", len(sbuf), total)
 	}
 	if rbuf != nil && len(rbuf) < mine {
-		return nil, fmt.Errorf("mpi: ReduceScatter recv buffer %d < %d", len(rbuf), mine)
+		return nil, bufferError("ReduceScatter recv buffer", len(rbuf), mine)
 	}
 	p := len(c.group)
 	if p == 1 {
@@ -134,9 +134,9 @@ func (c *Comm) reduceScatterStart(call collCall, total, mine int) (*collSched, e
 		}
 		return nil, nil
 	}
-	s, err := c.startColl(CollReduceScatter, NewSelection(CollReduceScatter, p, total, call.dt), call)
+	s, err := c.startColl(CollReduceScatter, &call, total)
 	if err != nil {
-		return nil, fmt.Errorf("mpi: ReduceScatter: %w", err)
+		return nil, collError("ReduceScatter", err)
 	}
 	return s, nil
 }

@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Scan and Exscan: inclusive and exclusive prefix reductions. OMB-Py's
 // first release does not benchmark them (paper Table II), but mpi4py
 // exposes both, so the runtime provides them for library completeness.
@@ -16,7 +14,7 @@ func (c *Comm) Scan(sbuf, rbuf []byte, dt DType, op Op) error {
 // timing-only worlds.
 func (c *Comm) ScanN(sbuf, rbuf []byte, n int, dt DType, op Op) error {
 	if n%dt.Size() != 0 {
-		return fmt.Errorf("mpi: Scan size %d not a multiple of %s", n, dt)
+		return sizeError("Scan size", n, dt)
 	}
 	return c.driveScan(sbuf, rbuf, n, dt, op, false)
 }
@@ -29,7 +27,7 @@ func (c *Comm) Iscan(sbuf, rbuf []byte, dt DType, op Op) (*Request, error) {
 // IscanN is Iscan with an explicit byte count.
 func (c *Comm) IscanN(sbuf, rbuf []byte, n int, dt DType, op Op) (*Request, error) {
 	if n%dt.Size() != 0 {
-		return nil, fmt.Errorf("mpi: Scan size %d not a multiple of %s", n, dt)
+		return nil, sizeError("Scan size", n, dt)
 	}
 	return c.collRequest(c.scanStart(sbuf, rbuf, n, dt, op, false))
 }
@@ -43,14 +41,14 @@ func (c *Comm) Exscan(sbuf, rbuf []byte, dt DType, op Op) error {
 // ExscanN is Exscan with an explicit byte count.
 func (c *Comm) ExscanN(sbuf, rbuf []byte, n int, dt DType, op Op) error {
 	if n%dt.Size() != 0 {
-		return fmt.Errorf("mpi: Exscan size %d not a multiple of %s", n, dt)
+		return sizeError("Exscan size", n, dt)
 	}
 	return c.driveScan(sbuf, rbuf, n, dt, op, true)
 }
 
 func (c *Comm) driveScan(sbuf, rbuf []byte, n int, dt DType, op Op, exclusive bool) error {
 	if err := c.driveSched(c.scanStart(sbuf, rbuf, n, dt, op, exclusive)); err != nil {
-		return fmt.Errorf("mpi: Scan: %w", err)
+		return collError("Scan", err)
 	}
 	return nil
 }

@@ -66,7 +66,7 @@ func (c *Comm) Gatherv(sbuf []byte, scount int, rbuf []byte, counts, displs []in
 		s.recv(r, sliceOrNil(rbuf, displs[r], displs[r]+counts[r]), counts[r])
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Gatherv: %w", err)
+		return collError("Gatherv", err)
 	}
 	return nil
 }
@@ -84,7 +84,7 @@ func (c *Comm) Scatterv(sbuf []byte, counts, displs []int, rbuf []byte, rcount, 
 	if c.rank != root {
 		s.recv(root, rbuf, rcount)
 		if err := c.driveSched(s); err != nil {
-			return fmt.Errorf("mpi: Scatterv: %w", err)
+			return collError("Scatterv", err)
 		}
 		return nil
 	}
@@ -105,7 +105,7 @@ func (c *Comm) Scatterv(sbuf []byte, counts, displs []int, rbuf []byte, rcount, 
 		s.copyStep(rbuf[:counts[root]], sbuf[displs[root]:displs[root]+counts[root]], counts[root])
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Scatterv: %w", err)
+		return collError("Scatterv", err)
 	}
 	return nil
 }
@@ -138,7 +138,7 @@ func (c *Comm) Allgatherv(sbuf []byte, rbuf []byte, counts, displs []int) error 
 		have = want
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Allgatherv: %w", err)
+		return collError("Allgatherv", err)
 	}
 	return nil
 }
@@ -174,7 +174,7 @@ func (c *Comm) Alltoallv(sbuf []byte, scounts, sdispls []int, rbuf []byte, rcoun
 			src, sliceOrNil(rbuf, rdispls[src], rdispls[src]+rcounts[src]), rcounts[src])
 	}
 	if err := c.driveSched(s); err != nil {
-		return fmt.Errorf("mpi: Alltoallv: %w", err)
+		return collError("Alltoallv", err)
 	}
 	return nil
 }

@@ -16,6 +16,8 @@ package mpi
 // arena), so steady-state collective traffic allocates nothing.
 
 import (
+	"fmt"
+
 	"repro/internal/netmodel"
 	"repro/internal/topology"
 )
@@ -505,25 +507,49 @@ func (c *Comm) nextCollTag() int {
 // this (algorithm, size, root, dtype, op) shape is re-armed instead of
 // rebuilt (see eventsched.go). The entry consumes the timed loop
 // Comm.Repeat armed, carrying it in the fold key.
-func (c *Comm) startColl(coll Collective, sel Selection, call collCall) (*collSched, error) {
+//
+// bytes is the payload the algorithm selection sees (NewSelection). Every
+// rank of a folded world parks under this frame, so the compile branches
+// live in functions of their own and the fold key is written into the Proc
+// in place: the whole entry path fits a 4 KiB stack.
+func (c *Comm) startColl(coll Collective, call *collCall, bytes int) (*collSched, error) {
 	rep := c.proc.takeRepeat()
-	if call.replayable() {
-		key := foldKey{shape: shapeKey{coll: coll, n: call.n, root: call.root,
-			dt: call.dt, op: call.op}, seq: c.collSeq, rep: rep}
-		if c.proc.ev.loop.schedFoldEligible(c, key.shape) {
-			c.proc.foldPend = foldPending{key: key, sel: sel, call: call}
-			return schedFoldPending, nil
-		}
-		return c.compileReplayColl(coll, sel, call)
+	if !call.replayable() {
+		return c.buildColl(coll, call, bytes)
 	}
-	alg, err := c.algorithm(coll, sel)
+	if c.deferColl(coll, call.n, call.root, call.dt, call.op, rep) {
+		c.proc.foldPend.bytes = bytes
+		return schedFoldPending, nil
+	}
+	return c.compileReplayColl(coll, call, bytes)
+}
+
+// deferColl writes a buffer-free invocation's fold key into the rank's
+// foldPend and reports whether the invocation may defer its compile to the
+// fold gather. The key is only read behind the schedFoldPending sentinel,
+// so an ineligible invocation leaves a stale one behind harmlessly.
+func (c *Comm) deferColl(coll Collective, n, root int, dt DType, op Op, rep foldRepeat) bool {
+	k := &c.proc.foldPend.key
+	k.shape.coll, k.shape.n, k.shape.root, k.shape.dt, k.shape.op = coll, n, root, dt, op
+	k.seq, k.rep = c.collSeq, rep
+	return c.proc.ev.loop.schedFoldEligible(c, &k.shape)
+}
+
+// algorithmFor selects the algorithm for one invocation of coll moving bytes.
+func (c *Comm) algorithmFor(coll Collective, call *collCall, bytes int) (*Algorithm, error) {
+	return c.algorithm(coll, NewSelection(coll, len(c.group), bytes, call.dt))
+}
+
+// buildColl compiles a one-off schedule for an invocation with buffers.
+func (c *Comm) buildColl(coll Collective, call *collCall, bytes int) (*collSched, error) {
+	alg, err := c.algorithmFor(coll, call, bytes)
 	if err != nil {
 		return nil, err
 	}
 	s := c.getSched()
 	s.dt, s.op = call.dt, call.op
 	s.coll = coll
-	if err := alg.build(c, call, s); err != nil {
+	if err := alg.build(c, *call, s); err != nil {
 		s.finish()
 		return nil, err
 	}
@@ -533,18 +559,18 @@ func (c *Comm) startColl(coll Collective, sel Selection, call collCall) (*collSc
 // compileReplayColl is the per-rank compile/replay of a buffer-free
 // collective invocation — the schedule-fold fallback path and the whole
 // path when schedule folding is off.
-func (c *Comm) compileReplayColl(coll Collective, sel Selection, call collCall) (*collSched, error) {
+func (c *Comm) compileReplayColl(coll Collective, call *collCall, bytes int) (*collSched, error) {
 	key := replayKey{ctx: c.ctx, coll: coll, n: call.n, root: call.root, dt: call.dt, op: call.op}
 	s, known := c.replaySched(key)
 	if s != nil {
 		s.coll = coll
 		return s, nil
 	}
-	alg, err := c.algorithm(coll, sel)
+	alg, err := c.algorithmFor(coll, call, bytes)
 	if err != nil {
 		return nil, err
 	}
-	build := func(s *collSched) error { return alg.build(c, call, s) }
+	build := func(s *collSched) error { return alg.build(c, *call, s) }
 	if known {
 		// An overlapping invocation of the same shape is still in
 		// flight; run this one as an uncached one-off.
@@ -559,6 +585,30 @@ func (c *Comm) compileReplayColl(coll Collective, sel Selection, call collCall) 
 		s.coll = coll
 	}
 	return s, err
+}
+
+// collError names the collective that failed with err. The collectives'
+// entry functions sit on the stack of every rank parked in a gather, so
+// error formatting (boxed operands, the variadic array) happens in frames of
+// its own: collError, sizeError and bufferError, kept out of line.
+//
+//go:noinline
+func collError(coll string, err error) error { return fmt.Errorf("mpi: %s: %w", coll, err) }
+
+// sizeError refuses a byte count n that is not a whole number of dt
+// elements; what names the count ("Allreduce size").
+//
+//go:noinline
+func sizeError(what string, n int, dt DType) error {
+	return fmt.Errorf("mpi: %s %d not a multiple of %s", what, n, dt)
+}
+
+// bufferError refuses a buffer of have bytes where the call needs want;
+// what names the buffer ("Allgather recv buffer").
+//
+//go:noinline
+func bufferError(what string, have, want int) error {
+	return fmt.Errorf("mpi: %s %d < %d", what, have, want)
 }
 
 // collRequest wraps a compiled schedule (nil for a trivially complete

@@ -355,7 +355,7 @@ type Proc struct {
 	// rank of a huge world twice (token scan, then clock fanout; fold.go),
 	// and each walk's working set — clock, foldLB, lbDirty, mbPend, repeatE
 	// and comm0v.collSeq (first field of Comm) — lands in the Proc's first
-	// cache line instead of three lines scattered over a ~3KB struct.
+	// cache line instead of three lines scattered over a ~1.4 KB struct.
 	world *World
 	rank  int
 	clock vtime.Clock
@@ -405,7 +405,9 @@ type Proc struct {
 	// replay caches compiled collective schedules for buffer-free replays (see eventsched.go). A rank holds only a handful
 	// of shapes at a time, so a linearly scanned slice beats a map.
 	replay []replayEntry
-	// arena recycles the collectives' staging buffers.
+	// arena recycles the collectives' staging buffers. Its class tables
+	// sit behind a pointer (scratch.go): every rank of a 16Ki-rank sweep
+	// carries this struct, and a timing-only world rarely fills them.
 	arena scratchArena
 	// costMemo caches the priced message per link class for the last size,
 	// exploiting that benchmark loops price the same (link, size) pair on
@@ -416,7 +418,8 @@ type Proc struct {
 	// schedFoldPending sentinel (schedfold.go): the key the blocking drive
 	// gathers on, plus everything needed to materialize a per-rank schedule
 	// if the gather falls back. Valid only between startColl and the
-	// immediately following driveSched/collRequest.
+	// immediately following driveSched/collRequest; startColl writes it in
+	// place.
 	foldPend foldPending
 	// repeat is the timed loop Comm.Repeat arms for the first collective
 	// its callback reaches: startColl or barrierStart consumes it into the
@@ -557,8 +560,11 @@ func (p *Proc) AdvanceClock(d vtime.Micros) { p.clock.Advance(d) }
 // group slice, so repeated calls allocate nothing.
 func (p *Proc) CommWorld() *Comm {
 	if p.comm0 == nil {
-		p.comm0v = Comm{proc: p, ctx: 0, group: p.world.worldGroup, rank: p.rank}
-		p.comm0 = &p.comm0v
+		// Field by field, so the inlined call builds no Comm on the
+		// caller's stack.
+		c := &p.comm0v
+		c.collSeq, c.proc, c.ctx, c.group, c.rank = 0, p, 0, p.world.worldGroup, p.rank
+		p.comm0 = c
 	}
 	return p.comm0
 }

@@ -133,9 +133,16 @@ func (c *Comm) Repeat(warmup, iters int, call func() error) (vtime.Micros, error
 // a nonblocking post must never park in a gather — overlap semantics
 // depend on returning to the caller).
 type foldPending struct {
-	key  foldKey
-	sel  Selection
-	call collCall
+	key foldKey
+	// bytes is the payload the algorithm selection sees (startColl).
+	bytes int
+}
+
+// call returns the deferred invocation's operands: only buffer-free calls
+// defer, and the key's shape holds everything else they carry.
+func (pend *foldPending) call() collCall {
+	sk := &pend.key.shape
+	return collCall{n: sk.n, root: sk.root, dt: sk.dt, op: sk.op}
 }
 
 // schedFoldPending is the sentinel startColl returns instead of a compiled
@@ -185,7 +192,7 @@ func CacheOverflowCount() int64 { return cacheOverflows.Load() }
 // only full-world, context-0, buffer-free invocations on untraced,
 // fault-free worlds with an empty mailbox and no outstanding nonblocking
 // collectives may defer compilation.
-func (l *eventLoop) schedFoldEligible(c *Comm, sk shapeKey) bool {
+func (l *eventLoop) schedFoldEligible(c *Comm, sk *shapeKey) bool {
 	w := l.w
 	if !w.schedFoldOK || c.ctx != 0 || len(c.group) != w.size ||
 		len(c.proc.activeScheds) != 0 {
@@ -195,7 +202,7 @@ func (l *eventLoop) schedFoldEligible(c *Comm, sk shapeKey) bool {
 		return false
 	}
 	if len(w.foldNo) != 0 {
-		if _, no := w.foldNo[sk]; no {
+		if _, no := w.foldNo[*sk]; no {
 			return false
 		}
 	}
@@ -238,7 +245,8 @@ func (c *Comm) materializePending(pend *foldPending) (*collSched, error) {
 	if pend.key.shape.coll == collBarrier {
 		return c.compileBarrierSched(), nil
 	}
-	return c.compileReplayColl(pend.key.shape.coll, pend.sel, pend.call)
+	call := pend.call()
+	return c.compileReplayColl(pend.key.shape.coll, &call, pend.bytes)
 }
 
 // foldStructKey identifies an analyzed schedule structure independently of
@@ -309,11 +317,12 @@ func foldStructFootprint(sh *foldShape) int64 {
 // resolveFoldAlg resolves the algorithm a deferred invocation would have
 // selected; only needed on a shape-cache miss (the steady state never
 // walks the policy).
-func resolveFoldAlg(c *Comm, sk shapeKey, sel Selection) (*Algorithm, error) {
-	if sk.coll == collBarrier {
+func resolveFoldAlg(c *Comm, pend *foldPending) (*Algorithm, error) {
+	if pend.key.shape.coll == collBarrier {
 		return barrierAlg, nil
 	}
-	return c.algorithm(sk.coll, sel)
+	call := pend.call()
+	return c.algorithmFor(pend.key.shape.coll, &call, pend.bytes)
 }
 
 // buildFoldShapeProbe resolves a shape-cache miss for a key gather: fetch
@@ -323,7 +332,7 @@ func resolveFoldAlg(c *Comm, sk shapeKey, sel Selection) (*Algorithm, error) {
 func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldShape {
 	w := l.w
 	c0 := l.ranks[0].proc.CommWorld()
-	alg, err := resolveFoldAlg(c0, sk, pend.sel)
+	alg, err := resolveFoldAlg(c0, pend)
 	if err != nil || alg == nil || alg.build == nil {
 		return &foldShape{}
 	}
@@ -344,7 +353,7 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 		// A signature collision between distinct placements: build for this
 		// world without fighting over the cache slot.
 	}
-	sh := l.probeAndAnalyze(alg, pend.call)
+	sh := l.probeAndAnalyze(alg, pend.call())
 	w.foldStats.ClassesCompiled += int64(sh.nclass)
 	tmpl := *sh
 	tmpl.costs, tmpl.parts = nil, nil

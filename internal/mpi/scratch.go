@@ -18,20 +18,31 @@ type scratchArena struct {
 	// all — lands there, and arenas are embedded in per-world slabs, so
 	// serving the first few tiny buffers from the struct itself keeps the
 	// steady-state sweep free of per-run make calls. small holds their
-	// freelist slots inline for the same reason: the spill slice in bytes
-	// would otherwise regrow once per arena per run.
+	// freelist slots inline for the same reason: the class freelist would
+	// otherwise regrow once per arena per run.
 	seedN  int8
 	smallN int8
 	seed   [scratchSeeds][1 << payloadMinClass]byte
 	small  [scratchSeeds][]byte
-	bytes  [payloadMaxClass + 1][][]byte
-	ints   [payloadMaxClass + 1][][]int
+	// cls holds the freelists of every class, set by the first release
+	// the inline slots cannot take. A timing-only world stages little
+	// beyond its tiny rows, so in a huge world nearly every arena leaves
+	// it nil, and the slab carries one pointer per arena instead of the
+	// tables. A recycled slab keeps an arena's tables, emptied
+	// (reuseArenaSlab), so a data-carrying run allocates them once.
+	cls *scratchClasses
 }
 
 // scratchSeeds bounds the inline buffers per arena; a binomial reduce
 // parent rarely holds more than a few staged rows at once, and overflow
 // just falls back to the heap classes.
 const scratchSeeds = 4
+
+// scratchClasses is an arena's per-class freelists.
+type scratchClasses struct {
+	bytes [payloadMaxClass + 1][][]byte
+	ints  [payloadMaxClass + 1][][]int
+}
 
 func (a *scratchArena) get(n int) []byte {
 	b := a.getRaw(n)
@@ -60,11 +71,13 @@ func (a *scratchArena) getRaw(n int) []byte {
 			return b[:n]
 		}
 	}
-	if l := len(a.bytes[c]); l > 0 {
-		b := a.bytes[c][l-1]
-		a.bytes[c][l-1] = nil
-		a.bytes[c] = a.bytes[c][:l-1]
-		return b[:n]
+	if a.cls != nil {
+		if l := len(a.cls.bytes[c]); l > 0 {
+			b := a.cls.bytes[c][l-1]
+			a.cls.bytes[c][l-1] = nil
+			a.cls.bytes[c] = a.cls.bytes[c][:l-1]
+			return b[:n]
+		}
 	}
 	return make([]byte, 1<<c)[:n]
 }
@@ -82,7 +95,16 @@ func (a *scratchArena) put(b []byte) {
 		a.smallN++
 		return
 	}
-	a.bytes[c] = append(a.bytes[c], b[:cap(b)])
+	cls := a.classes()
+	cls.bytes[c] = append(cls.bytes[c], b[:cap(b)])
+}
+
+// classes returns the arena's class freelists, creating them on first use.
+func (a *scratchArena) classes() *scratchClasses {
+	if a.cls == nil {
+		a.cls = new(scratchClasses)
+	}
+	return a.cls
 }
 
 func (a *scratchArena) getInts(n int) []int {
@@ -90,13 +112,15 @@ func (a *scratchArena) getInts(n int) []int {
 	if c > payloadMaxClass {
 		return make([]int, n)
 	}
-	if l := len(a.ints[c]); l > 0 {
-		b := a.ints[c][l-1]
-		a.ints[c][l-1] = nil
-		a.ints[c] = a.ints[c][:l-1]
-		b = b[:n]
-		clear(b)
-		return b
+	if a.cls != nil {
+		if l := len(a.cls.ints[c]); l > 0 {
+			b := a.cls.ints[c][l-1]
+			a.cls.ints[c][l-1] = nil
+			a.cls.ints[c] = a.cls.ints[c][:l-1]
+			b = b[:n]
+			clear(b)
+			return b
+		}
 	}
 	return make([]int, 1<<c)[:n]
 }
@@ -109,7 +133,8 @@ func (a *scratchArena) putInts(b []int) {
 	if c > payloadMaxClass || cap(b) != 1<<c {
 		return
 	}
-	a.ints[c] = append(a.ints[c], b[:cap(b)])
+	cls := a.classes()
+	cls.ints[c] = append(cls.ints[c], b[:cap(b)])
 }
 
 // scratch returns a zeroed n-byte staging buffer from the rank's arena;

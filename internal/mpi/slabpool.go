@@ -19,7 +19,10 @@ package mpi
 // fresh one is allocated; the next release displaces it. One slot is
 // deliberate — a sweep runs one world size at a time, and a second
 // resident slab would double retained memory without improving the
-// steady-state hit rate.
+// steady-state hit rate. The one exception to clearing is an entry's
+// staging-arena class tables (scratch.go): an entry the next world uses
+// keeps them, emptied, so a data-carrying sweep allocates them once, not
+// once per rank per world.
 //
 // Safety: a recycled slab may serve any future World, so a release must
 // happen only after every pointer into the slab from longer-lived
@@ -53,7 +56,7 @@ func takeRankSlabs(n int) ([]Proc, []eventRank) {
 	if procs == nil {
 		return make([]Proc, n), make([]eventRank, n)
 	}
-	return reuseSlab(procs, n), reuseSlab(ers, n)
+	return reuseArenaSlab(procs, n, func(p *Proc) *scratchArena { return &p.arena }), reuseSlab(ers, n)
 }
 
 // putRankSlabs retains a Run's rank slabs for the next Run.
@@ -69,6 +72,24 @@ func putRankSlabs(procs []Proc, ers []eventRank) {
 // was made, so the unused tail never carries an older world's pointers.
 func reuseSlab[T any](slab []T, n int) []T {
 	clear(slab[:max(len(slab), n)])
+	return slab[:n]
+}
+
+// reuseArenaSlab is reuseSlab for slabs whose entries embed a staging
+// arena: an entry the new world uses keeps its arena's class tables,
+// emptied, so a data-carrying world does not allocate them afresh on
+// every run. Entries past n drop theirs with the rest of their state.
+func reuseArenaSlab[T any](slab []T, n int, arena func(*T) *scratchArena) []T {
+	used := slab[:max(len(slab), n)]
+	for i := range used {
+		e := &used[i]
+		cls := arena(e).cls
+		clear(used[i : i+1])
+		if cls != nil && i < n {
+			*cls = scratchClasses{}
+			arena(e).cls = cls
+		}
+	}
 	return slab[:n]
 }
 
@@ -91,7 +112,7 @@ func takeMailboxSlab(n int) []mailbox {
 	if mbs == nil {
 		return make([]mailbox, n)
 	}
-	return reuseSlab(mbs, n)
+	return reuseArenaSlab(mbs, n, func(mb *mailbox) *scratchArena { return &mb.pay })
 }
 
 func putMailboxSlab(mbs []mailbox) {

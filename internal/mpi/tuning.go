@@ -5,7 +5,8 @@ package mpi
 // compare these fields against the Selection, like MVAPICH2's MV2_*
 // environment knobs parameterise its tuning tables. The defaults mirror
 // the library's shipped tables; the ablation benchmarks override
-// individual knobs to quantify each design choice (DESIGN.md section 4).
+// individual knobs to measure what each selection decision costs against
+// its alternatives.
 // Zero fields keep the defaults. Negative values disable an algorithm:
 // for the *Max* fields the bounded algorithm can never be selected
 // (e.g. AllgatherRDMaxTotal: -1 forces Bruck or ring); for the *Min*

@@ -67,9 +67,10 @@ type stagingProfile struct {
 	PerByte  float64
 }
 
-// stagingTable maps (library, op class) to its profile. Values are fitted
-// to the paper's Figures 2-25 and 34; see EXPERIMENTS.md for the
-// paper-vs-measured record.
+// stagingTable maps (library, op class) to its profile. Values were fitted
+// by hand to the paper's Figures 2-25 and 34; the experiments print each
+// quoted statistic beside the measured one, and a recorded, held-out fit
+// is ROADMAP item 2.
 // Calibration note: in a ping-pong the receiver's staging largely overlaps
 // the message's flight time (the receiver stages while the wire is busy),
 // so the observable point-to-point overhead is dominated by the sender-side

@@ -7,7 +7,10 @@
 // that the paper identifies as the sources of mpi4py overhead.
 //
 // All constants live in calibration.go and are derived from the numbers the
-// paper reports; see DESIGN.md section 1 for the substitution argument.
+// paper reports. The model stands in for the paper's clusters because the
+// paper's claims are relative (mpi4py against OMB on the same machine):
+// a calibrated price per event reproduces those differences
+// deterministically, without the hardware.
 package netmodel
 
 import (

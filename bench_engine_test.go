@@ -41,7 +41,8 @@ func hugeWorldOptions(ranks int, noFold bool) core.Options {
 // byte-identical series. The allreduce sweep folds by class; the bcast
 // sweep over 1 KiB - 1 MiB runs binomial below 512 KiB and scatter_ring
 // from there, both on per-rank step tables; the reduce_scatter sweep over
-// its smallest block to 64 KiB runs recursive halving, by class.
+// its smallest block to 64 KiB runs recursive halving, by class; the
+// binomial reduce, gather and scatter sweeps fold on per-rank step tables.
 func TestEngineFoldSmoke1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-rank sweep in -short mode")
@@ -53,7 +54,13 @@ func TestEngineFoldSmoke1024(t *testing.T) {
 	rs := hugeWorldOptions(1024, false)
 	rs.Benchmark = core.ReduceScatter
 	rs.MinSize = 1
-	for _, o := range []core.Options{hugeWorldOptions(1024, false), bcast, rs} {
+	sweeps := []core.Options{hugeWorldOptions(1024, false), bcast, rs}
+	for _, b := range []core.Benchmark{core.Reduce, core.Gather, core.Scatter} {
+		o := hugeWorldOptions(1024, false)
+		o.Benchmark = b
+		sweeps = append(sweeps, o)
+	}
+	for _, o := range sweeps {
 		t.Run(string(o.Benchmark), func(t *testing.T) {
 			off := o
 			off.NoFold = true

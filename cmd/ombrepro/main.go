@@ -4,8 +4,7 @@
 //
 //	ombrepro -experiment fig2        # one experiment
 //	ombrepro -experiment algo_allgather -parallel 4   # algorithm ablation
-//	ombrepro -all                    # everything except the 896-rank runs
-//	ombrepro -all -heavy             # everything
+//	ombrepro -all                    # every experiment
 //	ombrepro -all -algorithm allgather=ring           # forced-algorithm rerun
 //	ombrepro -list                   # enumerate experiment ids
 //
@@ -31,7 +30,6 @@ func main() {
 	var (
 		id        = flag.String("experiment", "", "experiment id (fig1..fig34, table1..table3, algo_*)")
 		all       = flag.Bool("all", false, "run every experiment")
-		heavy     = flag.Bool("heavy", false, "include the 896-rank full-subscription experiments")
 		list      = flag.Bool("list", false, "list experiment ids")
 		plot      = flag.Bool("plot", false, "render each experiment's series as an ASCII chart")
 		algo      = flag.String("algorithm", "", "force collective algorithms for every run, as coll=name pairs (e.g. allgather=ring,allreduce=rd)")
@@ -89,10 +87,6 @@ func main() {
 	case *all:
 		failed := 0
 		for _, e := range experiments.All() {
-			if e.Heavy && !*heavy {
-				fmt.Printf("=== %s: %s === (skipped; pass -heavy)\n\n", e.ID, e.Title)
-				continue
-			}
 			if err := runOne(e, d); err != nil {
 				fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.ID, err)
 				failed++

@@ -201,9 +201,14 @@ func TestProbeCompileAllocs(t *testing.T) {
 		{"allreduce/recursive_doubling", alg(CollAllreduce, "recursive_doubling"), collCall{n: 16 << 10, dt: Float32, op: OpSum}},
 		{"reduce_scatter/recursive_halving", alg(CollReduceScatter, "recursive_halving"), collCall{n: 64, dt: Float32, op: OpSum}},
 		{"allgather/bruck", alg(CollAllgather, "bruck"), collCall{n: 64}},
-		{"barrier/dissemination", barrierAlg, collCall{}},
+		{"barrier/dissemination", alg(collBarrier, "dissemination"), collCall{}},
 		{"bcast/binomial", alg(CollBcast, "binomial"), collCall{n: 4096, root: 3}},
 		{"bcast/scatter_ring", alg(CollBcast, "scatter_ring"), collCall{n: 1 << 20, root: 3}},
+		{"reduce/binomial", alg(collReduce, "binomial"), collCall{n: 4096, dt: Float32, op: OpSum, root: 3}},
+		{"gather/binomial", alg(collGather, "binomial"), collCall{n: 4096, root: 3}},
+		{"scatter/binomial", alg(collScatter, "binomial"), collCall{n: 4096, root: 3}},
+		{"scan/distance_doubling", alg(collScan, "distance_doubling"), collCall{n: 4096, dt: Float32, op: OpSum}},
+		{"exscan/distance_doubling", alg(collExscan, "distance_doubling"), collCall{n: 4096, dt: Float32, op: OpSum}},
 	}
 	var probe collSched
 	for _, tc := range cases {

@@ -32,7 +32,6 @@ func init() {
 		Name:       "ring",
 		Collective: CollAllgather,
 		Summary:    "neighbour ring (large totals)",
-		Applicable: func(Selection) bool { return true },
 		build:      buildAllgatherRing,
 	})
 }
@@ -47,13 +46,7 @@ func (c *Comm) Allgather(sbuf, rbuf []byte) error {
 // be nil in timing-only worlds.
 func (c *Comm) AllgatherN(sbuf []byte, n int, rbuf []byte) error {
 	s, err := c.allgatherStart(sbuf, n, rbuf)
-	if err != nil || s == nil {
-		return err
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Allgather", err)
-	}
-	return nil
+	return c.drive("Allgather", s, err)
 }
 
 // Iallgather starts a nonblocking Allgather.
@@ -63,11 +56,7 @@ func (c *Comm) Iallgather(sbuf, rbuf []byte) (*Request, error) {
 
 // IallgatherN is Iallgather with an explicit per-rank byte count.
 func (c *Comm) IallgatherN(sbuf []byte, n int, rbuf []byte) (*Request, error) {
-	s, err := c.allgatherStart(sbuf, n, rbuf)
-	if err != nil {
-		return nil, err
-	}
-	return c.collRequest(s)
+	return c.collRequest(c.allgatherStart(sbuf, n, rbuf))
 }
 
 func (c *Comm) allgatherStart(sbuf []byte, n int, rbuf []byte) (*collSched, error) {

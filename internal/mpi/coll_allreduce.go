@@ -25,7 +25,6 @@ func init() {
 		Name:       "recursive_doubling",
 		Collective: CollAllreduce,
 		Summary:    "whole-vector recursive doubling (small messages)",
-		Applicable: func(Selection) bool { return true },
 		build:      buildAllreduceRecDoubling,
 	})
 }
@@ -40,13 +39,7 @@ func (c *Comm) Allreduce(sbuf, rbuf []byte, dt DType, op Op) error {
 // timing-only worlds.
 func (c *Comm) AllreduceN(sbuf, rbuf []byte, n int, dt DType, op Op) error {
 	s, err := c.allreduceStart(sbuf, rbuf, n, dt, op)
-	if err != nil || s == nil {
-		return err
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Allreduce", err)
-	}
-	return nil
+	return c.drive("Allreduce", s, err)
 }
 
 // Iallreduce starts a nonblocking Allreduce; the result is in rbuf after
@@ -57,11 +50,7 @@ func (c *Comm) Iallreduce(sbuf, rbuf []byte, dt DType, op Op) (*Request, error) 
 
 // IallreduceN is Iallreduce with an explicit byte count.
 func (c *Comm) IallreduceN(sbuf, rbuf []byte, n int, dt DType, op Op) (*Request, error) {
-	s, err := c.allreduceStart(sbuf, rbuf, n, dt, op)
-	if err != nil {
-		return nil, err
-	}
-	return c.collRequest(s)
+	return c.collRequest(c.allreduceStart(sbuf, rbuf, n, dt, op))
 }
 
 // allreduceStart validates the call, seeds the accumulator and compiles the

@@ -24,7 +24,6 @@ func init() {
 		Name:       "pairwise",
 		Collective: CollAlltoall,
 		Summary:    "balanced pairwise exchange rounds (large blocks)",
-		Applicable: func(Selection) bool { return true },
 		build:      buildAlltoallPairwise,
 	})
 }
@@ -43,13 +42,7 @@ func (c *Comm) Alltoall(sbuf, rbuf []byte) error {
 // buffers may be nil in timing-only worlds.
 func (c *Comm) AlltoallN(sbuf []byte, n int, rbuf []byte) error {
 	s, err := c.alltoallStart(sbuf, n, rbuf)
-	if err != nil || s == nil {
-		return err
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Alltoall", err)
-	}
-	return nil
+	return c.drive("Alltoall", s, err)
 }
 
 // Ialltoall starts a nonblocking Alltoall.
@@ -63,11 +56,7 @@ func (c *Comm) Ialltoall(sbuf, rbuf []byte) (*Request, error) {
 
 // IalltoallN is Ialltoall with an explicit per-destination block size.
 func (c *Comm) IalltoallN(sbuf []byte, n int, rbuf []byte) (*Request, error) {
-	s, err := c.alltoallStart(sbuf, n, rbuf)
-	if err != nil {
-		return nil, err
-	}
-	return c.collRequest(s)
+	return c.collRequest(c.alltoallStart(sbuf, n, rbuf))
 }
 
 func (c *Comm) alltoallStart(sbuf []byte, n int, rbuf []byte) (*collSched, error) {

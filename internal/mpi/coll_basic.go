@@ -7,24 +7,20 @@ import (
 )
 
 // This file implements Barrier, Bcast and the rooted tree collectives
-// (Reduce, Gather, Scatter) as schedule builders over the engine in
-// collsched.go. Algorithm selection mirrors MVAPICH2: binomial trees for
-// rooted small/medium operations, scatter + ring-allgather for large
-// broadcasts. Every collective has an N-suffixed form taking explicit byte
-// sizes with nil-tolerant buffers (used by the timing-only huge-scale
-// experiments); the plain forms derive sizes from the slices.
+// (Reduce, Gather, Scatter) as registered schedule builders over the engine
+// in collsched.go; every call enters through startColl. Algorithm selection
+// mirrors MVAPICH2: binomial trees for rooted small/medium operations,
+// scatter + ring-allgather for large broadcasts. Barrier, Reduce, Gather
+// and Scatter register one algorithm each. Every collective has an
+// N-suffixed form taking explicit byte sizes with nil-tolerant buffers
+// (used by the timing-only huge-scale experiments); the plain forms derive
+// sizes from the slices.
 
 // Barrier blocks until every rank of the communicator has entered it,
 // using the dissemination algorithm (ceil(log2 p) zero-byte rounds).
 func (c *Comm) Barrier() error {
-	s := c.barrierStart()
-	if s == nil {
-		return nil
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Barrier", err)
-	}
-	return nil
+	s, err := c.barrierStart()
+	return c.drive("Barrier", s, err)
 }
 
 // Ibarrier starts a nonblocking barrier.
@@ -32,23 +28,12 @@ func (c *Comm) Ibarrier() (*Request, error) {
 	return c.collRequest(c.barrierStart())
 }
 
-// collBarrier is the barrier's identity in the event engine's replay
-// cache; it is not a registry Collective (no selectable algorithms), so
-// barrierAlg stands in for the algorithm pointer in the fold structure
-// cache.
-const collBarrier Collective = "barrier"
-
-// Labels for the directly built (non-registry) collectives, used by the
-// fault layer to name the collective in kill rules and failure errors.
-const (
-	collReduce  Collective = "reduce"
-	collGather  Collective = "gather"
-	collScatter Collective = "scatter"
-	collScan    Collective = "scan"
-)
-
-var barrierAlg = &Algorithm{Name: "dissemination", Collective: collBarrier,
-	build: buildBarrierDiss}
+func (c *Comm) barrierStart() (*collSched, error) {
+	if len(c.group) == 1 {
+		return nil, nil
+	}
+	return c.startColl(collBarrier, &collCall{}, 0)
+}
 
 // buildBarrierDiss compiles the dissemination barrier; the call is unused
 // (a barrier has no buffers, sizes or root).
@@ -57,44 +42,6 @@ func buildBarrierDiss(c *Comm, _ collCall, s *collSched) error {
 		s.exchange(sendTo, nil, 0, recvFrom, nil, 0)
 	}
 	return nil
-}
-
-// barrierStart defers an eligible barrier to the fold gather, consuming
-// the timed loop Comm.Repeat armed, and compiles it otherwise.
-func (c *Comm) barrierStart() *collSched {
-	rep := c.proc.takeRepeat()
-	p := len(c.group)
-	if p == 1 {
-		return nil
-	}
-	if c.deferColl(collBarrier, 0, 0, 0, 0, rep) {
-		return schedFoldPending
-	}
-	return c.compileBarrierSched()
-}
-
-// compileBarrierSched is the barrier's per-rank compile/replay — the
-// schedule-fold fallback and the whole path when folding is off.
-func (c *Comm) compileBarrierSched() *collSched {
-	build := func(s *collSched) error { return buildBarrierDiss(c, collCall{}, s) }
-	key := replayKey{ctx: c.ctx, coll: collBarrier}
-	s, known := c.replaySched(key)
-	if s != nil {
-		s.coll = collBarrier
-		return s
-	}
-	if !known {
-		s, _ = c.compileCachedSched(key, 0, 0, build)
-		if s != nil {
-			s.coll = collBarrier
-		}
-		return s
-	}
-	s, _ = c.buildSched(0, 0, build)
-	if s != nil {
-		s.coll = collBarrier
-	}
-	return s
 }
 
 // bcastLargeMin is the message size at which Bcast switches from the
@@ -115,8 +62,27 @@ func init() {
 		Name:       "binomial",
 		Collective: CollBcast,
 		Summary:    "binomial tree (small and medium messages)",
-		Applicable: func(Selection) bool { return true },
 		build:      buildBcastBinomial,
+	})
+	registerAlgorithm(Algorithm{
+		Name:       "dissemination",
+		Collective: collBarrier,
+		build:      buildBarrierDiss,
+	})
+	registerAlgorithm(Algorithm{
+		Name:       "binomial",
+		Collective: collReduce,
+		build:      buildReduceBinomial,
+	})
+	registerAlgorithm(Algorithm{
+		Name:       "binomial",
+		Collective: collGather,
+		build:      buildGatherBinomial,
+	})
+	registerAlgorithm(Algorithm{
+		Name:       "binomial",
+		Collective: collScatter,
+		build:      buildScatterBinomial,
 	})
 }
 
@@ -126,13 +92,7 @@ func (c *Comm) Bcast(buf []byte, root int) error { return c.BcastN(buf, len(buf)
 // BcastN broadcasts n bytes from root; buf may be nil in timing-only worlds.
 func (c *Comm) BcastN(buf []byte, n, root int) error {
 	s, err := c.bcastStart(buf, n, root)
-	if err != nil || s == nil {
-		return err
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Bcast", err)
-	}
-	return nil
+	return c.drive("Bcast", s, err)
 }
 
 // Ibcast starts a nonblocking broadcast of buf from root.
@@ -142,11 +102,7 @@ func (c *Comm) Ibcast(buf []byte, root int) (*Request, error) {
 
 // IbcastN is Ibcast with an explicit byte count.
 func (c *Comm) IbcastN(buf []byte, n, root int) (*Request, error) {
-	s, err := c.bcastStart(buf, n, root)
-	if err != nil {
-		return nil, err
-	}
-	return c.collRequest(s)
+	return c.collRequest(c.bcastStart(buf, n, root))
 }
 
 func (c *Comm) bcastStart(buf []byte, n, root int) (*collSched, error) {
@@ -237,13 +193,7 @@ func (c *Comm) Reduce(sbuf, rbuf []byte, dt DType, op Op, root int) error {
 // timing-only worlds.
 func (c *Comm) ReduceN(sbuf, rbuf []byte, n int, dt DType, op Op, root int) error {
 	s, err := c.reduceStart(sbuf, rbuf, n, dt, op, root)
-	if err != nil || s == nil {
-		return err
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Reduce", err)
-	}
-	return nil
+	return c.drive("Reduce", s, err)
 }
 
 func (c *Comm) reduceStart(sbuf, rbuf []byte, n int, dt DType, op Op, root int) (*collSched, error) {
@@ -253,10 +203,17 @@ func (c *Comm) reduceStart(sbuf, rbuf []byte, n int, dt DType, op Op, root int) 
 	if n%dt.Size() != 0 {
 		return nil, sizeError("Reduce size", n, dt)
 	}
+	s, err := c.startColl(collReduce, &collCall{sbuf: sbuf, rbuf: rbuf, n: n, dt: dt, op: op, root: root}, n)
+	if err != nil {
+		return nil, collError("Reduce", err)
+	}
+	return s, nil
+}
+
+// buildReduceBinomial compiles the binomial-tree reduction toward root.
+func buildReduceBinomial(c *Comm, call collCall, s *collSched) error {
+	sbuf, rbuf, n, root := call.sbuf, call.rbuf, call.n, call.root
 	p := len(c.group)
-	s := c.getSched()
-	s.coll = collReduce
-	s.dt, s.op = dt, op
 	// Accumulator starts as a copy of the local contribution.
 	var acc, tmp []byte
 	if sbuf != nil {
@@ -278,12 +235,12 @@ func (c *Comm) reduceStart(sbuf, rbuf []byte, n int, dt DType, op Op, root int) 
 	}
 	if parent := collective.BinomialParent(c.rank, root, p); parent >= 0 {
 		s.send(parent, acc, n)
-		return s, nil
+		return nil
 	}
 	if rbuf != nil && acc != nil {
 		s.copyStep(rbuf[:n], acc, n)
 	}
-	return s, nil
+	return nil
 }
 
 // Gather collects sbuf from every rank into rbuf at root, ordered by rank.
@@ -295,13 +252,7 @@ func (c *Comm) Gather(sbuf, rbuf []byte, root int) error {
 // GatherN is Gather with an explicit per-rank byte count.
 func (c *Comm) GatherN(sbuf []byte, n int, rbuf []byte, root int) error {
 	s, err := c.gatherStart(sbuf, n, rbuf, root)
-	if err != nil || s == nil {
-		return err
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Gather", err)
-	}
-	return nil
+	return c.drive("Gather", s, err)
 }
 
 // Igather starts a nonblocking Gather.
@@ -311,11 +262,7 @@ func (c *Comm) Igather(sbuf, rbuf []byte, root int) (*Request, error) {
 
 // IgatherN is Igather with an explicit per-rank byte count.
 func (c *Comm) IgatherN(sbuf []byte, n int, rbuf []byte, root int) (*Request, error) {
-	s, err := c.gatherStart(sbuf, n, rbuf, root)
-	if err != nil {
-		return nil, err
-	}
-	return c.collRequest(s)
+	return c.collRequest(c.gatherStart(sbuf, n, rbuf, root))
 }
 
 func (c *Comm) gatherStart(sbuf []byte, n int, rbuf []byte, root int) (*collSched, error) {
@@ -326,11 +273,19 @@ func (c *Comm) gatherStart(sbuf []byte, n int, rbuf []byte, root int) (*collSche
 	if c.rank == root && rbuf != nil && len(rbuf) < p*n {
 		return nil, bufferError("Gather recv buffer", len(rbuf), p*n)
 	}
-	s := c.getSched()
-	s.coll = collGather
-	// Binomial gather in relative-rank space: each node accumulates the
-	// blocks of its subtree contiguously (relative order), then root
-	// rotates to absolute order.
+	s, err := c.startColl(collGather, &collCall{sbuf: sbuf, rbuf: rbuf, n: n, root: root}, n)
+	if err != nil {
+		return nil, collError("Gather", err)
+	}
+	return s, nil
+}
+
+// buildGatherBinomial compiles the binomial gather in relative-rank space:
+// each node accumulates the blocks of its subtree contiguously (relative
+// order), then root rotates to absolute order.
+func buildGatherBinomial(c *Comm, call collCall, s *collSched) error {
+	sbuf, rbuf, n, root := call.sbuf, call.rbuf, call.n, call.root
+	p := len(c.group)
 	rel := (c.rank - root + p) % p
 	sub := subtreeSize(rel, p)
 	var stage []byte
@@ -346,7 +301,7 @@ func (c *Comm) gatherStart(sbuf []byte, n int, rbuf []byte, root int) (*collSche
 	}
 	if parent := collective.BinomialParent(c.rank, root, p); parent >= 0 {
 		s.send(parent, stage, sub*n)
-		return s, nil
+		return nil
 	}
 	if rbuf != nil && stage != nil {
 		for r := 0; r < p; r++ {
@@ -354,7 +309,7 @@ func (c *Comm) gatherStart(sbuf []byte, n int, rbuf []byte, root int) (*collSche
 			s.copyStep(rbuf[abs*n:(abs+1)*n], stage[r*n:(r+1)*n], n)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Scatter distributes p consecutive blocks of sbuf at root to the ranks.
@@ -366,13 +321,7 @@ func (c *Comm) Scatter(sbuf, rbuf []byte, root int) error {
 // ScatterN is Scatter with an explicit per-rank byte count.
 func (c *Comm) ScatterN(sbuf, rbuf []byte, n, root int) error {
 	s, err := c.scatterStart(sbuf, rbuf, n, root)
-	if err != nil || s == nil {
-		return err
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Scatter", err)
-	}
-	return nil
+	return c.drive("Scatter", s, err)
 }
 
 func (c *Comm) scatterStart(sbuf, rbuf []byte, n, root int) (*collSched, error) {
@@ -383,14 +332,24 @@ func (c *Comm) scatterStart(sbuf, rbuf []byte, n, root int) (*collSched, error) 
 	if c.rank == root && sbuf != nil && len(sbuf) < p*n {
 		return nil, bufferError("Scatter send buffer", len(sbuf), p*n)
 	}
-	s := c.getSched()
-	s.coll = collScatter
+	s, err := c.startColl(collScatter, &collCall{sbuf: sbuf, rbuf: rbuf, n: n, root: root}, n)
+	if err != nil {
+		return nil, collError("Scatter", err)
+	}
+	return s, nil
+}
+
+// buildScatterBinomial compiles the binomial scatter: root stages the
+// blocks in relative order so that each subtree's blocks are contiguous,
+// and every node forwards its children's subtrees.
+func buildScatterBinomial(c *Comm, call collCall, s *collSched) error {
+	sbuf, rbuf, n, root := call.sbuf, call.rbuf, call.n, call.root
+	p := len(c.group)
 	rel := (c.rank - root + p) % p
 	sub := subtreeSize(rel, p)
 	var stage []byte
 	if c.rank == root {
 		if sbuf != nil {
-			// Stage in relative order so subtree blocks are contiguous.
 			stage = s.scratch(p * n)
 			for r := 0; r < p; r++ {
 				abs := (r + root) % p
@@ -398,7 +357,7 @@ func (c *Comm) scatterStart(sbuf, rbuf []byte, n, root int) (*collSched, error) 
 			}
 		}
 	} else if parent := collective.BinomialParent(c.rank, root, p); parent >= 0 {
-		if c.wantsData(rbuf) {
+		if rbuf != nil {
 			stage = s.scratch(sub * n)
 		}
 		s.recv(parent, stage, sub*n)
@@ -412,11 +371,8 @@ func (c *Comm) scatterStart(sbuf, rbuf []byte, n, root int) (*collSched, error) 
 	if rbuf != nil && stage != nil {
 		s.copyStep(rbuf[:n], stage[:n], n)
 	}
-	return s, nil
+	return nil
 }
-
-// wantsData reports whether local staging buffers should be materialised.
-func (c *Comm) wantsData(userBuf []byte) bool { return userBuf != nil }
 
 // sliceOrNil returns buf[lo:hi] or nil when buf is nil (timing-only paths).
 func sliceOrNil(buf []byte, lo, hi int) []byte {

@@ -19,7 +19,6 @@ func init() {
 		Name:       "pairwise",
 		Collective: CollReduceScatter,
 		Summary:    "pairwise exchange-and-reduce rounds (any group)",
-		Applicable: func(Selection) bool { return true },
 		build:      buildReduceScatterPairwise,
 	})
 }
@@ -35,7 +34,8 @@ func (c *Comm) ReduceScatterBlock(sbuf, rbuf []byte, dt DType, op Op) error {
 // block size, not a count vector, so a buffer-free call is keyed by it and
 // replays and folds like any other uniform collective.
 func (c *Comm) ReduceScatterBlockN(sbuf, rbuf []byte, n int, dt DType, op Op) error {
-	return c.driveReduceScatter(c.reduceScatterBlockStart(sbuf, rbuf, n, dt, op))
+	s, err := c.reduceScatterBlockStart(sbuf, rbuf, n, dt, op)
+	return c.drive("ReduceScatter", s, err)
 }
 
 // IreduceScatterBlock starts a nonblocking ReduceScatterBlock.
@@ -46,11 +46,7 @@ func (c *Comm) IreduceScatterBlock(sbuf, rbuf []byte, dt DType, op Op) (*Request
 // IreduceScatterBlockN is IreduceScatterBlock with an explicit per-rank
 // byte count.
 func (c *Comm) IreduceScatterBlockN(sbuf, rbuf []byte, n int, dt DType, op Op) (*Request, error) {
-	s, err := c.reduceScatterBlockStart(sbuf, rbuf, n, dt, op)
-	if err != nil {
-		return nil, err
-	}
-	return c.collRequest(s)
+	return c.collRequest(c.reduceScatterBlockStart(sbuf, rbuf, n, dt, op))
 }
 
 // ReduceScatter reduces sbuf across ranks and scatters it by counts (bytes
@@ -63,29 +59,14 @@ func (c *Comm) ReduceScatter(sbuf, rbuf []byte, counts []int, dt DType, op Op) e
 // recursive halving on power-of-two groups with block-aligned windows, and
 // a pairwise exchange otherwise.
 func (c *Comm) ReduceScatterN(sbuf, rbuf []byte, counts []int, dt DType, op Op) error {
-	return c.driveReduceScatter(c.reduceScatterVectorStart(sbuf, rbuf, counts, dt, op))
+	s, err := c.reduceScatterVectorStart(sbuf, rbuf, counts, dt, op)
+	return c.drive("ReduceScatter", s, err)
 }
 
 // IreduceScatter starts a nonblocking ReduceScatter. The counts slice is
 // captured at post time and may be reused immediately.
 func (c *Comm) IreduceScatter(sbuf, rbuf []byte, counts []int, dt DType, op Op) (*Request, error) {
-	s, err := c.reduceScatterVectorStart(sbuf, rbuf, counts, dt, op)
-	if err != nil {
-		return nil, err
-	}
-	return c.collRequest(s)
-}
-
-// driveReduceScatter is the blocking drive of a started call of either
-// form.
-func (c *Comm) driveReduceScatter(s *collSched, err error) error {
-	if err != nil || s == nil {
-		return err
-	}
-	if err := c.driveSched(s); err != nil {
-		return collError("ReduceScatter", err)
-	}
-	return nil
+	return c.collRequest(c.reduceScatterVectorStart(sbuf, rbuf, counts, dt, op))
 }
 
 // reduceScatterBlockStart validates the block form's size and starts it.

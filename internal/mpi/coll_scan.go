@@ -3,7 +3,25 @@ package mpi
 // Scan and Exscan: inclusive and exclusive prefix reductions. OMB-Py's
 // first release does not benchmark them (paper Table II), but mpi4py
 // exposes both, so the runtime provides them for library completeness.
-// Both use the classic log-round distance-doubling algorithm.
+// Both register the classic log-round distance-doubling algorithm as
+// their one algorithm.
+
+func init() {
+	registerAlgorithm(Algorithm{
+		Name:       "distance_doubling",
+		Collective: collScan,
+		build: func(c *Comm, call collCall, s *collSched) error {
+			return buildScanDoubling(c, call, s, false)
+		},
+	})
+	registerAlgorithm(Algorithm{
+		Name:       "distance_doubling",
+		Collective: collExscan,
+		build: func(c *Comm, call collCall, s *collSched) error {
+			return buildScanDoubling(c, call, s, true)
+		},
+	})
+}
 
 // Scan leaves op(sbuf_0, ..., sbuf_rank) in rbuf on each rank.
 func (c *Comm) Scan(sbuf, rbuf []byte, dt DType, op Op) error {
@@ -13,10 +31,8 @@ func (c *Comm) Scan(sbuf, rbuf []byte, dt DType, op Op) error {
 // ScanN is Scan with an explicit byte count; buffers may be nil in
 // timing-only worlds.
 func (c *Comm) ScanN(sbuf, rbuf []byte, n int, dt DType, op Op) error {
-	if n%dt.Size() != 0 {
-		return sizeError("Scan size", n, dt)
-	}
-	return c.driveScan(sbuf, rbuf, n, dt, op, false)
+	s, err := c.scanStart(collScan, "Scan", sbuf, rbuf, n, dt, op)
+	return c.drive("Scan", s, err)
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction.
@@ -26,10 +42,7 @@ func (c *Comm) Iscan(sbuf, rbuf []byte, dt DType, op Op) (*Request, error) {
 
 // IscanN is Iscan with an explicit byte count.
 func (c *Comm) IscanN(sbuf, rbuf []byte, n int, dt DType, op Op) (*Request, error) {
-	if n%dt.Size() != 0 {
-		return nil, sizeError("Scan size", n, dt)
-	}
-	return c.collRequest(c.scanStart(sbuf, rbuf, n, dt, op, false))
+	return c.collRequest(c.scanStart(collScan, "Scan", sbuf, rbuf, n, dt, op))
 }
 
 // Exscan leaves op(sbuf_0, ..., sbuf_{rank-1}) in rbuf on each rank;
@@ -40,31 +53,33 @@ func (c *Comm) Exscan(sbuf, rbuf []byte, dt DType, op Op) error {
 
 // ExscanN is Exscan with an explicit byte count.
 func (c *Comm) ExscanN(sbuf, rbuf []byte, n int, dt DType, op Op) error {
+	s, err := c.scanStart(collExscan, "Exscan", sbuf, rbuf, n, dt, op)
+	return c.drive("Exscan", s, err)
+}
+
+// scanStart validates a prefix reduction of either kind, named what in its
+// errors, and starts it.
+func (c *Comm) scanStart(coll Collective, what string, sbuf, rbuf []byte, n int, dt DType, op Op) (*collSched, error) {
 	if n%dt.Size() != 0 {
-		return sizeError("Exscan size", n, dt)
+		return nil, sizeError(what+" size", n, dt)
 	}
-	return c.driveScan(sbuf, rbuf, n, dt, op, true)
+	s, err := c.startColl(coll, &collCall{sbuf: sbuf, rbuf: rbuf, n: n, dt: dt, op: op}, n)
+	if err != nil {
+		return nil, collError(what, err)
+	}
+	return s, nil
 }
 
-func (c *Comm) driveScan(sbuf, rbuf []byte, n int, dt DType, op Op, exclusive bool) error {
-	if err := c.driveSched(c.scanStart(sbuf, rbuf, n, dt, op, exclusive)); err != nil {
-		return collError("Scan", err)
-	}
-	return nil
-}
-
-// scanStart compiles the distance-doubling prefix reduction: in round k,
-// rank r sends its accumulated value to r+2^k and receives from r-2^k,
-// folding the received partial into both its running total and (for ranks
-// that will still send) its outgoing value. Each round posts the send
+// buildScanDoubling compiles the distance-doubling prefix reduction: in
+// round k, rank r sends its accumulated value to r+2^k and receives from
+// r-2^k, folding the received partial into both its running total and (for
+// ranks that will still send) its outgoing value. Each round posts the send
 // first, then receives, then drains the send — the deadlock-free ordering
 // of the monolithic implementation.
-func (c *Comm) scanStart(sbuf, rbuf []byte, n int, dt DType, op Op, exclusive bool) *collSched {
+func buildScanDoubling(c *Comm, call collCall, s *collSched, exclusive bool) error {
+	sbuf, rbuf, n := call.sbuf, call.rbuf, call.n
 	p := len(c.group)
 	carry := sbuf != nil && rbuf != nil
-	s := c.getSched()
-	s.coll = collScan
-	s.dt, s.op = dt, op
 
 	// acc: the value this rank forwards (op of a contiguous rank window
 	// ending at this rank). partial: the prefix result under construction.
@@ -120,5 +135,5 @@ func (c *Comm) scanStart(sbuf, rbuf []byte, n int, dt DType, op Op, exclusive bo
 	if carry && havePartial && !(exclusive && c.rank == 0) {
 		s.copyStep(rbuf[:n], partial, n)
 	}
-	return s
+	return nil
 }

@@ -7,7 +7,17 @@ import "fmt"
 // MVAPICH2, these use linear algorithms: with per-rank counts the tree
 // optimisations give little and the reference implementations keep them
 // linear, so the benchmark shapes match. Counts and displacements are in
-// bytes. Buffers may be nil in timing-only worlds.
+// bytes. Buffers may be nil in timing-only worlds. Their per-rank counts
+// keep them out of the registry: each rank compiles its own schedule on
+// every call, labelled for the fault layer, and drives it per rank.
+
+// Labels of the vector forms.
+const (
+	collGatherv    Collective = "gatherv"
+	collScatterv   Collective = "scatterv"
+	collAllgatherv Collective = "allgatherv"
+	collAlltoallv  Collective = "alltoallv"
+)
 
 func checkVector(counts, displs []int, p int, what string) error {
 	if len(counts) != p {
@@ -44,13 +54,12 @@ func (c *Comm) Gatherv(sbuf []byte, scount int, rbuf []byte, counts, displs []in
 		return err
 	}
 	p := len(c.group)
-	s := c.getSched()
 	if c.rank != root {
+		s := c.getSched(collGatherv)
 		s.send(root, sbuf, scount)
-		return c.driveSched(s)
+		return c.drive("Gatherv", s, nil)
 	}
 	if err := checkVector(counts, displs, p, "Gatherv"); err != nil {
-		s.finish()
 		return err
 	}
 	if displs == nil {
@@ -59,16 +68,14 @@ func (c *Comm) Gatherv(sbuf []byte, scount int, rbuf []byte, counts, displs []in
 	if sbuf != nil && rbuf != nil {
 		copy(rbuf[displs[root]:displs[root]+counts[root]], sbuf[:counts[root]])
 	}
+	s := c.getSched(collGatherv)
 	for r := 0; r < p; r++ {
 		if r == root {
 			continue
 		}
 		s.recv(r, sliceOrNil(rbuf, displs[r], displs[r]+counts[r]), counts[r])
 	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Gatherv", err)
-	}
-	return nil
+	return c.drive("Gatherv", s, nil)
 }
 
 // Scatterv scatters counts[r] bytes at displs[r] of sbuf on root to rank
@@ -80,21 +87,18 @@ func (c *Comm) Scatterv(sbuf []byte, counts, displs []int, rbuf []byte, rcount, 
 		return err
 	}
 	p := len(c.group)
-	s := c.getSched()
 	if c.rank != root {
+		s := c.getSched(collScatterv)
 		s.recv(root, rbuf, rcount)
-		if err := c.driveSched(s); err != nil {
-			return collError("Scatterv", err)
-		}
-		return nil
+		return c.drive("Scatterv", s, nil)
 	}
 	if err := checkVector(counts, displs, p, "Scatterv"); err != nil {
-		s.finish()
 		return err
 	}
 	if displs == nil {
 		displs = contiguousDispls(counts)
 	}
+	s := c.getSched(collScatterv)
 	for r := 0; r < p; r++ {
 		if r == root {
 			continue
@@ -104,10 +108,7 @@ func (c *Comm) Scatterv(sbuf []byte, counts, displs []int, rbuf []byte, rcount, 
 	if sbuf != nil && rbuf != nil {
 		s.copyStep(rbuf[:counts[root]], sbuf[displs[root]:displs[root]+counts[root]], counts[root])
 	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Scatterv", err)
-	}
-	return nil
+	return c.drive("Scatterv", s, nil)
 }
 
 // Allgatherv gathers counts[r] bytes from rank r to every rank at displs[r].
@@ -127,7 +128,7 @@ func (c *Comm) Allgatherv(sbuf []byte, rbuf []byte, counts, displs []int) error 
 	if p == 1 {
 		return nil
 	}
-	s := c.getSched()
+	s := c.getSched(collAllgatherv)
 	sendTo := (c.rank + 1) % p
 	recvFrom := (c.rank - 1 + p) % p
 	have := c.rank
@@ -137,10 +138,7 @@ func (c *Comm) Allgatherv(sbuf []byte, rbuf []byte, counts, displs []int) error 
 			recvFrom, sliceOrNil(rbuf, displs[want], displs[want]+counts[want]), counts[want])
 		have = want
 	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Allgatherv", err)
-	}
-	return nil
+	return c.drive("Allgatherv", s, nil)
 }
 
 // Alltoallv exchanges scounts[r] bytes at sdispls[r] of sbuf with every rank
@@ -166,15 +164,12 @@ func (c *Comm) Alltoallv(sbuf []byte, scounts, sdispls []int, rbuf []byte, rcoun
 	if p == 1 {
 		return nil
 	}
-	s := c.getSched()
+	s := c.getSched(collAlltoallv)
 	for k := 1; k < p; k++ {
 		dst := (c.rank + k) % p
 		src := (c.rank - k + p) % p
 		s.exchange(dst, sliceOrNil(sbuf, sdispls[dst], sdispls[dst]+scounts[dst]), scounts[dst],
 			src, sliceOrNil(rbuf, rdispls[src], rdispls[src]+rcounts[src]), rcounts[src])
 	}
-	if err := c.driveSched(s); err != nil {
-		return collError("Alltoallv", err)
-	}
-	return nil
+	return c.drive("Alltoallv", s, nil)
 }

@@ -91,10 +91,10 @@ type collSched struct {
 	pc    int
 
 	// coll labels the invocation for fault injection and diagnostics
-	// (which collective a kill rule matched, where a survivor was blocked);
-	// empty for unlabeled builders. faultEntered marks that the
-	// collective-entry fault hook has run for this invocation, so a
-	// nonblocking collective's Wait-side driveSched does not double-count.
+	// (which collective a kill rule matched, where a survivor was blocked).
+	// faultEntered marks that the collective-entry fault hook has run for
+	// this invocation, so a nonblocking collective's Wait-side driveSched
+	// does not double-count.
 	coll         Collective
 	faultEntered bool
 
@@ -128,10 +128,11 @@ type collSched struct {
 	ints [][]int
 }
 
-// getSched draws a pooled schedule, stamps it with the communicator's next
-// per-invocation collective tag, and resets its cursor and freelists. A
-// fresh schedule starts empty and grows its steps by append.
-func (c *Comm) getSched() *collSched {
+// getSched draws a pooled schedule for one invocation of coll, stamps it
+// with the communicator's next per-invocation collective tag, and resets
+// its cursor and freelists. A fresh schedule starts empty and grows its
+// steps by append.
+func (c *Comm) getSched(coll Collective) *collSched {
 	p := c.proc
 	var s *collSched
 	if n := len(p.schedFree); n > 0 {
@@ -151,7 +152,7 @@ func (c *Comm) getSched() *collSched {
 	s.owner = nil
 	s.cached, s.inUse = false, false
 	s.prices, s.postIdx = s.prices[:0], 0
-	s.coll, s.faultEntered = "", false
+	s.coll, s.faultEntered = coll, false
 	return s
 }
 
@@ -498,13 +499,16 @@ func (c *Comm) nextCollTag() int {
 	return t
 }
 
-// startColl selects the algorithm for one collective invocation, compiles
-// its schedule and returns it ready to drive. Buffer-free invocations
-// eligible for schedule folding defer the compile entirely (the
-// schedFoldPending sentinel; see schedfold.go) — in the steady folded
-// state no schedule object ever exists for them. Ineligible
+// startColl is the one entry of every collective but the vector forms: it
+// selects the algorithm for one invocation, compiles its schedule and
+// returns it ready to drive. Buffer-free invocations eligible for schedule
+// folding defer the compile entirely: startColl writes the fold key into
+// the rank's foldPend and returns the schedFoldPending sentinel (see
+// schedfold.go) — in the steady folded state no schedule object ever
+// exists for them. The key is only read behind the sentinel, so an
+// ineligible invocation leaves a stale one behind harmlessly. Ineligible
 // buffer-free invocations hit the replay cache: the schedule compiled for
-// this (algorithm, size, root, dtype, op) shape is re-armed instead of
+// this (collective, size, root, dtype, op) shape is re-armed instead of
 // rebuilt (see eventsched.go). The entry consumes the timed loop
 // Comm.Repeat armed, carrying it in the fold key.
 //
@@ -517,22 +521,15 @@ func (c *Comm) startColl(coll Collective, call *collCall, bytes int) (*collSched
 	if !call.replayable() {
 		return c.buildColl(coll, call, bytes)
 	}
-	if c.deferColl(coll, call.n, call.root, call.dt, call.op, rep) {
-		c.proc.foldPend.bytes = bytes
+	pend := &c.proc.foldPend
+	k := &pend.key
+	k.shape.coll, k.shape.n, k.shape.root, k.shape.dt, k.shape.op = coll, call.n, call.root, call.dt, call.op
+	k.seq, k.rep = c.collSeq, rep
+	if c.proc.ev.loop.schedFoldEligible(c, &k.shape) {
+		pend.bytes = bytes
 		return schedFoldPending, nil
 	}
 	return c.compileReplayColl(coll, call, bytes)
-}
-
-// deferColl writes a buffer-free invocation's fold key into the rank's
-// foldPend and reports whether the invocation may defer its compile to the
-// fold gather. The key is only read behind the schedFoldPending sentinel,
-// so an ineligible invocation leaves a stale one behind harmlessly.
-func (c *Comm) deferColl(coll Collective, n, root int, dt DType, op Op, rep foldRepeat) bool {
-	k := &c.proc.foldPend.key
-	k.shape.coll, k.shape.n, k.shape.root, k.shape.dt, k.shape.op = coll, n, root, dt, op
-	k.seq, k.rep = c.collSeq, rep
-	return c.proc.ev.loop.schedFoldEligible(c, &k.shape)
 }
 
 // algorithmFor selects the algorithm for one invocation of coll moving bytes.
@@ -540,15 +537,14 @@ func (c *Comm) algorithmFor(coll Collective, call *collCall, bytes int) (*Algori
 	return c.algorithm(coll, NewSelection(coll, len(c.group), bytes, call.dt))
 }
 
-// buildColl compiles a one-off schedule for an invocation with buffers.
+// buildColl compiles a one-off schedule for one invocation.
 func (c *Comm) buildColl(coll Collective, call *collCall, bytes int) (*collSched, error) {
 	alg, err := c.algorithmFor(coll, call, bytes)
 	if err != nil {
 		return nil, err
 	}
-	s := c.getSched()
+	s := c.getSched(coll)
 	s.dt, s.op = call.dt, call.op
-	s.coll = coll
 	if err := alg.build(c, *call, s); err != nil {
 		s.finish()
 		return nil, err
@@ -558,33 +554,35 @@ func (c *Comm) buildColl(coll Collective, call *collCall, bytes int) (*collSched
 
 // compileReplayColl is the per-rank compile/replay of a buffer-free
 // collective invocation — the schedule-fold fallback path and the whole
-// path when schedule folding is off.
+// path when schedule folding is off: replay the cached schedule of the
+// invocation's shape, or compile one and retain it for the replays. An
+// overlapping invocation of the same shape still in flight holds the
+// shape's one cache slot, so this one runs as an uncached one-off.
 func (c *Comm) compileReplayColl(coll Collective, call *collCall, bytes int) (*collSched, error) {
 	key := replayKey{ctx: c.ctx, coll: coll, n: call.n, root: call.root, dt: call.dt, op: call.op}
 	s, known := c.replaySched(key)
 	if s != nil {
-		s.coll = coll
 		return s, nil
 	}
-	alg, err := c.algorithmFor(coll, call, bytes)
-	if err != nil {
-		return nil, err
-	}
-	build := func(s *collSched) error { return alg.build(c, *call, s) }
-	if known {
-		// An overlapping invocation of the same shape is still in
-		// flight; run this one as an uncached one-off.
-		s, err := c.buildSched(call.dt, call.op, build)
-		if s != nil {
-			s.coll = coll
-		}
-		return s, err
-	}
-	s, err = c.compileCachedSched(key, call.dt, call.op, build)
-	if s != nil {
-		s.coll = coll
+	s, err := c.buildColl(coll, call, bytes)
+	if err == nil && !known {
+		c.retainSched(key, s)
 	}
 	return s, err
+}
+
+// drive is the blocking tail of every collective: it drives the schedule
+// a start returned (nil when the call completed at entry) and names the
+// collective what in the error the drive raises. A start's own error is
+// returned as it is.
+func (c *Comm) drive(what string, s *collSched, err error) error {
+	if err != nil || s == nil {
+		return err
+	}
+	if err := c.driveSched(s); err != nil {
+		return collError(what, err)
+	}
+	return nil
 }
 
 // collError names the collective that failed with err. The collectives'
@@ -611,10 +609,14 @@ func bufferError(what string, have, want int) error {
 	return fmt.Errorf("mpi: %s %d < %d", what, have, want)
 }
 
-// collRequest wraps a compiled schedule (nil for a trivially complete
-// collective) into a Request, executes the deterministic prefix, and
-// registers the schedule with the rank's progress list.
-func (c *Comm) collRequest(s *collSched) (*Request, error) {
+// collRequest is the nonblocking tail of every collective: it wraps the
+// schedule a start returned (nil for a trivially complete collective) into
+// a Request, executes the deterministic prefix, and registers the schedule
+// with the rank's progress list. A start's error is returned as it is.
+func (c *Comm) collRequest(s *collSched, err error) (*Request, error) {
+	if err != nil {
+		return nil, err
+	}
 	if c.proc.world.cancelOn {
 		coll := Collective("")
 		switch {
@@ -634,7 +636,6 @@ func (c *Comm) collRequest(s *collSched) (*Request, error) {
 		// A nonblocking post must never park in a key gather (overlap
 		// semantics depend on returning to the caller), so the deferred
 		// compile materializes here unconditionally.
-		var err error
 		if s, err = c.materializePending(&c.proc.foldPend); err != nil {
 			return nil, err
 		}

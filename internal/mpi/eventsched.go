@@ -70,31 +70,6 @@ func (c *Comm) replaySched(key replayKey) (s *collSched, known bool) {
 	return s, true
 }
 
-// buildSched compiles a one-off schedule through the normal pool
-// lifecycle.
-func (c *Comm) buildSched(dt DType, op Op, build func(*collSched) error) (*collSched, error) {
-	s := c.getSched()
-	s.dt, s.op = dt, op
-	if err := build(s); err != nil {
-		s.finish()
-		return nil, err
-	}
-	return s, nil
-}
-
-// compileCachedSched is the miss path of the replay-cache protocol shared
-// by every cacheable collective start (the caller has already tried
-// replaySched and owns the key's single cache slot): build the schedule and
-// retain it for this rank's replays.
-func (c *Comm) compileCachedSched(key replayKey, dt DType, op Op, build func(*collSched) error) (*collSched, error) {
-	s, err := c.buildSched(dt, op, build)
-	if err != nil {
-		return nil, err
-	}
-	c.retainSched(key, s)
-	return s, nil
-}
-
 // schedStore recycles schedule objects (with their step- and price-array
 // capacity) across worlds. Sweeps and benchmarks build thousands of
 // short-lived worlds; without recycling, every world pays the full

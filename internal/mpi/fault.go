@@ -50,7 +50,7 @@ type RankKilledError struct {
 	// Rank is the killed rank.
 	Rank int
 	// Collective names the collective whose entry tripped the rule
-	// ("barrier" for Barrier; empty for unlabeled vector collectives).
+	// ("barrier" for Barrier, "gatherv" for Gatherv).
 	Collective Collective
 	// Invocation is the rank's collective-entry count at death (1-based).
 	Invocation int

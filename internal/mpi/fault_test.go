@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/fixture"
@@ -51,9 +52,13 @@ func faultWorld(t *testing.T, disableFold bool, ranks, ppn int, spec string) *Wo
 	return w
 }
 
-// invokeAnyCollective extends invokeCollective to the directly built
-// collectives the fault layer labels.
+// invokeAnyCollective extends invokeCollective to the one-algorithm
+// collectives and the vector forms, each with n bytes a rank.
 func invokeAnyCollective(c *Comm, coll Collective, n int) error {
+	counts := make([]int, c.Size())
+	for r := range counts {
+		counts[r] = n
+	}
 	switch coll {
 	case collBarrier:
 		return c.Barrier()
@@ -65,6 +70,16 @@ func invokeAnyCollective(c *Comm, coll Collective, n int) error {
 		return c.ScatterN(nil, nil, n, 0)
 	case collScan:
 		return c.ScanN(nil, nil, n, Float32, OpSum)
+	case collExscan:
+		return c.ExscanN(nil, nil, n, Float32, OpSum)
+	case collGatherv:
+		return c.Gatherv(nil, n, nil, counts, nil, 0)
+	case collScatterv:
+		return c.Scatterv(nil, counts, nil, nil, n, 0)
+	case collAllgatherv:
+		return c.Allgatherv(nil, nil, counts, nil)
+	case collAlltoallv:
+		return c.Alltoallv(nil, counts, nil, nil, counts, nil)
 	default:
 		return invokeCollective(c, coll, n)
 	}
@@ -201,6 +216,90 @@ func TestFaultKillParity(t *testing.T) {
 				checkFaultRecords(t, frozen, string(coll), cfg.name, out)
 			}
 		})
+	}
+}
+
+// runCollLoop runs coll on every rank of a world under spec, eight calls
+// with no barrier between them, and returns every rank's terminal error.
+func runCollLoop(t *testing.T, disableFold bool, ranks int, spec string, coll Collective, n int) []error {
+	t.Helper()
+	w := faultWorld(t, disableFold, ranks, 1, spec)
+	errs := make([]error, ranks)
+	if err := w.Run(func(p *Proc) error {
+		for i := 0; i < 8 && errs[p.Rank()] == nil; i++ {
+			errs[p.Rank()] = invokeAnyCollective(p.CommWorld(), coll, n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("fold off=%v: %v", disableFold, err)
+	}
+	return errs
+}
+
+// checkKillNames checks the outcome of a kill rule naming coll on rank
+// victim: the victim is killed in coll, and every rank's error is
+// structured, names coll and reads "mpi: what: ".
+func checkKillNames(t *testing.T, cfg string, errs []error, victim int, coll Collective, what string) {
+	t.Helper()
+	for r, err := range errs {
+		if err == nil {
+			t.Fatalf("%s: rank %d finished, want every rank failed in %s", cfg, r, coll)
+		}
+		var killed *RankKilledError
+		var failed *RankFailedError
+		var got Collective
+		switch {
+		case r == victim && errors.As(err, &killed):
+			got = killed.Collective
+		case r != victim && errors.As(err, &failed):
+			got = failed.Collective
+		default:
+			t.Fatalf("%s: rank %d error %v, want it killed (rank %d) or failed", cfg, r, err, victim)
+		}
+		if got != coll || !strings.HasPrefix(err.Error(), "mpi: "+what+": ") {
+			t.Fatalf("%s: rank %d error %q (collective %q), want it to name %s", cfg, r, err, got, coll)
+		}
+	}
+}
+
+// TestFaultKillVectorForms pins the vector forms' fault labels: a kill
+// rule naming each form fires on its second call, and every rank's error
+// names the form, with folding on and off. The messages are rendezvous
+// sized, so every survivor is still inside the form when rank 3 dies.
+func TestFaultKillVectorForms(t *testing.T) {
+	const ranks, victim, n = 8, 3, 64 * 1024
+	forms := []struct {
+		coll Collective
+		what string
+	}{
+		{collGatherv, "Gatherv"}, {collScatterv, "Scatterv"},
+		{collAllgatherv, "Allgatherv"}, {collAlltoallv, "Alltoallv"},
+	}
+	for _, f := range forms {
+		t.Run(string(f.coll), func(t *testing.T) {
+			spec := fmt.Sprintf("kill:rank=%d,after=1:%s", victim, f.coll)
+			for _, cfg := range faultConfigs {
+				errs := runCollLoop(t, cfg.disableFold, ranks, spec, f.coll, n)
+				checkKillNames(t, cfg.name, errs, victim, f.coll, f.what)
+			}
+		})
+	}
+}
+
+// TestFaultKillExscan pins Exscan as a collective of its own: a kill rule
+// naming exscan kills rank 3 in an Exscan loop and every rank's error
+// names exscan and reads "mpi: Exscan:", while a rule naming scan counts no
+// Exscan call, with folding on and off.
+func TestFaultKillExscan(t *testing.T) {
+	const ranks, victim, n = 8, 3, 64 * 1024
+	for _, cfg := range faultConfigs {
+		errs := runCollLoop(t, cfg.disableFold, ranks, "kill:rank=3,after=1:exscan", collExscan, n)
+		checkKillNames(t, cfg.name, errs, victim, collExscan, "Exscan")
+		for r, err := range runCollLoop(t, cfg.disableFold, ranks, "kill:rank=3,after=1:scan", collExscan, n) {
+			if err != nil {
+				t.Fatalf("%s: a rule naming scan failed rank %d of an Exscan loop: %v", cfg.name, r, err)
+			}
+		}
 	}
 }
 

@@ -203,14 +203,15 @@ func TestFoldParityRootedFallback(t *testing.T) {
 		ranks, ppn int
 		budget     int // foldMaxTableSteps; 0 keeps the default
 		// folded and fallback are the gather outcomes over the 2 sizes:
-		// 2 barriers each, plus 3 bcasts when the table folds them.
+		// 2 barriers each, plus 3 bcasts or reduces when the table folds
+		// them.
 		folded, fallback int64
 	}{
 		{"bcast", 16, 1, 0, 10, 0},
 		{"bcast", 64, 8, 0, 10, 0},
 		{"bcast", 16, 1, 16, 4, 2},
 		{"bcast", 64, 8, 64, 4, 2},
-		{"reduce", 16, 4, 0, 4, 0},
+		{"reduce", 16, 4, 0, 10, 0},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s-%dx%d", tc.coll, tc.ranks, tc.ppn)
@@ -388,23 +389,27 @@ func TestFoldReleaseBlockedReceiver(t *testing.T) {
 	}
 }
 
-// repeatColls are the collectives the Repeat tests time in a loop:
-// barrier, allreduce, allgather, alltoall and reduce_scatter's block form
-// fold by class on a power-of-two world, the rooted bcast on a per-rank
-// table, and reduce, which compiles outside the gather, never does.
-// FuzzFoldParity decodes its loops from the first six entries.
+// repeatColls are the collectives the Repeat tests time in a loop, each of
+// which folds: barrier, allreduce, allgather, alltoall and reduce_scatter's
+// block form by class on a power-of-two world, the rooted bcast, reduce,
+// gather and scatter and the prefix reductions on a per-rank table.
+// FuzzFoldParity decodes its loops from the first six entries, the reduce
+// loop swapped for reduce_scatter or for one of the last four.
 var repeatColls = []struct {
-	name  string
-	folds bool
-	call  func(c *Comm, n int) error
+	name string
+	call func(c *Comm, n int) error
 }{
-	{"barrier", true, func(c *Comm, _ int) error { return c.Barrier() }},
-	{"allreduce", true, func(c *Comm, n int) error { return c.AllreduceN(nil, nil, n, Float32, OpSum) }},
-	{"allgather", true, func(c *Comm, n int) error { return c.AllgatherN(nil, n, nil) }},
-	{"alltoall", true, func(c *Comm, n int) error { return c.AlltoallN(nil, n, nil) }},
-	{"bcast", true, func(c *Comm, n int) error { return c.BcastN(nil, n, 0) }},
-	{"reduce", false, func(c *Comm, n int) error { return c.ReduceN(nil, nil, n, Float32, OpSum, 0) }},
-	{"reduce_scatter", true, func(c *Comm, n int) error { return c.ReduceScatterBlockN(nil, nil, n, Float32, OpSum) }},
+	{"barrier", func(c *Comm, _ int) error { return c.Barrier() }},
+	{"allreduce", func(c *Comm, n int) error { return c.AllreduceN(nil, nil, n, Float32, OpSum) }},
+	{"allgather", func(c *Comm, n int) error { return c.AllgatherN(nil, n, nil) }},
+	{"alltoall", func(c *Comm, n int) error { return c.AlltoallN(nil, n, nil) }},
+	{"bcast", func(c *Comm, n int) error { return c.BcastN(nil, n, 0) }},
+	{"reduce", func(c *Comm, n int) error { return c.ReduceN(nil, nil, n, Float32, OpSum, 0) }},
+	{"reduce_scatter", func(c *Comm, n int) error { return c.ReduceScatterBlockN(nil, nil, n, Float32, OpSum) }},
+	{"gather", func(c *Comm, n int) error { return c.GatherN(nil, n, nil, 0) }},
+	{"scatter", func(c *Comm, n int) error { return c.ScatterN(nil, nil, n, 0) }},
+	{"scan", func(c *Comm, n int) error { return c.ScanN(nil, nil, n, Float32, OpSum) }},
+	{"exscan", func(c *Comm, n int) error { return c.ExscanN(nil, nil, n, Float32, OpSum) }},
 }
 
 // repeatSkews are the entry states of the timed loops: every rank even
@@ -502,9 +507,8 @@ func sameOutcomes(a, b FoldStats) bool {
 
 // TestFoldParityRepeat pins Comm.Repeat against the per-call loop it
 // replaces: per-rank elapsed sums and end clocks are bit-identical with
-// folding on and off and to the per-call loop, a folding collective's loop
-// counts one fold per repetition (the per-call loop's verdicts), and a
-// non-folding one runs the per-call loop unchanged.
+// folding on and off and to the per-call loop, and every loop counts one
+// fold per repetition (the per-call loop's verdicts).
 func TestFoldParityRepeat(t *testing.T) {
 	sizes := []int{8, 1024, 16 * 1024}
 	loops := [][2]int{{0, 1}, {0, 5}, {2, 5}, {1, 3}}
@@ -533,12 +537,9 @@ func TestFoldParityRepeat(t *testing.T) {
 						if !sameOutcomes(stats, plainStats) {
 							t.Errorf("Repeat counters %+v, per-call loop %+v", stats, plainStats)
 						}
-						// Two barriers per size fold; a folding loop adds one
+						// Two barriers per size fold, and the loop adds one
 						// fold per repetition.
-						want := int64(2 * len(sizes))
-						if coll.folds {
-							want += int64(len(sizes) * (warmup + iters))
-						}
+						want := int64(len(sizes) * (2 + warmup + iters))
 						if stats.Folded != want || stats.Released != 0 {
 							t.Errorf("want %d folds and no release: %+v", want, stats)
 						}
@@ -581,9 +582,6 @@ func TestFoldParityRepeatClassBound(t *testing.T) {
 	defer func(old int) { foldMaxClasses = old }(foldMaxClasses)
 	foldMaxClasses = 1
 	for _, coll := range repeatColls {
-		if !coll.folds {
-			continue
-		}
 		t.Run(coll.name, func(t *testing.T) {
 			repeat := func(c *Comm, n int) (vtime.Micros, error) {
 				return c.Repeat(warmup, iters, func() error { return coll.call(c, n) })
@@ -613,25 +611,54 @@ type perRankCase struct {
 	call       func(c *Comm, n int) error
 }
 
+// perRankShapes are the worlds the rooted and prefix perRankCases run on:
+// power-of-two and other worlds, with one and with several ranks a node.
+var perRankShapes = [][2]int{{16, 1}, {8, 4}, {21, 7}}
+
 // perRankCases are shapes with no class symmetry, which fold on a per-rank
-// step table: a rooted bcast under either algorithm at the first, second
-// and last root, on power-of-two and other worlds; recursive doubling,
-// Rabenseifner and pairwise exchange on a non-power-of-two world, whose
-// fold ranks send and receive alone; and one Py-mode bcast.
+// step table: a rooted bcast under either algorithm, and the binomial
+// reduce, gather and scatter, each at the first, second and last root;
+// scan and exscan; recursive doubling, Rabenseifner and pairwise exchange
+// on a non-power-of-two world, whose fold ranks send and receive alone; and
+// one Py-mode bcast and reduce.
 func perRankCases() []perRankCase {
+	rooted := []struct {
+		name  string
+		algos map[Collective]string
+		call  func(c *Comm, n, root int) error
+	}{
+		{"bcast-binomial", map[Collective]string{CollBcast: "binomial"},
+			func(c *Comm, n, root int) error { return c.BcastN(nil, n, root) }},
+		{"bcast-scatter_ring", map[Collective]string{CollBcast: "scatter_ring"},
+			func(c *Comm, n, root int) error { return c.BcastN(nil, n, root) }},
+		{"reduce", nil, func(c *Comm, n, root int) error { return c.ReduceN(nil, nil, n, Float32, OpSum, root) }},
+		{"gather", nil, func(c *Comm, n, root int) error { return c.GatherN(nil, n, nil, root) }},
+		{"scatter", nil, func(c *Comm, n, root int) error { return c.ScatterN(nil, nil, n, root) }},
+	}
 	var cases []perRankCase
-	for _, algo := range []string{"binomial", "scatter_ring"} {
-		for _, shape := range [][2]int{{16, 1}, {8, 4}, {21, 7}} {
+	for _, rc := range rooted {
+		for _, shape := range perRankShapes {
 			ranks, ppn := shape[0], shape[1]
 			for _, root := range []int{0, 1, ranks - 1} {
 				cases = append(cases, perRankCase{
-					name:  fmt.Sprintf("bcast-%s-root%d-%dx%d", algo, root, ranks, ppn),
-					ranks: ranks, ppn: ppn,
-					algos: map[Collective]string{CollBcast: algo},
-					call:  func(c *Comm, n int) error { return c.BcastN(nil, n, root) },
+					name:  fmt.Sprintf("%s-root%d-%dx%d", rc.name, root, ranks, ppn),
+					ranks: ranks, ppn: ppn, algos: rc.algos,
+					call: func(c *Comm, n int) error { return rc.call(c, n, root) },
 				})
 			}
 		}
+	}
+	for _, shape := range perRankShapes {
+		ranks, ppn := shape[0], shape[1]
+		cases = append(cases,
+			perRankCase{
+				name: fmt.Sprintf("scan-%dx%d", ranks, ppn), ranks: ranks, ppn: ppn,
+				call: func(c *Comm, n int) error { return c.ScanN(nil, nil, n, Float32, OpSum) },
+			},
+			perRankCase{
+				name: fmt.Sprintf("exscan-%dx%d", ranks, ppn), ranks: ranks, ppn: ppn,
+				call: func(c *Comm, n int) error { return c.ExscanN(nil, nil, n, Float32, OpSum) },
+			})
 	}
 	for _, algo := range []string{"recursive_doubling", "rabenseifner"} {
 		cases = append(cases, perRankCase{
@@ -649,6 +676,10 @@ func perRankCases() []perRankCase {
 		perRankCase{
 			name: "bcast-py-root1-63x7", ranks: 63, ppn: 7, py: true,
 			call: func(c *Comm, n int) error { return c.BcastN(nil, n, 1) },
+		},
+		perRankCase{
+			name: "reduce-py-root1-63x7", ranks: 63, ppn: 7, py: true,
+			call: func(c *Comm, n int) error { return c.ReduceN(nil, nil, n, Float32, OpSum, 1) },
 		})
 }
 
@@ -799,9 +830,12 @@ func TestRepeatCancelMidBatch(t *testing.T) {
 // high bit is set, bits 4-5 force a bcast algorithm (none, binomial,
 // scatter_ring) or, at 3, swap reduce_scatter's block form in for the
 // reduce and igather steps and the reduce loops, and bit 6 runs the world
-// in Py mode. Each (op, arg) byte pair of prog is one step, up to 32 steps;
-// arg picks the size from 8 B, 1 KiB, 16 KiB and 64 KiB (low two bits) and
-// the root or the skewed rank (the rest). An op byte of 0x80 or more is a
+// in Py mode. ppnSel picks the ranks per node (mod 6); when its high bit
+// is set, bits 5-6 swap gather, scatter, scan or exscan in for the reduce
+// steps (at the step's root) and the reduce loops, and the igather steps
+// post an Iscan. Each (op, arg) byte pair of prog is one step, up to 32
+// steps; arg picks the size from 8 B, 1 KiB, 16 KiB and 64 KiB (low two
+// bits) and the root or the skewed rank (the rest). An op byte of 0x80 or more is a
 // Comm.Repeat loop: its low seven bits pick the collective (of
 // repeatColls' first six), the warmup (0-2) and the timed calls (1-4).
 func FuzzFoldParity(f *testing.F) {
@@ -822,6 +856,16 @@ func FuzzFoldParity(f *testing.F) {
 			rs = nodes>>4&3 == 3
 			cfg.PyMode = nodes&0x40 != 0
 		}
+		swap := -1
+		if ppnSel&0x80 != 0 {
+			swap = int(ppnSel >> 5 & 3)
+		}
+		swapped := []func(c *Comm, n, root int) error{
+			func(c *Comm, n, root int) error { return c.GatherN(nil, n, nil, root) },
+			func(c *Comm, n, root int) error { return c.ScatterN(nil, nil, n, root) },
+			func(c *Comm, n, _ int) error { return c.ScanN(nil, nil, n, Float32, OpSum) },
+			func(c *Comm, n, _ int) error { return c.ExscanN(nil, nil, n, Float32, OpSum) },
+		}
 		off := cfg
 		off.DisableFold = true
 		if len(prog) > 64 {
@@ -838,7 +882,9 @@ func FuzzFoldParity(f *testing.F) {
 					if sel := int(prog[i]); sel >= 0x80 {
 						sel -= 0x80
 						coll := repeatColls[sel%6]
-						if rs && coll.name == "reduce" {
+						if coll.name == "reduce" && swap >= 0 {
+							coll = repeatColls[7+swap]
+						} else if coll.name == "reduce" && rs {
 							coll = repeatColls[6]
 						}
 						e, err := c.Repeat(sel/6%3, 1+sel/18%4, func() error { return coll.call(c, n) })
@@ -858,9 +904,12 @@ func FuzzFoldParity(f *testing.F) {
 					case 2:
 						err = c.BcastN(nil, n, peer)
 					case 3:
-						if rs {
+						switch {
+						case swap >= 0:
+							err = swapped[swap](c, n, peer)
+						case rs:
 							err = c.ReduceScatterBlockN(nil, nil, n, Float32, OpSum)
-						} else {
+						default:
 							err = c.ReduceN(nil, nil, n, Float32, OpSum, peer)
 						}
 					case 4:
@@ -874,9 +923,12 @@ func FuzzFoldParity(f *testing.F) {
 					case 7:
 						err = c.AllgatherN(nil, n, nil)
 					case 8:
-						if rs {
+						switch {
+						case swap >= 0:
+							req, err = c.IscanN(nil, nil, n, Float32, OpSum)
+						case rs:
 							req, err = c.IreduceScatterBlockN(nil, nil, n, Float32, OpSum)
-						} else {
+						default:
 							req, err = c.IgatherN(nil, n, nil, peer)
 						}
 					case 9:

@@ -422,8 +422,7 @@ type Proc struct {
 	// place.
 	foldPend foldPending
 	// repeat is the timed loop Comm.Repeat arms for the first collective
-	// its callback reaches: startColl or barrierStart consumes it into the
-	// fold key. repeatDone reports that the gather resolved the whole loop
+	// its callback reaches: startColl consumes it into the fold key. repeatDone reports that the gather resolved the whole loop
 	// (repeatE holds its sum).
 	repeat     foldRepeat
 	repeatDone bool

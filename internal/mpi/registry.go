@@ -9,14 +9,16 @@ import (
 // This file implements the collective-algorithm registry: every collective
 // algorithm the runtime ships (binomial tree, scatter+ring broadcast,
 // recursive doubling, Rabenseifner, Bruck, pairwise, ring, recursive
-// halving) is a named, first-class Algorithm entry, and selection is a
-// Policy over the registry -- threshold-driven defaults (Tuning, the
-// MV2_* knob analogue) plus per-collective forced overrides (the
-// MV2_*_ALGORITHM knob analogue). The coll_*.go files register their
-// implementations at init time; dispatch sites build a Selection and ask
-// the world's policy which entry runs.
+// halving, dissemination, distance doubling) is a named, first-class
+// Algorithm entry, and selection is a Policy over the registry --
+// threshold-driven defaults (Tuning, the MV2_* knob analogue) plus
+// per-collective forced overrides (the MV2_*_ALGORITHM knob analogue).
+// The coll_*.go files register their implementations at init time;
+// dispatch sites build a Selection and ask the world's policy which entry
+// runs.
 
-// Collective identifies a collective operation with selectable algorithms.
+// Collective identifies a collective operation: its key in the registry,
+// and the name the fault layer knows its calls by.
 type Collective string
 
 // Collectives with more than one registered algorithm.
@@ -26,6 +28,19 @@ const (
 	CollAllgather     Collective = "allgather"
 	CollAlltoall      Collective = "alltoall"
 	CollReduceScatter Collective = "reduce_scatter"
+)
+
+// Collectives with one algorithm. They are registered so that they enter
+// the runtime through startColl like the rest, but they are neither listed
+// nor selectable: collectiveOrder, ParseCollective and the tuning tables
+// leave them out. The names also label their calls for the fault layer.
+const (
+	collBarrier Collective = "barrier"
+	collReduce  Collective = "reduce"
+	collGather  Collective = "gather"
+	collScatter Collective = "scatter"
+	collScan    Collective = "scan"
+	collExscan  Collective = "exscan"
 )
 
 // collectiveOrder fixes the listing order (paper Table II order).
@@ -121,7 +136,7 @@ type Algorithm struct {
 	// Applicable is the default-policy predicate: it reports whether the
 	// shipped tuning tables would pick this algorithm for sel. Entries are
 	// tried in registration order; the last entry of each collective is a
-	// catch-all.
+	// catch-all, whose nil Applicable picks it for every sel.
 	Applicable func(sel Selection) bool
 	// Feasible is the hard correctness constraint, enforced even when the
 	// algorithm is forced (e.g. recursive doubling needs a power-of-two
@@ -261,7 +276,7 @@ func (p Policy) Select(coll Collective, sel Selection) (*Algorithm, error) {
 		return a, nil
 	}
 	for _, a := range algorithmRegistry[coll] {
-		if a.FeasibleFor(sel) && a.Applicable(sel) {
+		if a.FeasibleFor(sel) && (a.Applicable == nil || a.Applicable(sel)) {
 			return a, nil
 		}
 	}

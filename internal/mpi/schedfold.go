@@ -3,11 +3,12 @@ package mpi
 // Fold entry: how a collective invocation reaches the symmetry fold
 // (fold.go) without any per-rank schedule object.
 //
-//   - At collective entry (startColl / barrierStart), an eligible rank does
-//     not compile anything. It records the invocation key — (collective,
-//     bytes, root, dtype, op, collective sequence number) — and returns the
-//     schedFoldPending sentinel; the blocking drive joins the event loop's
-//     gather with that key.
+//   - At collective entry (startColl, the one entry of every collective
+//     but the vector forms), an eligible rank does not compile anything.
+//     It records the invocation key — (collective, bytes, root, dtype, op,
+//     collective sequence number) — and returns the schedFoldPending
+//     sentinel; the blocking drive joins the event loop's gather with that
+//     key.
 //   - The resolver compares keys (p integer compares), looks the shape up in
 //     a value-keyed per-world cache, and simulates the whole invocation per
 //     equivalence class, or per rank on a step table (fold.go). No per-rank
@@ -233,18 +234,12 @@ func (c *Comm) schedFoldDrive() error {
 	if err != nil {
 		return err
 	}
-	if s == nil {
-		return nil
-	}
 	return c.driveSteps(s)
 }
 
 // materializePending compiles the per-rank schedule of a deferred
 // invocation (fallback path, and every nonblocking post).
 func (c *Comm) materializePending(pend *foldPending) (*collSched, error) {
-	if pend.key.shape.coll == collBarrier {
-		return c.compileBarrierSched(), nil
-	}
 	call := pend.call()
 	return c.compileReplayColl(pend.key.shape.coll, &call, pend.bytes)
 }
@@ -314,26 +309,16 @@ func foldStructFootprint(sh *foldShape) int64 {
 	return b
 }
 
-// resolveFoldAlg resolves the algorithm a deferred invocation would have
-// selected; only needed on a shape-cache miss (the steady state never
-// walks the policy).
-func resolveFoldAlg(c *Comm, pend *foldPending) (*Algorithm, error) {
-	if pend.key.shape.coll == collBarrier {
-		return barrierAlg, nil
-	}
-	call := pend.call()
-	return c.algorithmFor(pend.key.shape.coll, &call, pend.bytes)
-}
-
 // buildFoldShapeProbe resolves a shape-cache miss for a key gather: fetch
 // the analyzed structure from the process-wide cache (verifying the link
 // tables exactly — the signature is a hash) or compile one probe schedule
 // per rank and analyze them, then attach this world's price tables.
 func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldShape {
 	w := l.w
-	c0 := l.ranks[0].proc.CommWorld()
-	alg, err := resolveFoldAlg(c0, pend)
-	if err != nil || alg == nil || alg.build == nil {
+	// Only a shape-cache miss walks the policy, never the steady state.
+	call := pend.call()
+	alg, err := l.ranks[0].proc.CommWorld().algorithmFor(sk.coll, &call, pend.bytes)
+	if err != nil {
 		return &foldShape{}
 	}
 	key := foldStructKey{alg: alg, p: w.size, n: sk.n, root: sk.root,
@@ -353,7 +338,7 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 		// A signature collision between distinct placements: build for this
 		// world without fighting over the cache slot.
 	}
-	sh := l.probeAndAnalyze(alg, pend.call())
+	sh := l.probeAndAnalyze(alg, call)
 	w.foldStats.ClassesCompiled += int64(sh.nclass)
 	tmpl := *sh
 	tmpl.costs, tmpl.parts = nil, nil
